@@ -1,17 +1,20 @@
 """Benchmark — event-delta timeline replay vs full recompute.
 
 The tentpole claim of the dynamic-topology engine is that replaying an
-event timeline (link failures, restorations, a leak, a hijack) under
-``REPRO_ENGINE=incremental`` derives every post-event state as a
-frontier-limited delta over the cached baselines instead of a full
-Gao-Rexford propagation per (event, origin).  This benchmark replays the
-same small-profile timeline under both engines via
-:class:`~repro.experiments.timeline.ScenarioRunner`, asserts the metric
-rows are *bitwise identical* — including a separate untimed replay with
-reliance/hegemony targets, so every kernel the runner can emit is
-covered — and records the comparison in ``benchmarks/bench_events.json``
-(stamped with engine/workers/batch/cpu_count like every benchmark
-record).
+event timeline (link failures, restorations, a leak, a hijack) derives
+every post-event state as a frontier-limited delta over the cached
+baselines (:func:`~repro.bgpsim.events.propagate_delta_event`) instead
+of a full Gao-Rexford propagation per (event, origin)
+(:func:`~repro.bgpsim.events.full_event_outcome`).  This benchmark
+replays the same small-profile timeline both ways via
+:class:`~repro.experiments.timeline.ScenarioRunner` — the compiled
+engine takes the delta path, the reference engine the full recompute
+(on the same compiled kernel, so only the delta pass is timed) —
+asserts the metric rows are *bitwise identical* — including a separate
+untimed replay with reliance/hegemony targets, so every kernel the
+runner can emit is covered — and records the comparison in
+``benchmarks/bench_events.json`` (stamped with engine/workers/batch/
+cpu_count like every benchmark record).
 
 The timed sweeps emit reachability-only rows: per-row metric
 post-processing costs the same on both paths, so timing it would
@@ -76,47 +79,47 @@ def test_bench_event_timeline_incremental_vs_full(benchmark, ctx2020):
     events = _timeline(graph, origins)
 
     started = time.perf_counter()
-    full_result = _sweep(graph, origins, events, "compiled")
+    full_result = _sweep(graph, origins, events, "reference")
     full_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    incremental_result = benchmark.pedantic(
+    delta_result = benchmark.pedantic(
         _sweep,
-        args=(graph, origins, events, "incremental"),
+        args=(graph, origins, events, "compiled"),
         rounds=1,
         iterations=1,
     )
-    incremental_s = time.perf_counter() - started
+    delta_s = time.perf_counter() - started
 
     # correctness first: the timed rows must be bitwise identical
-    assert _rows(incremental_result) == _rows(full_result), (
-        "incremental timeline diverged from the full recompute"
+    assert _rows(delta_result) == _rows(full_result), (
+        "delta timeline diverged from the full recompute"
     )
 
     # and so must the reliance/hegemony floats (untimed replay — the
     # metric kernels cost the same on both paths)
     target = origins[0]
     assert _rows(
-        _sweep(graph, origins, events, "incremental", targets=(target,)),
+        _sweep(graph, origins, events, "compiled", targets=(target,)),
         with_metrics=True,
     ) == _rows(
-        _sweep(graph, origins, events, "compiled", targets=(target,)),
+        _sweep(graph, origins, events, "reference", targets=(target,)),
         with_metrics=True,
     ), "metric rows diverged between the engines"
 
     visited = [
         r.visited_fraction
-        for r in incremental_result.records
+        for r in delta_result.records
         if r.step > 0 and r.visited_fraction
     ]
     assert visited, "no event took the delta path"
-    speedup = full_s / incremental_s
+    speedup = full_s / delta_s
     record = {
         "origins": len(origins),
         "events": len(events),
         "ases": len(graph),
         "full_s": full_s,
-        "incremental_s": incremental_s,
+        "delta_s": delta_s,
         "speedup": speedup,
         "delta_path_rows": len(visited),
         "mean_visited_fraction": sum(visited) / len(visited),
@@ -124,10 +127,10 @@ def test_bench_event_timeline_incremental_vs_full(benchmark, ctx2020):
         "rows_identical": True,
         "metric_rows_identical": True,
     }
-    write_bench_json(BENCH_JSON, record, engine="incremental", workers=None)
+    write_bench_json(BENCH_JSON, record, engine="compiled", workers=None)
 
     assert speedup >= 2.0, (
-        f"incremental timeline ({incremental_s:.3f}s) is only "
+        f"delta timeline ({delta_s:.3f}s) is only "
         f"{speedup:.2f}x faster than the full recompute ({full_s:.3f}s); "
         "event deltas should buy at least 2x on this sweep"
     )

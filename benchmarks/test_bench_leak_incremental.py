@@ -1,15 +1,24 @@
-"""Benchmark — incremental delta-propagation vs full recompute on the
+"""Benchmark — the leak sweep's delta path vs full recompute on the
 Fig. 7/8 leak sweep.
 
-The headline claim of the incremental engine is that a Fig. 7/8-shaped
-resilience sweep (five announcement/locking configurations, many leakers
-each) gets ≥3× faster because each configuration's baseline is propagated
-once and every leaker only re-propagates the region its leak disturbs.
-This benchmark runs the same sweep under both engines on the shared
-experiment context, asserts the detoured-fraction curves are *bitwise
-identical*, asserts the speedup, and records the comparison — wall
-times, speedup, and the mean/max fraction of ASes the delta passes
-visited — in ``benchmarks/bench_leak_incremental.json`` (stamped with
+The headline claim of the delta pass (:mod:`repro.bgpsim.incremental`)
+is that a Fig. 7/8-shaped resilience sweep (five announcement/locking
+configurations, many leakers each) gets ≥3× faster because each
+configuration's baseline is propagated once and every leaker only
+re-propagates the region its leak disturbs.  This benchmark times the
+two paths directly on the shared experiment context, both on the
+compiled kernel:
+
+* ``full`` — :func:`~repro.core.leaks.simulate_leak` per leaker, two
+  full propagations each;
+* ``delta`` — :func:`~repro.core.leaks.simulate_leaks`, which under the
+  compiled engine shares one baseline per configuration and runs the
+  delta pass per leaker (falling back per leaker where it cannot serve).
+
+It asserts the detoured-fraction curves are *bitwise identical*,
+asserts the speedup, and records the comparison — wall times, speedup,
+and the mean/max fraction of ASes the delta passes visited — in
+``benchmarks/bench_leak_incremental.json`` (stamped with
 engine/workers/cpu_count like every benchmark record).
 
 Run it through ``make bench-leaks``.
@@ -26,19 +35,34 @@ from repro.bgpsim import RoutingStateCache
 from repro.core.leaks import (
     LEAK_CONFIGURATIONS,
     configuration_seed_and_locks,
+    simulate_leak,
     simulate_leaks,
 )
 
 BENCH_JSON = Path(__file__).resolve().parent / "bench_leak_incremental.json"
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 LEAKER_COUNT = int(os.environ.get("REPRO_BENCH_LEAKERS", "40"))
 
 
-def _sweep(graph, tiers, origin, leakers, engine, cache=None):
+def _full(graph, seed, leakers, locks):
+    return [
+        simulate_leak(graph, seed, leaker, peer_locked=locks, engine="compiled")
+        for leaker in leakers
+    ]
+
+
+def _delta(graph, seed, leakers, locks, cache):
+    return simulate_leaks(
+        graph, seed, leakers, peer_locked=locks, engine="compiled",
+        cache=cache,
+    )
+
+
+def _sweep(graph, tiers, origin, leakers, run):
     """One Fig. 7/8-shaped sweep: every configuration, every leaker.
 
-    Returns ``(curves, outcomes)`` where ``curves`` maps configuration →
-    sorted detoured fractions (exactly what ``resilience_curve`` plots).
+    ``run(seed, locks)`` returns the configuration's outcomes.  Returns
+    ``(curves, outcomes)`` where ``curves`` maps configuration → sorted
+    detoured fractions (exactly what ``resilience_curve`` plots).
     """
     curves = {}
     outcomes = []
@@ -46,10 +70,7 @@ def _sweep(graph, tiers, origin, leakers, engine, cache=None):
         seed, locks = configuration_seed_and_locks(
             graph, origin, tiers, configuration
         )
-        results = simulate_leaks(
-            graph, seed, leakers, peer_locked=locks,
-            engine=engine, cache=cache,
-        )
+        results = run(seed, locks)
         outcomes.extend(results)
         curves[configuration] = sorted(
             outcome.fraction_detoured
@@ -71,25 +92,29 @@ def test_bench_leak_sweep_incremental_vs_full(benchmark, ctx2020):
     ]
 
     started = time.perf_counter()
-    full_curves, _ = _sweep(graph, tiers, origin, leakers, "compiled")
+    full_curves, _ = _sweep(
+        graph, tiers, origin, leakers,
+        lambda seed, locks: _full(graph, seed, leakers, locks),
+    )
     full_s = time.perf_counter() - started
 
-    cache = RoutingStateCache(graph, engine="incremental")
+    cache = RoutingStateCache(graph)
 
     def sweep():
         return _sweep(
-            graph, tiers, origin, leakers, "incremental", cache=cache
+            graph, tiers, origin, leakers,
+            lambda seed, locks: _delta(graph, seed, leakers, locks, cache),
         )
 
     started = time.perf_counter()
-    incremental_curves, outcomes = benchmark.pedantic(
+    delta_curves, outcomes = benchmark.pedantic(
         sweep, rounds=1, iterations=1
     )
-    incremental_s = time.perf_counter() - started
+    delta_s = time.perf_counter() - started
 
     # correctness first: the curves must be bitwise identical
-    assert incremental_curves == full_curves, (
-        "incremental sweep diverged from the full recompute"
+    assert delta_curves == full_curves, (
+        "delta sweep diverged from the full recompute"
     )
 
     visited = [
@@ -98,26 +123,24 @@ def test_bench_leak_sweep_incremental_vs_full(benchmark, ctx2020):
         if outcome is not None and outcome.visited_fraction is not None
     ]
     assert visited, "no leaker took the delta path"
-    speedup = full_s / incremental_s
+    speedup = full_s / delta_s
     record = {
         "origin": origin,
         "leakers": len(leakers),
         "configurations": len(LEAK_CONFIGURATIONS),
         "ases": len(graph),
         "full_s": full_s,
-        "incremental_s": incremental_s,
+        "delta_s": delta_s,
         "speedup": speedup,
         "delta_path_outcomes": len(visited),
         "mean_visited_fraction": sum(visited) / len(visited),
         "max_visited_fraction": max(visited),
         "curves_identical": True,
     }
-    write_bench_json(
-        BENCH_JSON, record, engine="incremental", workers=None
-    )
+    write_bench_json(BENCH_JSON, record, engine="compiled", workers=None)
 
     assert speedup >= 3.0, (
-        f"incremental sweep ({incremental_s:.3f}s) is only {speedup:.2f}x "
+        f"delta sweep ({delta_s:.3f}s) is only {speedup:.2f}x "
         f"faster than the full recompute ({full_s:.3f}s); the shared "
         "baseline should buy at least 3x on this sweep"
     )

@@ -21,10 +21,9 @@ Two further legs cover PR 10:
 
 * ``metric`` — ``/reliance`` and ``/hegemony`` answered off precomputed
   metric shards (``repro precompute --metrics``) vs the same service
-  recomputing the kernels per query.  Answers must be bit-identical
-  (exact ``float.hex()``) and the metric tier must be ≥10× faster than
-  the pure-Python kernel baseline (``REPRO_VECTOR=off``); the
-  vectorized-kernel baseline is recorded unasserted.
+  recomputing the live numpy kernels per query.  Answers must be
+  bit-identical (exact ``float.hex()``) and the metric tier must be ≥10×
+  faster than the kernels.
 * ``multi-worker`` — a threaded client load against ``WorkerSupervisor``
   with 1 and 2 ``SO_REUSEPORT`` workers; the parallel win is asserted
   only on multi-CPU hosts.
@@ -287,54 +286,35 @@ def test_bench_serving_tiers(benchmark, ctx2020, tmp_path):
         heg_metric_ns
     ), "metric queries leaked past the metric tier"
 
-    # asserted baseline: the pure-Python kernels (REPRO_VECTOR=off);
-    # the vectorized kernels are recorded too, unasserted
-    saved_vector = os.environ.get("REPRO_VECTOR")
-    os.environ["REPRO_VECTOR"] = "off"
-    try:
-        rel_loop_ns, rel_loop = _drive_endpoint(
-            baseline, "/reliance", m_origins, target
-        )
-        heg_loop_ns, heg_loop = _drive_endpoint(
-            baseline, "/hegemony", m_origins, target
-        )
-    finally:
-        if saved_vector is None:
-            os.environ.pop("REPRO_VECTOR", None)
-        else:
-            os.environ["REPRO_VECTOR"] = saved_vector
-    rel_vec_ns, rel_vec = _drive_endpoint(
+    # asserted baseline: the live numpy kernels on warm states
+    rel_kernel_ns, rel_kernel = _drive_endpoint(
         baseline, "/reliance", m_origins, target
     )
-    heg_vec_ns, heg_vec = _drive_endpoint(
+    heg_kernel_ns, heg_kernel = _drive_endpoint(
         baseline, "/hegemony", m_origins, target
     )
     for origin in m_origins:
         assert (
             float(rel_metric[origin]).hex()
-            == float(rel_loop[origin]).hex()
-            == float(rel_vec[origin]).hex()
+            == float(rel_kernel[origin]).hex()
         ), f"reliance floats diverged for AS{origin}"
         assert (
             float(heg_metric[origin]).hex()
-            == float(heg_loop[origin]).hex()
-            == float(heg_vec[origin]).hex()
+            == float(heg_kernel[origin]).hex()
         ), f"hegemony floats diverged for AS{origin}"
 
     metric_legs = {
         "reliance": {
             "metric": _tier_record(rel_metric_ns),
-            "kernel_loop": _tier_record(rel_loop_ns),
-            "kernel_vector": _tier_record(rel_vec_ns),
+            "kernel": _tier_record(rel_kernel_ns),
         },
         "hegemony": {
             "metric": _tier_record(heg_metric_ns),
-            "kernel_loop": _tier_record(heg_loop_ns),
-            "kernel_vector": _tier_record(heg_vec_ns),
+            "kernel": _tier_record(heg_kernel_ns),
         },
     }
     metric_speedups = {
-        endpoint: legs["kernel_loop"]["mean_us"] / legs["metric"]["mean_us"]
+        endpoint: legs["kernel"]["mean_us"] / legs["metric"]["mean_us"]
         for endpoint, legs in metric_legs.items()
     }
 
@@ -376,7 +356,7 @@ def test_bench_serving_tiers(benchmark, ctx2020, tmp_path):
             "hegemony_targets": len(metric_targets),
             "queries_per_endpoint": QUERIES,
             "endpoints": metric_legs,
-            "speedup_metric_vs_kernel_loop": metric_speedups,
+            "speedup_metric_vs_kernel": metric_speedups,
         },
         "latency_histograms": metric_stats["latency"],
         "multi_worker": {
@@ -410,7 +390,7 @@ def test_bench_serving_tiers(benchmark, ctx2020, tmp_path):
         assert speedup >= 10.0, (
             f"metric tier /{endpoint} ({legs['metric']['mean_us']:.1f} "
             f"us/query) is only {speedup:.1f}x faster than the live "
-            f"kernel ({legs['kernel_loop']['mean_us']:.1f} us/query); "
+            f"kernel ({legs['kernel']['mean_us']:.1f} us/query); "
             f"expected >=10x"
         )
     if (os.cpu_count() or 1) >= 2:

@@ -8,11 +8,6 @@ cache is a bounded LRU: at most ``maxsize`` states are retained, the least
 recently used origin is evicted first, and hit/miss/eviction counters are
 exposed through :meth:`RoutingStateCache.stats` so sweeps can verify their
 access pattern actually fits the bound.
-
-Cached states are implementation-agnostic: a state computed while the
-vectorized kernels were enabled (``REPRO_VECTOR``) is bit-for-bit
-equivalent to one computed by the pure loops, so toggling the knob
-mid-session never invalidates the cache.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ dicts-of-sets and allocates one :class:`~repro.bgpsim.routes.NodeRoute`
 per AS; at measured-Internet scale (~70k ASes × thousands of origins per
 sweep) the object churn dominates.  This module freezes an
 :class:`~repro.topology.asgraph.ASGraph` into dense CSR adjacency arrays
-and reimplements the three Gao-Rexford phases over flat arrays:
+and runs the three Gao-Rexford phases over flat arrays:
 
 * :class:`CompiledGraph` — an immutable snapshot holding, per relation
   (providers / customers / peers), an ``array('q')`` offset table and an
@@ -14,8 +14,10 @@ and reimplements the three Gao-Rexford phases over flat arrays:
   consumers (and the reference engine itself) can run on it unchanged.
 * :func:`propagate_compiled` — the kernel: route class / length /
   parent-head arrays plus a linked parent-edge pool instead of per-node
-  route objects.  It is proven result-equivalent to the reference engine
-  by the differential harness in ``tests/test_compiled_engine.py``.
+  route objects, computed by the numpy frontier sweeps of
+  :mod:`repro.bgpsim.vectorized`.  It is proven result-equivalent to the
+  reference engine by the differential harness in
+  ``tests/test_compiled_engine.py``.
 * :class:`CompiledRoutingState` — the compact result.  It subclasses
   :class:`~repro.bgpsim.routes.RoutingState` and materializes the
   ``routes`` dict of ``NodeRoute`` objects lazily on first access, so
@@ -27,7 +29,6 @@ and reimplements the three Gao-Rexford phases over flat arrays:
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator
@@ -475,221 +476,8 @@ def propagate_compiled(
     seeds = tuple(seeds)
     _check_seeds(cg, seeds, excluded)
 
-    # vectorized numpy port (REPRO_VECTOR): same semantics, same arrays
-    from . import vectorized as _vec
+    from .vectorized import propagate_compiled_vector
 
-    if _vec.vector_enabled():
-        return _vec.propagate_compiled_vector(
-            cg, seeds, excluded, peer_locked, locked_origin
-        )
-
-    index = cg.index
-    n = cg.n
-    if locked_origin is None:
-        locked_origin = seeds[0].asn
-    locked_idx = index.get(locked_origin, -2)
-
-    # per-node flags for the blocked() predicate
-    ex = bytearray(n)
-    for asn in excluded:
-        i = index.get(asn)
-        if i is not None:
-            ex[i] = 1
-    seed_asns = {s.asn for s in seeds}
-    lk = bytearray(n)
-    for asn in peer_locked:
-        if asn in seed_asns:
-            continue
-        i = index.get(asn)
-        if i is not None:
-            lk[i] = 1
-
-    # per-seed export restrictions, as neighbor-index sets
-    seed_export: dict[int, frozenset[int]] = {}
-    for seed in seeds:
-        if seed.export_to is not None:
-            seed_export[index[seed.asn]] = frozenset(
-                index[a] for a in seed.export_to if a in index
-            )
-
-    # routing state arrays
-    rc = bytearray([_NO_ROUTE]) * n
-    ln = array("q", bytes(8 * n))
-    head = array("i", b"\xff" * (4 * n))  # -1: no parents
-    pool_parent = array("i")
-    pool_next = array("i")
-    pp_append = pool_parent.append
-    pn_append = pool_next.append
-    routed: list[int] = []
-
-    poff, pnbr = cg.provider_off, cg.provider_nbr
-    coff, cnbr = cg.customer_off, cg.customer_nbr
-    qoff, qnbr = cg.peer_off, cg.peer_nbr
-
-    # ------------------------------------------------------------------
-    # phase 1: customer routes, level-synchronous BFS up provider edges
-    # ------------------------------------------------------------------
-    pending: dict[int, list[tuple[int, int]]] = {}
-    for seed in seeds:
-        s = index[seed.asn]
-        rc[s] = 0
-        ln[s] = seed.initial_length
-        routed.append(s)
-        exp = seed_export.get(s)
-        bucket = pending.setdefault(seed.initial_length + 1, [])
-        for p in pnbr[poff[s] : poff[s + 1]]:
-            if ex[p] or (lk[p] and s != locked_idx):
-                continue
-            if exp is not None and p not in exp:
-                continue
-            bucket.append((p, s))
-
-    level = min(pending) if pending else 0
-    while pending:
-        if level not in pending:
-            # levels are consumed in increasing order; gaps only occur at
-            # seed initial-length boundaries, so this re-scan is O(#seeds)
-            level = min(pending)
-        events = pending.pop(level)
-        newly: list[int] = []
-        for r, s in events:
-            c = rc[r]
-            if c != _NO_ROUTE:
-                # only non-seed routes (which always have parents) tie-extend
-                if c == 0 and ln[r] == level and head[r] >= 0:
-                    pp_append(s)
-                    pn_append(head[r])
-                    head[r] = len(pool_parent) - 1
-                continue
-            rc[r] = 0
-            ln[r] = level
-            pp_append(s)
-            pn_append(-1)
-            head[r] = len(pool_parent) - 1
-            newly.append(r)
-            routed.append(r)
-        if newly:
-            nxt = level + 1
-            bucket = pending.get(nxt)
-            if bucket is None:
-                bucket = pending[nxt] = []
-            for r in newly:
-                for p in pnbr[poff[r] : poff[r + 1]]:
-                    if ex[p] or (lk[p] and r != locked_idx):
-                        continue
-                    bucket.append((p, r))
-        level += 1
-
-    customer_routed = list(routed)
-
-    # ------------------------------------------------------------------
-    # phase 2: peer routes, one hop from every customer-routed AS
-    # ------------------------------------------------------------------
-    cand_len = array("q", bytes(8 * n))  # 0: no candidate (lengths are >= 1)
-    cand_head = array("i", b"\xff" * (4 * n))
-    touched: list[int] = []
-    for s in customer_routed:
-        hop = ln[s] + 1
-        exp = seed_export.get(s)
-        for q in qnbr[qoff[s] : qoff[s + 1]]:
-            if rc[q] != _NO_ROUTE:
-                continue
-            if ex[q] or (lk[q] and s != locked_idx):
-                continue
-            if exp is not None and q not in exp:
-                continue
-            best = cand_len[q]
-            if best == 0:
-                touched.append(q)
-            if best == 0 or hop < best:
-                cand_len[q] = hop
-                pp_append(s)
-                pn_append(-1)
-                cand_head[q] = len(pool_parent) - 1
-            elif hop == best:
-                pp_append(s)
-                pn_append(cand_head[q])
-                cand_head[q] = len(pool_parent) - 1
-    for q in touched:
-        rc[q] = 1
-        ln[q] = cand_len[q]
-        head[q] = cand_head[q]
-        routed.append(q)
-
-    # ------------------------------------------------------------------
-    # phase 3: provider routes, Dijkstra down customer edges
-    # ------------------------------------------------------------------
-    heap: list[tuple[int, int, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    for s in routed:
-        hop = ln[s] + 1
-        exp = seed_export.get(s)
-        for c in cnbr[coff[s] : coff[s + 1]]:
-            if rc[c] != _NO_ROUTE:
-                continue
-            if ex[c] or (lk[c] and s != locked_idx):
-                continue
-            if exp is not None and c not in exp:
-                continue
-            push(heap, (hop, c, s))
-    while heap:
-        hop, r, s = pop(heap)
-        c = rc[r]
-        if c != _NO_ROUTE:
-            if c == 2 and ln[r] == hop:
-                pp_append(s)
-                pn_append(head[r])
-                head[r] = len(pool_parent) - 1
-            continue
-        rc[r] = 2
-        ln[r] = hop
-        pp_append(s)
-        pn_append(-1)
-        head[r] = len(pool_parent) - 1
-        routed.append(r)
-        nxt = hop + 1
-        for c in cnbr[coff[r] : coff[r + 1]]:
-            if rc[c] != _NO_ROUTE:
-                continue
-            if ex[c] or (lk[c] and r != locked_idx):
-                continue
-            push(heap, (nxt, c, r))
-
-    # ------------------------------------------------------------------
-    # origins: which seeds each AS's tied-best routes lead to
-    # ------------------------------------------------------------------
-    origin_mask: Optional[list[int]] = None
-    if len(seeds) > 1:
-        origin_mask = [0] * n
-        for b, seed in enumerate(seeds):
-            origin_mask[index[seed.asn]] = 1 << b
-        # parents are exactly one hop shorter, so increasing-length order
-        # finalizes every parent before its children read it
-        for r in sorted(routed, key=ln.__getitem__):
-            h = head[r]
-            if h < 0:
-                continue  # a seed: keeps its own bit
-            mask = 0
-            while h >= 0:
-                mask |= origin_mask[pool_parent[h]]
-                h = pool_next[h]
-            origin_mask[r] = mask
-
-    # shrink the result arrays to the smallest typecodes that fit so the
-    # state pickles (and caches) compactly
-    pool_size = len(pool_parent)
-    node_code = _unsigned_typecode(max(n - 1, 0))
-    pool_code = _signed_typecode(pool_size)
-    max_len = max((ln[r] for r in routed), default=0)
-    return CompiledRoutingState(
-        cg.asns,
-        seeds,
-        rc,
-        _shrink(ln, _unsigned_typecode(max_len)),
-        _shrink(head, pool_code),
-        _shrink(pool_parent, node_code),
-        _shrink(pool_next, pool_code),
-        array(node_code, routed),
-        origin_mask,
+    return propagate_compiled_vector(
+        cg, seeds, excluded, peer_locked, locked_origin
     )

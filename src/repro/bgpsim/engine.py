@@ -35,14 +35,15 @@ from typing import Optional
 from ..topology.asgraph import ASGraph
 from .routes import NodeRoute, RouteClass, RoutingState, Seed
 
-#: engines selectable through ``propagate(engine=...)`` / ``REPRO_ENGINE``.
-#: ``"incremental"`` changes how *leak sweeps* derive their combined
-#: states (``repro.bgpsim.incremental``); for a plain propagation it is
-#: the compiled kernel.  Orthogonally, ``REPRO_VECTOR`` selects whether
-#: the compiled kernel runs its pure-Python loops or the numpy sweeps of
-#: ``repro.bgpsim.vectorized`` — dispatch happens inside
-#: ``propagate_compiled``, so the engine names here never change.
-ENGINES = ("compiled", "reference", "incremental")
+#: engines selectable through ``propagate(engine=...)`` / ``REPRO_ENGINE``:
+#: the fast path and its oracle.  ``"compiled"`` runs the numpy sweeps of
+#: ``repro.bgpsim.vectorized`` over the CSR graph, and its leak sweeps and
+#: event timelines derive each perturbed state as a delta from a shared
+#: baseline (``repro.bgpsim.incremental`` / ``repro.bgpsim.events``),
+#: falling back to a full recompute where the delta pass cannot serve.
+#: ``"reference"`` is the dict-of-objects engine every fast path is
+#: checked against, and always recomputes in full.
+ENGINES = ("compiled", "reference")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -124,11 +125,8 @@ def propagate(
     the historical dict-of-objects engine.  Both return equivalent
     states (proven by ``tests/test_compiled_engine.py``); the
     ``REPRO_ENGINE`` environment variable overrides the default.
-    ``"incremental"`` only matters to the leak-sweep consumers in
-    :mod:`repro.core.leaks` (which derive combined leak states from a
-    shared baseline); for a single propagation it is the compiled kernel.
     """
-    if resolve_engine(engine) in ("compiled", "incremental"):
+    if resolve_engine(engine) == "compiled":
         from .compiled import propagate_compiled
 
         return propagate_compiled(

@@ -471,7 +471,7 @@ def full_event_outcome(
     against the baseline and runs one fresh two-seed propagation; a
     :class:`Hijack` is inherently a full hijacker propagation merged over
     the baseline, so both entry points share :func:`_hijack_outcome`.
-    Timelines use this when the engine is not ``"incremental"``, and the
+    Timelines use this under the reference engine, and the
     differential harness/benchmark use it as the ground truth the delta
     pass must reproduce bit-for-bit.
     """

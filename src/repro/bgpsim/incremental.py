@@ -38,7 +38,8 @@ seed that does not retract announcements the baseline already made
 (enforced here with ``ValueError``).  The :mod:`repro.core.leaks`
 consumers fall back to the full engine for the remaining cases
 (subprefix leaks, the pre-erratum ``ORIGINAL`` semantics, and locked
-leakers), so ``engine="incremental"`` is always safe.
+leakers), which is what lets the compiled engine's leak sweeps take the
+delta path by default.
 """
 
 from __future__ import annotations

@@ -36,6 +36,11 @@ implementations is proven by ``tests/test_metric_kernels.py`` (exact
 ``Fraction`` mode on seeded netgen scenarios); the float paths are
 bit-identical as well because both sides process nodes in the same
 canonical (length, ASN) order and parents in ascending order.
+
+Each kernel first runs its numpy twin in :mod:`repro.bgpsim.vectorized`.
+The array loops here serve the two inputs the float64 sweeps cannot:
+DAGs whose tied-best-path counts exceed 2**53 (Python ints stay exact
+where float64 casts would round) and ``exact=True`` reliance.
 """
 
 from __future__ import annotations
@@ -253,8 +258,7 @@ def dag_of(state: RoutingState) -> MetricDAG:
                 "metric kernels require a CompiledRoutingState or "
                 f"DeltaRoutingState, not {type(state).__name__}"
             )
-        if _vec.vector_enabled():
-            dag = _vec.build_metric_dag_vector(state)
+        dag = _vec.build_metric_dag_vector(state)
         if dag is None:
             dag = MetricDAG(state)
         state._metric_dag = dag
@@ -278,10 +282,9 @@ def path_counts_indexed(state: RoutingState) -> list[int]:
 
 def path_counts_kernel(state: RoutingState) -> dict[int, int]:
     """ASN-keyed tied-best-path counts (kernel twin of ``path_counts``)."""
-    if _vec.vector_enabled():
-        result = _vec.path_counts_vector(state)
-        if result is not None:
-            return result
+    result = _vec.path_counts_vector(state)
+    if result is not None:
+        return result
     dag = dag_of(state)
     counts = path_counts_indexed(state)
     asns = dag.asns
@@ -301,7 +304,7 @@ def reliance_mass_kernel(
     building an ASN-keyed dict first; :func:`reliance_kernel` is the
     dict-shaped wrapper.
     """
-    if not exact and _vec.vector_enabled():
+    if not exact:
         result = _vec.reliance_mass_vector(state, receivers=receivers)
         if result is not None:
             return result
@@ -359,7 +362,7 @@ def reliance_kernel(
     parents ascending) mirrors the canonical dict-path order, so results
     are bit-identical.
     """
-    if not exact and _vec.vector_enabled():
+    if not exact:
         result = _vec.reliance_vector(state, receivers=receivers)
         if result is not None:
             return result
@@ -376,10 +379,9 @@ def cross_fractions_kernel(
     state: RoutingState, target: int
 ) -> dict[int, float]:
     """Hegemony's crossing fractions as one forward pass over the DAG."""
-    if _vec.vector_enabled():
-        result = _vec.cross_fractions_vector(state, target)
-        if result is not None:
-            return result
+    result = _vec.cross_fractions_vector(state, target)
+    if result is not None:
+        return result
     dag = dag_of(state)
     ti = dag.idx(target)
     if ti is None or not dag.routed[ti]:
@@ -420,15 +422,14 @@ def cross_fractions_many_kernel(
 
     A hegemony sweep evaluates dozens of targets per origin; the
     vectorized path serves the whole set in one ``(m, T)`` forward sweep
-    (every dict bit-identical to the per-target kernel), and the pure
-    path simply loops — the DAG and tied-best-path counts are cached on
-    the state either way.
+    (every dict bit-identical to the per-target kernel), and the
+    big-count fallback simply loops — the DAG and tied-best-path counts
+    are cached on the state either way.
     """
     targets = list(targets)
-    if _vec.vector_enabled():
-        result = _vec.cross_fractions_many_vector(state, targets)
-        if result is not None:
-            return result
+    result = _vec.cross_fractions_many_vector(state, targets)
+    if result is not None:
+        return result
     return [cross_fractions_kernel(state, target) for target in targets]
 
 
@@ -444,12 +445,11 @@ def length_histogram_kernel(
     accounting to a subset.  Read straight off the length array — no
     parent pools, no route objects.
     """
-    if _vec.vector_enabled():
-        result = _vec.length_histogram_vector(
-            state, weights=weights, restrict_to=restrict_to
-        )
-        if result is not None:
-            return result
+    result = _vec.length_histogram_vector(
+        state, weights=weights, restrict_to=restrict_to
+    )
+    if result is not None:
+        return result
     dag = dag_of(state)
     seed_idx = dag.seed_idx
     asns, lengths = dag.asns, dag.lengths

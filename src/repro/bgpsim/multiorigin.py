@@ -5,10 +5,12 @@ collection, global hegemony — run one single-seed Gao-Rexford
 propagation per origin.  Those propagations are identical in *shape*:
 the same three phases walk the same CSR arrays, and the only per-origin
 difference is *which* origins have reached each AS.  That is exactly the
-situation bitset-parallel BFS collapses: this module packs B origins
-into one Python big-int bit per origin and runs the three phases of
+situation bitset-parallel BFS collapses: this module gives each of B
+origins one bit of a per-AS mask and runs the three phases of
 :func:`~repro.bgpsim.compiled.propagate_compiled` once per *batch*
-instead of once per origin.
+instead of once per origin.  The sweep itself runs on ``(n, W)`` uint64
+mask matrices (:func:`repro.bgpsim.vectorized.propagate_batch_vector`);
+the batch keeps the result as one Python big int per AS and class.
 
 Why first-arrival order is enough: with ``initial_length == 0`` for
 every origin (the plain ``Seed(asn=origin)`` the sweeps use), each phase
@@ -494,122 +496,6 @@ def propagate_batch(
         if i is not None:
             ex[i] = 1
 
-    # vectorized numpy port (REPRO_VECTOR): same masks, same buckets
-    from . import vectorized as _vec
+    from .vectorized import propagate_batch_vector
 
-    if _vec.vector_enabled():
-        state = _vec.propagate_batch_vector(cg, origins, ex)
-        if state is not None:
-            return state
-
-    cust = [0] * n
-    peer = [0] * n
-    prov = [0] * n
-    #: (route class, path length) -> {node index: newly-arrived bits}
-    buckets: dict[tuple[int, int], dict[int, int]] = {}
-
-    poff, pnbr = cg.provider_off, cg.provider_nbr
-    coff, cnbr = cg.customer_off, cg.customer_nbr
-    qoff, qnbr = cg.peer_off, cg.peer_nbr
-
-    # ------------------------------------------------------------------
-    # phase 1: customer routes — level-synchronous BFS up provider edges,
-    # all origin bits at once
-    # ------------------------------------------------------------------
-    frontier: dict[int, int] = {}
-    for b, origin in enumerate(origins):
-        i = index[origin]
-        frontier[i] = frontier.get(i, 0) | (1 << b)
-    level = 0
-    cust_levels: list[tuple[int, dict[int, int]]] = []
-    while frontier:
-        newly: dict[int, int] = {}
-        for i, mask in frontier.items():
-            new = mask & ~cust[i]
-            if new:
-                cust[i] |= new
-                newly[i] = new
-        if not newly:
-            break
-        buckets[(0, level)] = newly
-        cust_levels.append((level, newly))
-        nxt: dict[int, int] = {}
-        nxt_get = nxt.get
-        for i, new in newly.items():
-            for p in pnbr[poff[i] : poff[i + 1]]:
-                if ex[p]:
-                    continue
-                prev = nxt_get(p)
-                nxt[p] = new if prev is None else prev | new
-        frontier = {}
-        for p, mask in nxt.items():
-            rem = mask & ~cust[p]
-            if rem:
-                frontier[p] = rem
-        level += 1
-
-    # ------------------------------------------------------------------
-    # phase 2: peer routes — one hop from customer-routed ASes, customer
-    # levels ascending so the first arrival is the shortest
-    # ------------------------------------------------------------------
-    peer_levels: list[tuple[int, dict[int, int]]] = []
-    for src_level, bucket in cust_levels:
-        add: dict[int, int] = {}
-        add_get = add.get
-        for s, mask in bucket.items():
-            for q in qnbr[qoff[s] : qoff[s + 1]]:
-                if ex[q]:
-                    continue
-                bits = mask & ~cust[q] & ~peer[q]
-                if bits:
-                    prev = add_get(q)
-                    add[q] = bits if prev is None else prev | bits
-        newly = {}
-        for q, mask in add.items():
-            peer[q] |= mask
-            newly[q] = mask
-        if newly:
-            buckets[(1, src_level + 1)] = newly
-            peer_levels.append((src_level + 1, newly))
-
-    # ------------------------------------------------------------------
-    # phase 3: provider routes — bucket-queue Dijkstra down customer
-    # edges, seeded by every customer/peer arrival
-    # ------------------------------------------------------------------
-    pending: dict[int, dict[int, int]] = {}
-
-    def seed_down(bucket: dict[int, int], src_level: int) -> None:
-        target = pending.setdefault(src_level + 1, {})
-        target_get = target.get
-        for s, mask in bucket.items():
-            for c in cnbr[coff[s] : coff[s + 1]]:
-                if ex[c]:
-                    continue
-                prev = target_get(c)
-                target[c] = mask if prev is None else prev | mask
-
-    for src_level, bucket in cust_levels:
-        seed_down(bucket, src_level)
-    for src_level, bucket in peer_levels:
-        seed_down(bucket, src_level)
-    while pending:
-        depth = min(pending)
-        bucket = pending.pop(depth)
-        newly = {}
-        for r, mask in bucket.items():
-            new = mask & ~cust[r] & ~peer[r] & ~prov[r]
-            if new:
-                prov[r] |= new
-                newly[r] = new
-        if newly:
-            buckets[(2, depth)] = newly
-            target = pending.setdefault(depth + 1, {})
-            target_get = target.get
-            for r, new in newly.items():
-                for c in cnbr[coff[r] : coff[r + 1]]:
-                    if ex[c]:
-                        continue
-                    prev = target_get(c)
-                    target[c] = new if prev is None else prev | new
-
-    return BatchRoutingState(cg, origins, cust, peer, prov, buckets)
+    return propagate_batch_vector(cg, origins, ex)

@@ -138,10 +138,7 @@ def graph_map(
     payload: Any = graph
     if isinstance(graph, ASGraph):
         try:
-            if resolve_engine(shared.get("engine")) in (
-                "compiled",
-                "incremental",
-            ):
+            if resolve_engine(shared.get("engine")) == "compiled":
                 payload = graph.compile()
         except ValueError:
             pass  # unknown engine string: let the task raise it
@@ -149,11 +146,11 @@ def graph_map(
     # Move the big constant arrays (the CSR graph, per-sweep baseline
     # states) into shared-memory segments: the initializer then ships
     # only tiny refs and every worker attaches the same pages instead of
-    # unpickling its own copy.  REPRO_SHM=off (or an unsupported
-    # platform) keeps the plain pickle path — still shipped once per
-    # worker via the initializer, never per batch.
+    # unpickling its own copy.  A platform that fails the shared-memory
+    # probe keeps the plain pickle path — still shipped once per worker
+    # via the initializer, never per batch.
     arenas: list[shm.ShmArena] = []
-    if shm.resolve_shm():
+    if shm.shm_available():
         payload = shm.share_payload(payload, arenas)
         shared = {
             key: shm.share_payload(value, arenas)
@@ -282,7 +279,7 @@ def propagate_origins(
     except ValueError:
         resolved = "reference"  # unknown engine: let propagate() raise
     width = resolve_batch(batch)
-    if width > 1 and resolved in ("compiled", "incremental") and origin_list:
+    if width > 1 and resolved == "compiled" and origin_list:
         chunks = [
             tuple(origin_list[i : i + width])
             for i in range(0, len(origin_list), width)

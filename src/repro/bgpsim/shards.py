@@ -1358,7 +1358,6 @@ def precompute_shards(
     from .multiorigin import resolve_batch
     from .parallel import propagate_origins, resolve_workers
     from .shm import resolve_shm
-    from .vectorized import resolve_vector
 
     cg: CompiledGraph = graph.compile()
     digest = graph_digest(cg)
@@ -1430,7 +1429,6 @@ def precompute_shards(
         "engine": resolve_engine(engine),
         "workers": resolve_workers(workers),
         "batch": resolve_batch(batch),
-        "vector": resolve_vector(),
         "shm": resolve_shm(),
         "shard_size": shard_size,
         "shards": shard_infos,
@@ -1726,7 +1724,6 @@ def precompute_metric_shards(
         from .engine import resolve_engine
         from .multiorigin import resolve_batch
         from .shm import resolve_shm
-        from .vectorized import resolve_vector
 
         manifest = {
             "format": "repro.bgpsim.shards",
@@ -1737,7 +1734,6 @@ def precompute_metric_shards(
             "engine": resolve_engine(engine),
             "workers": 1,
             "batch": resolve_batch(batch),
-            "vector": resolve_vector(),
             "shm": resolve_shm(),
             "shard_size": shard_size,
             "shards": [],

@@ -13,17 +13,16 @@ segments instead:
   (segment name + entry table) through the initializer;
 * each worker attaches the segment once and reconstructs the payload
   around zero-copy ``memoryview`` casts of the mapped buffer — the same
-  buffer-protocol objects the pure loops index and the vectorized
-  kernels ``np.frombuffer`` (no per-worker array copies at all);
+  buffer-protocol objects the numpy kernels ``np.frombuffer`` (no
+  per-worker array copies at all);
 * cleanup is refcounted: the parent unlinks its arenas when the sweep's
   pool shuts down (and an ``atexit`` hook sweeps leftovers), workers
   just close their maps on exit; the shared resource tracker keeps one
   idempotent entry per segment, removed by the creator's ``unlink``.
 
-The ``REPRO_SHM`` knob (``auto``/``on``/``off``) selects the transport:
-``auto`` (default) uses shared memory whenever the platform supports it
-(probed once with a throwaway segment), ``on`` raises if it cannot,
-``off`` keeps the plain pickle path — which still ships constants only
+Every process pool uses shared memory whenever the platform supports
+it (:func:`shm_available`, probed once with a throwaway segment) and
+otherwise keeps the plain pickle path — which still ships constants only
 once per worker via the initializer.  :func:`stats` surfaces per-process
 ``segments`` / ``payload_bytes`` / ``attaches`` / ``reuses`` counters
 (workers report their own view — fetch it with a mapped task).
@@ -32,14 +31,12 @@ once per worker via the initializer.  :func:`stats` surfaces per-process
 from __future__ import annotations
 
 import atexit
-import os
 from array import array
 from typing import Any, Optional
 
 from .compiled import CompiledGraph, CompiledRoutingState
 
 __all__ = [
-    "SHM_MODES",
     "ArenaRef",
     "ShmArena",
     "resolve_shm",
@@ -49,8 +46,6 @@ __all__ = [
     "stats",
     "reset_stats",
 ]
-
-SHM_MODES = ("auto", "on", "off")
 
 _stats = {
     "segments": 0,       # arenas created by this process
@@ -90,25 +85,12 @@ def shm_available() -> bool:
     return _available
 
 
-def resolve_shm(mode: Optional[str | bool] = None) -> bool:
-    """Resolve a ``REPRO_SHM`` setting to use-shared-memory-or-not."""
-    if mode is None:
-        mode = os.environ.get("REPRO_SHM", "auto")
-    if isinstance(mode, bool):
-        mode = "on" if mode else "off"
-    mode = str(mode).strip().lower()
-    if mode in ("on", "1", "true", "yes"):
-        if not shm_available():
-            raise RuntimeError(
-                "REPRO_SHM=on but multiprocessing.shared_memory is "
-                "unavailable on this platform"
-            )
-        return True
-    if mode in ("off", "0", "false", "no"):
-        return False
-    if mode in ("auto", ""):
-        return shm_available()
-    raise ValueError(f"unknown REPRO_SHM mode {mode!r}; use auto/on/off")
+def resolve_shm(mode=None) -> bool:
+    """Whether a process pool ships its payloads through shared memory:
+    exactly when :func:`shm_available`.  Kept for run records that stamp
+    every resolved performance setting."""
+    del mode
+    return shm_available()
 
 
 def _format_of(buf) -> str:

@@ -1,52 +1,44 @@
-"""Vectorized numpy ports of the compiled propagation and metric kernels.
+"""Numpy kernels for compiled propagation and the metric DAG passes.
 
 The compiled engine (:mod:`repro.bgpsim.compiled`), the bit-parallel
 multi-origin sweep (:mod:`repro.bgpsim.multiorigin`) and the metric
-kernels (:mod:`repro.bgpsim.metrics_kernel`) all walk the CSR arrays in
-interpreted Python loops.  This module reimplements the same passes as
-level-synchronous numpy sweeps:
+kernels (:mod:`repro.bgpsim.metrics_kernel`) all run their passes here,
+as level-synchronous numpy sweeps over the CSR arrays:
 
 * :func:`propagate_compiled_vector` — the three Gao-Rexford phases as
-  frontier-mask sweeps over the CSR offset/neighbor arrays.  Each phase
-  keeps the level-synchronous structure of the pure kernel (phase 1 BFS
+  frontier-mask sweeps over the CSR offset/neighbor arrays (phase 1 BFS
   up provider edges, phase 2 one peer hop with per-receiver min
-  reduction, phase 3 a bucket-queue Dijkstra down customer edges), so
-  the resulting :class:`~repro.bgpsim.compiled.CompiledRoutingState` is
-  route-equivalent to :func:`~repro.bgpsim.compiled.propagate_compiled`
-  with the parent pools in the canonical ascending order.
-* :func:`propagate_batch_vector` — the multi-origin big-int sweep on
-  ``(n, W)`` uint64 mask matrices, converted back to the Python big-int
-  lists a :class:`~repro.bgpsim.multiorigin.BatchRoutingState` stores.
+  reduction, phase 3 a bucket-queue Dijkstra down customer edges).  The
+  resulting :class:`~repro.bgpsim.compiled.CompiledRoutingState` is
+  route-equivalent to :func:`~repro.bgpsim.engine.propagate_reference`,
+  with the parent pools in canonical ascending order.
+* :func:`propagate_batch_vector` — the multi-origin sweep on ``(n, W)``
+  uint64 mask matrices, converted back to the Python big-int lists a
+  :class:`~repro.bgpsim.multiorigin.BatchRoutingState` stores.
 * :func:`build_metric_dag_vector` and the kernel twins
   (:func:`reliance_mass_vector`, :func:`cross_fractions_vector`,
-  :func:`length_histogram_vector`) — the PR-4 DAG passes as level-batched
+  :func:`length_histogram_vector`) — the DAG passes as level-batched
   forward/backward sweeps.  Float accumulation keeps the canonical order
-  of the pure kernels (``np.add.at`` adds sequentially, levels are
-  processed in the same direction, parents ascending within a node), so
-  float results are **bit-identical** to the pure-Python kernels; when
-  tied-best-path counts exceed 2**53 (where int→float64 casts stop being
-  exact) the builders return ``None`` and callers fall back to the pure
-  path.
+  of the array-loop kernels in :mod:`repro.bgpsim.metrics_kernel`
+  (``np.add.at`` adds sequentially, levels are processed in the same
+  direction, parents ascending within a node), so float results are
+  **bit-identical** to them and to the dict metrics of
+  :mod:`repro.core`.  When tied-best-path counts exceed 2**53 (where
+  int→float64 casts stop being exact) the builders return ``None`` and
+  callers fall back to the array loops, which keep exact big ints.
 
-numpy is an *optional* dependency (``pip install repro[perf]``).  The
-``REPRO_VECTOR`` knob (``auto``/``on``/``off``, resolved by
-:func:`resolve_vector`) selects the implementation: ``auto`` (the
-default) uses numpy when importable and silently falls back to the pure
-loops otherwise; ``on`` raises when numpy is missing; ``off`` forces the
-pure path.  Dispatch happens inside the existing entry points
-(``propagate_compiled`` / ``propagate_batch`` / ``dag_of`` / the metric
-kernels), so every consumer — cache, incremental deltas, events, sweeps,
-CLI — is served transparently.
+numpy is a required dependency, imported on the first kernel call rather
+than at ``import repro``, so commands that never run a kernel (``repro
+serve`` answering from precomputed shards, ``--help``) do not pay for it.
 
-Equivalence is proven by the differential harness in
-``tests/test_vectorized_engine.py``.
+Equivalence with the reference engine and the dict metrics is proven by
+the differential harnesses in ``tests/test_vectorized_engine.py``,
+``tests/test_compiled_engine.py`` and ``tests/test_metric_kernels.py``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from array import array
 from collections.abc import Collection, Mapping
 from itertools import compress
@@ -54,7 +46,6 @@ from typing import Optional
 
 from .compiled import (
     _NO_ROUTE,
-    _shrink,
     _signed_typecode,
     _unsigned_typecode,
     CompiledGraph,
@@ -63,10 +54,6 @@ from .compiled import (
 from .routes import Seed
 
 __all__ = [
-    "VECTOR_MODES",
-    "numpy_available",
-    "resolve_vector",
-    "vector_enabled",
     "propagate_compiled_vector",
     "propagate_batch_vector",
     "build_metric_dag_vector",
@@ -79,71 +66,29 @@ __all__ = [
     "length_histogram_vector",
 ]
 
-VECTOR_MODES = ("auto", "on", "off")
-
 #: largest integer exactly representable as a float64; tied-best-path
 #: counts beyond this make the int→float casts inexact, so the
-#: vectorized kernels hand back to the pure big-int path
+#: vectorized kernels hand back to the big-int array loops
 _EXACT_FLOAT_MAX = 1 << 53
 
-# numpy is loaded lazily so that `import repro.bgpsim` stays cheap (and
-# works at all) on stdlib-only installs; REPRO_VECTOR=off never imports it
 _np = None
-_np_checked = False
 
 
 def _numpy():
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
+    """The numpy module, imported on first use (see the module notes)."""
+    global _np
+    if _np is None:
+        import numpy
+
         _np = numpy
     return _np
 
 
-def numpy_available() -> bool:
-    """True when numpy is importable (the ``[perf]`` extra is installed)."""
-    return _numpy() is not None
-
-
-def resolve_vector(vector: Optional[str | bool] = None) -> bool:
-    """Normalize the vectorization knob: explicit value, else the
-    ``REPRO_VECTOR`` environment variable, else ``auto``.
-
-    ``auto`` enables the numpy kernels exactly when numpy is importable
-    (silent fallback otherwise); ``on`` (also ``1``/``true``/``yes``)
-    requires numpy and raises when it is missing; ``off`` (``0``/
-    ``false``/``no``) forces the pure-Python loops.
-    """
-    if vector is None:
-        vector = os.environ.get("REPRO_VECTOR", "auto")
-    if isinstance(vector, bool):
-        return vector and numpy_available()
-    mode = str(vector).strip().lower()
-    if mode in ("auto", ""):
-        return numpy_available()
-    if mode in ("on", "1", "true", "yes"):
-        if not numpy_available():
-            raise RuntimeError(
-                "REPRO_VECTOR=on but numpy is not installed; "
-                "install the perf extra (pip install repro[perf]) "
-                "or set REPRO_VECTOR=auto/off"
-            )
-        return True
-    if mode in ("off", "0", "false", "no"):
-        return False
-    raise ValueError(
-        f"invalid vector mode {vector!r}; expected one of {VECTOR_MODES}"
-    )
-
-
-def vector_enabled() -> bool:
-    """Shorthand used by the dispatch sites: :func:`resolve_vector` on
-    the environment."""
-    return resolve_vector()
+def resolve_vector(vector=None) -> bool:
+    """Always ``True``: the numpy kernels are the only fast path.  Kept
+    for run records that stamp every resolved performance setting."""
+    del vector
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +112,7 @@ _DTYPES = {
 
 def _as_np(buf):
     """Zero-copy numpy view of an ``array``/``bytearray``/``memoryview``."""
-    np = _np
+    np = _numpy()
     if isinstance(buf, array):
         code = buf.typecode
     elif isinstance(buf, memoryview):
@@ -192,7 +137,7 @@ def _graph_arrays(cg: CompiledGraph) -> dict:
     (dropped by ``CompiledGraph.__getstate__`` so pickles stay small)."""
     cache = cg.__dict__.get("_np_csr")
     if cache is None:
-        np = _np
+        np = _numpy()
         cache = {
             "poff": _as_np(cg.provider_off).astype(np.int64),
             "pnbr": _as_np(cg.provider_nbr).astype(np.int64),
@@ -208,7 +153,7 @@ def _graph_arrays(cg: CompiledGraph) -> dict:
 def _seg_arange(starts, counts):
     """Concatenated ``arange(start, start + count)`` per segment — the
     CSR gather index for a set of adjacency rows."""
-    np = _np
+    np = _numpy()
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
@@ -219,7 +164,7 @@ def _seg_arange(starts, counts):
 
 
 # ---------------------------------------------------------------------------
-# single-announcement propagation (propagate_compiled port)
+# single-announcement propagation (behind propagate_compiled)
 # ---------------------------------------------------------------------------
 
 
@@ -230,7 +175,7 @@ def propagate_compiled_vector(
     peer_locked: Collection[int] = frozenset(),
     locked_origin: Optional[int] = None,
 ) -> CompiledRoutingState:
-    """numpy port of the three Gao-Rexford phases of
+    """The three Gao-Rexford phases behind
     :func:`~repro.bgpsim.compiled.propagate_compiled`.
 
     ``cg`` must already be compiled and ``seeds`` validated (the caller
@@ -238,7 +183,7 @@ def propagate_compiled_vector(
     a route-equivalent :class:`CompiledRoutingState` with parent pools in
     canonical ascending order and ``routed`` sorted ascending.
     """
-    np = _np
+    np = _numpy()
     g = _graph_arrays(cg)
     index = cg.index
     n = cg.n
@@ -335,7 +280,7 @@ def propagate_compiled_vector(
         # every event whose receiver is still unrouted at level start is
         # a tied parent edge (senders are exactly one level shorter);
         # events into already-routed nodes can only target earlier levels
-        # or seeds and are dropped, exactly as in the pure kernel
+        # or seeds and are dropped, exactly as in the reference engine
         new = rc[recv] == _NO_ROUTE
         if new.any():
             nr, ns = recv[new], send[new]
@@ -502,26 +447,23 @@ def propagate_compiled_vector(
 
 
 # ---------------------------------------------------------------------------
-# multi-origin bit-parallel propagation (propagate_batch port)
+# multi-origin bit-parallel propagation (behind propagate_batch)
 # ---------------------------------------------------------------------------
 
 
 def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
-    """numpy port of :func:`~repro.bgpsim.multiorigin.propagate_batch`.
+    """The sweep behind :func:`~repro.bgpsim.multiorigin.propagate_batch`.
 
     ``ex`` is the per-node excluded bytearray the caller already built.
     Origin masks live in ``(n, W)`` uint64 matrices (bit *b* of a row is
     ``origins[b]``), OR-aggregated per level with ``np.bitwise_or.at``;
     the result converts back to the Python big-int lists/buckets a
     :class:`~repro.bgpsim.multiorigin.BatchRoutingState` stores, so views
-    and pickling are unchanged.  Returns ``None`` on big-endian hosts
-    (the word-blit int conversion assumes little-endian).
+    and pickling are unchanged.
     """
-    if sys.byteorder != "little":
-        return None
     from .multiorigin import BatchRoutingState
 
-    np = _np
+    np = _numpy()
     g = _graph_arrays(cg)
     index = cg.index
     n = cg.n
@@ -634,37 +576,35 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
             buckets_np[(2, depth)] = (uq, new)
             _seed_down(depth, uq, new)
 
-    # -- convert the uint64 matrices back to Python big ints -------------
-    stride = 8 * words
-
-    def _row_ints(mat) -> list[int]:
-        blob = mat.tobytes()
-        return [
-            int.from_bytes(blob[k * stride : (k + 1) * stride], "little")
-            for k in range(mat.shape[0])
-        ]
-
-    buckets: dict[tuple[int, int], dict[int, int]] = {}
-    for key, (bnodes, bmasks) in buckets_np.items():
-        blob = bmasks.tobytes()
-        buckets[key] = {
-            int(node): int.from_bytes(
-                blob[k * stride : (k + 1) * stride], "little"
-            )
-            for k, node in enumerate(bnodes.tolist())
-        }
+    buckets = {
+        key: dict(zip(bnodes.tolist(), _rows_to_ints(bmasks)))
+        for key, (bnodes, bmasks) in buckets_np.items()
+    }
     return BatchRoutingState(
         cg,
         origins,
-        _row_ints(cust),
-        _row_ints(peer),
-        _row_ints(prov),
+        _rows_to_ints(cust),
+        _rows_to_ints(peer),
+        _rows_to_ints(prov),
         buckets,
     )
 
 
+def _rows_to_ints(mat) -> list[int]:
+    """Each row of a ``(k, W)`` uint64 mask matrix as one Python int
+    (word ``w`` holds bits ``64w`` to ``64w + 63``).  The words are
+    copied out little-endian, whatever the byte order of the matrix or
+    the host."""
+    stride = 8 * mat.shape[1]
+    blob = mat.astype("<u8", copy=False).tobytes()
+    return [
+        int.from_bytes(blob[k : k + stride], "little")
+        for k in range(0, len(blob), stride)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# metric DAG build (MetricDAG port)
+# metric DAG build (the MetricDAG constructor's twin)
 # ---------------------------------------------------------------------------
 
 
@@ -680,7 +620,7 @@ def build_metric_dag_vector(state):
     from .incremental import DeltaRoutingState
     from .metrics_kernel import MetricDAG
 
-    np = _np
+    np = _numpy()
     if isinstance(state, DeltaRoutingState):
         base, overrides = state._baseline, state._overrides
     else:
@@ -836,7 +776,7 @@ def _finish_npc(
     levels, nonseed
 ):
     """Assemble and attach a :class:`MetricDAG`'s numpy kernel cache."""
-    np = _np
+    np = _numpy()
     pools = np.diff(par_off)
     npc = {
         "order": order,
@@ -872,7 +812,7 @@ def _dag_np(dag):
         return None
     if npc is not None:
         return npc
-    np = _np
+    np = _numpy()
     try:
         counts = np.asarray(dag.counts, dtype=np.int64)
     except OverflowError:
@@ -928,7 +868,7 @@ def _pos_of(dag, npc):
     """Node-index -> DAG-position lookup array (lazy, cached)."""
     pos = npc["pos"]
     if pos is None:
-        np = _np
+        np = _numpy()
         pos = np.full(dag.n, -1, dtype=np.int64)
         pos[npc["order"]] = np.arange(npc["order"].size, dtype=np.int64)
         npc["pos"] = pos
@@ -953,7 +893,7 @@ def _rel_plan(dag, npc):
     that does not depend on the receiver set."""
     plan = npc["rel_plan"]
     if plan is None:
-        np = _np
+        np = _numpy()
         order, par_off = npc["order"], npc["par_off"]
         parents = npc["parents"]
         countsf, denomf = npc["countsf"], npc["denomf"]
@@ -989,7 +929,7 @@ def _cf_plan(dag, npc):
     — and the single-parent rows with their one parent's position."""
     plan = npc["cf_plan"]
     if plan is None:
-        np = _np
+        np = _numpy()
         par_off, parents = npc["par_off"], npc["parents"]
         countsf, denomf = npc["countsf"], npc["denomf"]
         level_lo, level_hi = npc["levels"]
@@ -1039,7 +979,7 @@ def _reliance_mass(state, receivers: Optional[Collection[int]]):
     npc = _dag_np(dag)
     if npc is None or npc["zero_denom"]:
         return None
-    np = _np
+    np = _numpy()
     mass = np.zeros(dag.n)
     if receivers is None:
         mass[npc["order"]] = 1.0
@@ -1129,7 +1069,7 @@ def cross_fractions_vector(state, target: int):
     ti = dag.idx(target)
     if ti is None or not dag.routed[ti]:
         return {}
-    np = _np
+    np = _numpy()
     m = npc["order"].size
     tk = int(_pos_of(dag, npc)[ti])
     fracp = np.zeros(m)
@@ -1170,7 +1110,7 @@ def cross_fractions_many_vector(state, targets):
     if npc is None or npc["zero_denom"]:
         return None
     targets = list(targets)
-    np = _np
+    np = _numpy()
     pos = _pos_of(dag, npc)
     tks = np.full(len(targets), -1, dtype=np.int64)
     for j, target in enumerate(targets):
@@ -1192,7 +1132,7 @@ def _cf_matrix(dag, npc, lt):
     """The ``(m, len(lt))`` crossing-fraction matrix, one column per
     (routed) target position in ``lt`` — the shared core of the
     many-target sweeps."""
-    np = _np
+    np = _numpy()
     m = npc["order"].size
     fracp = np.zeros((m, lt.size))
     mintk = int(lt.min())
@@ -1230,7 +1170,7 @@ def hegemony_values_vector(state, origin: int, targets, trim: float):
     npc = _dag_np(dag)
     if npc is None or npc["zero_denom"]:
         return None
-    np = _np
+    np = _numpy()
     targets = tuple(targets)
     pos = _pos_of(dag, npc)
     oi = dag.idx(origin)
@@ -1292,7 +1232,7 @@ def length_histogram_vector(
     npc = _dag_np(dag)
     if npc is None:
         return None
-    np = _np
+    np = _numpy()
     lengths = npc["lengths"]
     m = npc["order"].size
     if not m:

@@ -27,6 +27,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .bgpsim.engine import ENGINES
+
 
 def _load_graph_and_tiers(path: str, tier2_count: int = 25):
     from .topology import infer_tiers, load_graph
@@ -539,21 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--vector",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="numpy vectorized kernels (default: $REPRO_VECTOR or auto; "
-        "'auto' uses numpy when installed, 'on' requires it, 'off' "
-        "forces the pure-Python loops)",
-    )
-    parser.add_argument(
-        "--shm",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="shared-memory payload transport for parallel sweeps "
-        "(default: $REPRO_SHM or auto)",
-    )
-    parser.add_argument(
         "--stream",
         choices=("auto", "on", "off"),
         default=None,
@@ -614,10 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     leak.add_argument(
         "--engine",
-        choices=("compiled", "reference", "incremental"),
+        choices=ENGINES,
         default=None,
         help="propagation engine (default: compiled, or $REPRO_ENGINE); "
-        "'incremental' derives each leak from a shared per-configuration "
+        "'compiled' derives each leak from a shared per-configuration "
         "baseline",
     )
     leak.set_defaults(func=cmd_leak)
@@ -658,11 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline.add_argument(
         "--engine",
-        choices=("compiled", "reference", "incremental"),
+        choices=ENGINES,
         default=None,
         help="propagation engine (default: compiled, or $REPRO_ENGINE); "
-        "'incremental' derives each post-event state from the cached "
-        "baseline instead of recomputing",
+        "'compiled' derives each post-event state from the cached "
+        "baseline, 'reference' recomputes it",
     )
     timeline.add_argument(
         "--batch",
@@ -674,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=None,
-        help="max withdrawal-region fraction before the incremental "
-        "engine falls back to a full recompute (default: "
+        help="max withdrawal-region fraction before the delta pass "
+        "falls back to a full recompute (default: "
         "$REPRO_EVENT_THRESHOLD or 0.5)",
     )
     timeline.add_argument(
@@ -714,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     precompute.add_argument(
         "--engine",
-        choices=("compiled", "reference", "incremental"),
+        choices=ENGINES,
         default=None,
         help="propagation engine (shards store compiled array states)",
     )
@@ -793,11 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="warm-tier LRU bound (default: 1024)",
     )
-    serve.add_argument(
-        "--engine",
-        choices=("compiled", "reference", "incremental"),
-        default=None,
-    )
+    serve.add_argument("--engine", choices=ENGINES, default=None)
     serve.add_argument(
         "--batch",
         type=int,
@@ -832,10 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "--engine",
-        choices=("compiled", "reference", "incremental"),
+        choices=ENGINES,
         default=None,
-        help="propagation engine (default: compiled, or $REPRO_ENGINE); "
-        "'incremental' speeds up the leak sweeps via shared baselines",
+        help="propagation engine (default: compiled, or $REPRO_ENGINE)",
     )
     experiments.add_argument(
         "--batch",
@@ -852,12 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the kernels read the environment at every dispatch site, so the
-    # flags translate to the knobs once, before the subcommand runs
-    if args.vector is not None:
-        os.environ["REPRO_VECTOR"] = args.vector
-    if args.shm is not None:
-        os.environ["REPRO_SHM"] = args.shm
+    # the sweeps read the environment at every dispatch site, so the
+    # flag translates to the knob once, before the subcommand runs
     if args.stream is not None:
         os.environ["REPRO_STREAM"] = args.stream
     return args.func(args)

@@ -126,10 +126,9 @@ def _hegemony_values(
     float array (NaN where target == origin).  Array-backed states get
     all targets' crossing fractions from one many-target sweep."""
     if is_array_state(state):
-        if _vec.vector_enabled():
-            fused = _vec.hegemony_values_vector(state, origin, targets, trim)
-            if fused is not None:
-                return fused
+        fused = _vec.hegemony_values_vector(state, origin, targets, trim)
+        if fused is not None:
+            return fused
         values = array("d")
         others = [target for target in targets if target != origin]
         by_target = dict(
@@ -262,7 +261,7 @@ def global_hegemony(
     width = resolve_batch(batch)
     if (
         resolve_stream(stream, len(graph))
-        and resolved in ("compiled", "incremental")
+        and resolved == "compiled"
         and origins
     ):
         if cache is None:
@@ -279,7 +278,7 @@ def global_hegemony(
                 del state
 
         rows: Iterable[array] = _stream_rows()
-    elif width > 1 and resolved in ("compiled", "incremental") and origins:
+    elif width > 1 and resolved == "compiled" and origins:
         origin_list = list(origins)
         chunks = [
             tuple(origin_list[i : i + width])

@@ -262,7 +262,7 @@ def simulate_leaks(
     ``workers=None`` the simulations run serially in-process, producing the
     same list.
 
-    With ``engine="incremental"`` the whole sweep shares one baseline
+    Under the compiled engine the whole sweep shares one baseline
     propagation for its ``(origin, locks, mode, semantics)`` group — taken
     from ``cache`` when given, computed once otherwise — and each leaker
     runs only the frontier-limited delta pass of
@@ -275,7 +275,7 @@ def simulate_leaks(
     peer_locked = frozenset(peer_locked)
     baseline: Optional[RoutingState] = None
     if (
-        resolve_engine(engine) == "incremental"
+        resolve_engine(engine) == "compiled"
         and mode is not LeakMode.SUBPREFIX
         and semantics is PeerLockSemantics.ERRATUM
     ):
@@ -401,7 +401,7 @@ def resilience_curve(
 
     Leakers with no route to the origin under the configuration are skipped
     (they cannot re-announce anything).  Each call is one baseline group:
-    with ``engine="incremental"`` the configuration's ``(seed, locks)``
+    under the compiled engine the configuration's ``(seed, locks)``
     baseline is propagated once (memoized in ``cache`` when given) and
     every leaker reuses it through the delta pass.
     """
@@ -443,7 +443,7 @@ def average_resilience_curve(
     historical serial loop drew them, so the RNG stream is unchanged — and
     then simulated, optionally in parallel.
 
-    With ``engine="incremental"`` each distinct origin's baseline is
+    Under the compiled engine each distinct origin's baseline is
     propagated exactly once (in parallel and — per ``batch`` — in
     bit-parallel multi-origin sweeps, through a
     :class:`~repro.bgpsim.cache.RoutingStateCache` prefetch) and the
@@ -470,7 +470,7 @@ def average_resilience_curve(
             if leaker != origin:
                 pairs.append((origin, leaker))
     if (
-        resolve_engine(engine) == "incremental"
+        resolve_engine(engine) == "compiled"
         and mode is not LeakMode.SUBPREFIX
     ):
         unique_origins = list(dict.fromkeys(origin for origin, _ in pairs))
@@ -545,7 +545,7 @@ def lock_coverage_sweep(
     and the same leakers are replayed.  Each coverage level is one
     :func:`simulate_leaks` sweep, so the ``workers``, ``engine`` and
     ``cache`` knobs (shared baseline per lock set under
-    ``engine="incremental"``) all apply.
+    the compiled engine) all apply.
     """
     rng = rng or random.Random(0)
     neighbors = sorted(graph.neighbors(origin))

@@ -308,7 +308,7 @@ def fig13_bars_sweep(
     width = resolve_batch(batch)
     if (
         resolve_stream(stream, len(graph))
-        and resolved in ("compiled", "incremental")
+        and resolved == "compiled"
         and origin_list
     ):
         from ..bgpsim.cache import RoutingStateCache
@@ -327,7 +327,7 @@ def fig13_bars_sweep(
             )
             del state  # release this view before pulling the next
         return bars
-    if width > 1 and resolved in ("compiled", "incremental") and origin_list:
+    if width > 1 and resolved == "compiled" and origin_list:
         chunks = [
             tuple(origin_list[i : i + width])
             for i in range(0, len(origin_list), width)

@@ -414,7 +414,7 @@ def reliance_summary_sweep(
     width = resolve_batch(batch)
     if (
         resolve_stream(stream, len(graph))
-        and resolved in ("compiled", "incremental")
+        and resolved == "compiled"
         and items
     ):
         from ..bgpsim.cache import RoutingStateCache
@@ -441,7 +441,7 @@ def reliance_summary_sweep(
                 # keeps one live view, not a window of them
                 del state
         return results
-    if width > 1 and resolved in ("compiled", "incremental") and items:
+    if width > 1 and resolved == "compiled" and items:
         groups: dict[frozenset[int], list[int]] = {}
         for position, (_, excluded) in enumerate(items):
             groups.setdefault(excluded, []).append(position)

@@ -132,7 +132,7 @@ def run(
 ) -> LeakResult:
     """Figs. 7 and 8 for every cloud (and Facebook).
 
-    With ``engine="incremental"`` every ``(origin, configuration)`` group
+    Under the compiled engine every ``(origin, configuration)`` group
     computes its baseline once through a shared
     :class:`~repro.bgpsim.cache.RoutingStateCache`.
     """

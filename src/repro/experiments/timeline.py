@@ -11,10 +11,11 @@ each chosen target, local hegemony toward each target, and — for seed
 events — the number of ASes captured by the hijacker/leaker.
 
 Engine semantics: the ``engine`` knob (``REPRO_ENGINE``) selects *how*
-each post-event state is derived — ``"incremental"`` applies the event's
-delta to the cached baseline via
-:func:`~repro.bgpsim.events.propagate_delta_event`; any other engine does
-a full recompute on the mutated graph via
+each post-event state is derived — ``"compiled"`` (the default) applies
+the event's delta to the cached baseline via
+:func:`~repro.bgpsim.events.propagate_delta_event`, which itself falls
+back to a full recompute past its withdrawal threshold; ``"reference"``
+always recomputes in full on the mutated graph via
 :func:`~repro.bgpsim.events.full_event_outcome`.  Both paths produce
 bit-identical metric floats (``tests/test_event_engine.py``).  Baselines
 are always compiled array states (the delta pass requires them and the
@@ -236,7 +237,7 @@ class ScenarioRunner:
         """Apply ``events`` in order to the runner's graph (mutating it)
         and return the full metric series, baseline step included."""
         events = tuple(events)
-        delta = self.engine == "incremental"
+        delta = self.engine == "compiled"
         records: list[EventMetrics] = []
         self.cache.prefetch(
             self.origins, workers=self.workers, batch=self.batch

@@ -125,22 +125,11 @@ class TestParser:
         for command in ("generate", "reach", "sweep", "leak", "infer"):
             assert command in out
 
-    def test_vector_and_shm_flags_set_knobs(self, generated, monkeypatch):
-        import os
-
-        rel, _ = generated
-        # setenv records the original state, so the values main() writes
-        # are rolled back at teardown
-        monkeypatch.setenv("REPRO_VECTOR", "auto")
-        monkeypatch.setenv("REPRO_SHM", "auto")
-        code = main(
-            ["--vector", "off", "--shm", "off", "reach", str(rel), "15169"]
-        )
-        assert code == 0
-        assert os.environ["REPRO_VECTOR"] == "off"
-        assert os.environ["REPRO_SHM"] == "off"
-
-    def test_invalid_vector_mode_rejected(self, generated):
-        rel, _ = generated
+    def test_engine_choices_are_fast_path_and_oracle(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--vector", "sideways", "reach", str(rel), "15169"])
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "--vector" not in out and "--shm" not in out
+        with pytest.raises(SystemExit):
+            main(["leak", "--help"])
+        assert "{compiled,reference}" in capsys.readouterr().out

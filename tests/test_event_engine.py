@@ -388,7 +388,7 @@ def _mini_timeline():
 class TestScenarioRunner:
     def test_rows_identical_across_engines(self):
         results = {}
-        for engine in ("compiled", "incremental", "reference"):
+        for engine in ("compiled", "reference"):
             graph, _ = build_mini()
             runner = ScenarioRunner(
                 graph,
@@ -398,14 +398,13 @@ class TestScenarioRunner:
                 threshold=1.0,
             )
             results[engine] = runner.run(_mini_timeline())
-        compiled = results["compiled"]
-        for other in ("incremental", "reference"):
-            for a, b in zip(compiled.records, results[other].records):
-                assert (a.step, a.origin, a.event) == (b.step, b.origin, b.event)
-                assert a.reachable == b.reachable, (other, a, b)
-                assert a.captured == b.captured, (other, a, b)
-                assert a.reliance == b.reliance, (other, a, b)
-                assert a.hegemony == b.hegemony, (other, a, b)
+        compiled, reference = results["compiled"], results["reference"]
+        for a, b in zip(compiled.records, reference.records):
+            assert (a.step, a.origin, a.event) == (b.step, b.origin, b.event)
+            assert a.reachable == b.reachable, (a, b)
+            assert a.captured == b.captured, (a, b)
+            assert a.reliance == b.reliance, (a, b)
+            assert a.hegemony == b.hegemony, (a, b)
 
     def test_rows_identical_across_workers(self):
         results = {}
@@ -415,14 +414,14 @@ class TestScenarioRunner:
                 graph,
                 origins=[100, 301],
                 targets=[11, 12],
-                engine="incremental",
+                engine="compiled",
                 workers=workers,
                 threshold=1.0,
             )
             results[workers] = runner.run(_mini_timeline())
         assert results[None] == results[WORKERS]
 
-    @pytest.mark.parametrize("engine", ("compiled", "incremental"))
+    @pytest.mark.parametrize("engine", ("compiled", "reference"))
     def test_topology_events_invalidate_baselines(self, engine):
         graph, _ = build_mini()
         runner = ScenarioRunner(
@@ -435,13 +434,13 @@ class TestScenarioRunner:
 
     def test_seed_events_leave_cache_alone(self):
         graph, _ = build_mini()
-        runner = ScenarioRunner(graph, origins=[100], engine="incremental")
+        runner = ScenarioRunner(graph, origins=[100], engine="compiled")
         before_state = runner.cache.state_for(100)
         runner.run(parse_events("hijack:301,leak:201"))
         assert runner.cache.stats().baseline_invalidations == 0
         assert runner.cache.state_for(100) is before_state
 
-    @pytest.mark.parametrize("engine", ("compiled", "incremental"))
+    @pytest.mark.parametrize("engine", ("compiled", "reference"))
     def test_installed_baselines_are_fresh(self, engine):
         # after a topology event the cache must serve post-event states:
         # identical to a from-scratch propagation on the mutated graph
@@ -467,11 +466,11 @@ class TestScenarioRunner:
 
     def test_chained_deltas_stay_conformant(self):
         # each event's delta state becomes the next event's baseline;
-        # after the whole timeline the incremental cache still matches a
+        # after the whole timeline the delta-fed cache still matches a
         # from-scratch recompute of the final topology
         graph, _ = build_mini()
         runner = ScenarioRunner(
-            graph, origins=[100], engine="incremental", threshold=1.0
+            graph, origins=[100], engine="compiled", threshold=1.0
         )
         runner.run(_mini_timeline())
         cached = runner.cache.state_for(100)
@@ -480,7 +479,7 @@ class TestScenarioRunner:
 
     def test_self_events_are_noops(self):
         graph, _ = build_mini()
-        runner = ScenarioRunner(graph, origins=[100], engine="incremental")
+        runner = ScenarioRunner(graph, origins=[100], engine="compiled")
         result = runner.run(parse_events("hijack:100,leak:100"))
         base = result.record(0, 100)
         for step in (1, 2):
@@ -510,19 +509,19 @@ class TestScenarioRunner:
             f"fail:{victim},hijack:{by_degree[3]},leak:{by_degree[4]}"
         )
         rows = {}
-        for engine in ("compiled", "incremental"):
+        for engine in ("compiled", "reference"):
             g = netgen_graph(profile, seed=seed)
             runner = ScenarioRunner(
                 g,
                 origins,
                 targets=by_degree[:2],
                 engine=engine,
-                workers=WORKERS if engine == "incremental" else None,
+                workers=WORKERS if engine == "compiled" else None,
                 threshold=1.0,
             )
             rows[engine] = runner.run(parse_events(spec))
         for a, b in zip(
-            rows["compiled"].records, rows["incremental"].records
+            rows["reference"].records, rows["compiled"].records
         ):
             assert a.reachable == b.reachable, (a, b)
             assert a.captured == b.captured, (a, b)

@@ -12,8 +12,9 @@ three levels:
   (random lock sets, exclusions, hijack and re-announce initial
   lengths, restricted ``export_to`` origin seeds);
 * **outcome level** — ``simulate_leaks`` / ``resilience_curve`` /
-  ``average_resilience_curve`` / ``lock_coverage_sweep`` with
-  ``engine="incremental"`` against ``engine="compiled"`` across every
+  ``average_resilience_curve`` / ``lock_coverage_sweep`` under the
+  compiled engine (which takes the delta path) against the reference
+  engine (which always recomputes in full) across every
   ``LEAK_CONFIGURATIONS`` × :class:`LeakMode` ×
   :class:`PeerLockSemantics` combination;
 * **property level** — the delta pass's override set covers every AS
@@ -365,19 +366,19 @@ class TestGuards:
 # ---------------------------------------------------------------------------
 
 class TestEngineDispatch:
-    def test_incremental_is_a_known_engine(self):
-        assert "incremental" in ENGINES
-        assert resolve_engine("incremental") == "incremental"
-
-    def test_env_override_selects_incremental(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "incremental")
-        assert resolve_engine(None) == "incremental"
+    def test_engines_are_the_fast_path_and_the_oracle(self, monkeypatch):
+        assert ENGINES == ("compiled", "reference")
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine(None) == "compiled"
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine("sideways")
 
     def test_plain_propagation_is_the_compiled_kernel(self, mini_graph):
         compiled = propagate(mini_graph, Seed(asn=100), engine="compiled")
-        incremental = propagate(mini_graph, Seed(asn=100), engine="incremental")
-        assert isinstance(incremental, CompiledRoutingState)
-        assert_states_equal(compiled, incremental, "(engine dispatch)")
+        reference = propagate(mini_graph, Seed(asn=100), engine="reference")
+        assert isinstance(compiled, CompiledRoutingState)
+        assert not isinstance(reference, CompiledRoutingState)
+        assert_states_equal(reference, compiled, "(engine dispatch)")
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +397,11 @@ class TestSweepEquivalence:
         for configuration in LEAK_CONFIGURATIONS:
             full = resilience_curve(
                 graph, origin, tiers, configuration, leakers,
-                mode=mode, semantics=semantics, engine="compiled",
+                mode=mode, semantics=semantics, engine="reference",
             )
             incremental = resilience_curve(
                 graph, origin, tiers, configuration, leakers,
-                mode=mode, semantics=semantics, engine="incremental",
+                mode=mode, semantics=semantics, engine="compiled",
             )
             assert incremental == full, (
                 f"{configuration} diverged ({profile}, seed={seed}, "
@@ -411,8 +412,8 @@ class TestSweepEquivalence:
         graph = netgen_graph("small", seed=20200901)
         origin = sample_origins(graph, 1, seed=5)[0]
         leakers = [a for a in sample_origins(graph, 10, seed=6) if a != origin]
-        full = simulate_leaks(graph, origin, leakers, engine="compiled")
-        incremental = simulate_leaks(graph, origin, leakers, engine="incremental")
+        full = simulate_leaks(graph, origin, leakers, engine="reference")
+        incremental = simulate_leaks(graph, origin, leakers, engine="compiled")
         # LeakOutcome equality ignores visited_fraction by design
         assert incremental == full
         assert any(
@@ -428,9 +429,9 @@ class TestSweepEquivalence:
         graph = netgen_graph("tiny", seed=7)
         origin = sample_origins(graph, 1, seed=2)[0]
         leakers = [a for a in sample_origins(graph, 8, seed=3) if a != origin]
-        serial = simulate_leaks(graph, origin, leakers, engine="incremental")
+        serial = simulate_leaks(graph, origin, leakers, engine="compiled")
         parallel = simulate_leaks(
-            graph, origin, leakers, engine="incremental", workers=WORKERS
+            graph, origin, leakers, engine="compiled", workers=WORKERS
         )
         assert parallel == serial
 
@@ -440,10 +441,10 @@ class TestSweepEquivalence:
         leakers = [a for a in sample_origins(graph, 6, seed=9) if a != origin]
         locked = frozenset(leakers[:2])
         full = simulate_leaks(
-            graph, origin, leakers, peer_locked=locked, engine="compiled"
+            graph, origin, leakers, peer_locked=locked, engine="reference"
         )
         incremental = simulate_leaks(
-            graph, origin, leakers, peer_locked=locked, engine="incremental"
+            graph, origin, leakers, peer_locked=locked, engine="compiled"
         )
         assert incremental == full
         # the locked leakers took the fallback: no visited instrumentation
@@ -464,10 +465,10 @@ class TestSweepEquivalence:
         )
         for mode in LeakMode:
             full = simulate_leak(
-                graph, origin, leaker, mode=mode, engine="compiled"
+                graph, origin, leaker, mode=mode, engine="reference"
             )
             incremental = simulate_leak(
-                graph, origin, leaker, mode=mode, engine="incremental"
+                graph, origin, leaker, mode=mode, engine="compiled"
             )
             assert incremental == full, mode
 
@@ -475,11 +476,11 @@ class TestSweepEquivalence:
         graph = netgen_graph("tiny", seed=7)
         full = average_resilience_curve(
             graph, random.Random(42), origins=4, leakers_per_origin=4,
-            engine="compiled",
+            engine="reference",
         )
         incremental = average_resilience_curve(
             graph, random.Random(42), origins=4, leakers_per_origin=4,
-            engine="incremental",
+            engine="compiled",
         )
         assert incremental == full
 
@@ -489,11 +490,11 @@ class TestSweepEquivalence:
         leakers = sample_origins(graph, 8, seed=8)
         full = lock_coverage_sweep(
             graph, origin, leakers, coverages=(0.0, 0.5, 1.0),
-            rng=random.Random(17), engine="compiled",
+            rng=random.Random(17), engine="reference",
         )
         incremental = lock_coverage_sweep(
             graph, origin, leakers, coverages=(0.0, 0.5, 1.0),
-            rng=random.Random(17), engine="incremental",
+            rng=random.Random(17), engine="compiled",
         )
         assert incremental == full
 
@@ -533,13 +534,13 @@ class TestBaselineCache:
         graph = netgen_graph("tiny", seed=8)
         origin = sample_origins(graph, 1, seed=0)[0]
         leakers = [a for a in sample_origins(graph, 6, seed=1) if a != origin]
-        cache = RoutingStateCache(graph, engine="incremental")
+        cache = RoutingStateCache(graph, engine="compiled")
         first = simulate_leaks(
-            graph, origin, leakers, engine="incremental", cache=cache
+            graph, origin, leakers, engine="compiled", cache=cache
         )
         assert cache.stats().misses == 1
         second = simulate_leaks(
-            graph, origin, leakers, engine="incremental", cache=cache
+            graph, origin, leakers, engine="compiled", cache=cache
         )
         assert cache.stats().misses == 1
         assert cache.stats().hits >= 1
@@ -553,7 +554,7 @@ class TestBaselineCache:
         leakers = [a for a in sample_origins(graph, 4, seed=1) if a != origin]
         cache = RoutingStateCache(graph, engine="reference")
         incremental = simulate_leaks(
-            graph, origin, leakers, engine="incremental", cache=cache
+            graph, origin, leakers, engine="compiled", cache=cache
         )
-        full = simulate_leaks(graph, origin, leakers, engine="compiled")
+        full = simulate_leaks(graph, origin, leakers, engine="reference")
         assert incremental == full

@@ -1,11 +1,12 @@
 """Shared-memory payload transport for the parallel sweeps.
 
 Covers the :mod:`repro.bgpsim.shm` layer directly (arena packing,
-attach/detach refcounting, cleanup, the ``REPRO_SHM`` knob, the stats
-counters, payload wrap/restore round-trips) and differentially: a
-parallel propagation sweep must be bit-for-bit identical with the
-transport on and off, and workers must actually attach segments rather
-than unpickle copies.
+attach/detach refcounting, cleanup, the platform probe that picks the
+transport, the stats counters, payload wrap/restore round-trips) and
+differentially: a parallel propagation sweep must be bit-for-bit
+identical over shared memory and over the pickle path a failed probe
+selects, and workers must actually attach segments rather than unpickle
+copies.
 """
 
 from __future__ import annotations
@@ -96,29 +97,10 @@ class TestArena:
 
 
 class TestResolveShm:
-    def test_modes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert shm.resolve_shm() is False
-        monkeypatch.setenv("REPRO_SHM", "on")
-        assert shm.resolve_shm() is True
-        monkeypatch.setenv("REPRO_SHM", "auto")
-        assert shm.resolve_shm() is True  # platform probe passed above
-
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "on")
-        assert shm.resolve_shm("off") is False
-        assert shm.resolve_shm(False) is False
-        assert shm.resolve_shm(True) is True
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            shm.resolve_shm("sideways")
-
-    def test_on_without_support_raises(self, monkeypatch):
+    def test_follows_the_platform_probe(self, monkeypatch):
+        assert shm.resolve_shm() is True  # the module skips otherwise
         monkeypatch.setattr(shm, "_available", False)
-        with pytest.raises(RuntimeError):
-            shm.resolve_shm("on")
-        assert shm.resolve_shm("auto") is False  # silent fallback
+        assert shm.resolve_shm() is False
 
 
 class TestPayloadRoundTrip:
@@ -203,6 +185,7 @@ def _worker_stats_task(graph, item, engine=None):
 
 class TestParallelTransport:
     def test_sweep_identical_shm_on_and_off(self, monkeypatch):
+        # a failed platform probe is what selects the pickle path
         graph = netgen_graph("small", 20200901)
         origins = sample_origins(graph, 8, seed=3)
 
@@ -213,20 +196,20 @@ class TestParallelTransport:
                 )
             )
 
+        before = shm.stats()["segments"]
         with monkeypatch.context() as ctx:
-            ctx.setenv("REPRO_SHM", "off")
+            ctx.setattr(shm, "_available", False)
             plain = sweep()
-        with monkeypatch.context() as ctx:
-            ctx.setenv("REPRO_SHM", "on")
-            shared = sweep()
+        assert shm.stats()["segments"] == before  # pickled, not shared
+        shared = sweep()
+        assert shm.stats()["segments"] > before
         for origin, a, b in zip(origins, plain, shared):
             assert_states_equal(a, b, f"(shm transport, origin {origin})")
 
-    def test_workers_attach_segments(self, monkeypatch):
+    def test_workers_attach_segments(self):
         from repro.bgpsim.parallel import graph_map
 
         graph = netgen_graph("tiny", 7)
-        monkeypatch.setenv("REPRO_SHM", "on")
         worker_stats = list(
             graph_map(
                 graph,
@@ -241,10 +224,9 @@ class TestParallelTransport:
         # attach count is asserted
         assert all(s["attaches"] >= 1 for s in worker_stats)
 
-    def test_no_segments_leak_after_sweep(self, monkeypatch):
+    def test_no_segments_leak_after_sweep(self):
         graph = netgen_graph("tiny", 7)
         origins = sample_origins(graph, 4, seed=1)
-        monkeypatch.setenv("REPRO_SHM", "on")
         before = set(shm._ARENAS)
         list(
             propagate_many(graph, origins, workers=2, engine="compiled")

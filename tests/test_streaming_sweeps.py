@@ -324,7 +324,7 @@ class TestConsumersStreamEqualsEager:
             random.Random(11),
             origins=6,
             leakers_per_origin=4,
-            engine="incremental",
+            engine="compiled",
             batch=4,
             stream=False,
         )
@@ -333,7 +333,7 @@ class TestConsumersStreamEqualsEager:
             random.Random(11),
             origins=6,
             leakers_per_origin=4,
-            engine="incremental",
+            engine="compiled",
             batch=4,
             stream="on",
         )

@@ -1,25 +1,26 @@
-"""Differential harness: vectorized numpy kernels ≡ pure-Python kernels.
+"""Differential harness: numpy kernels ≡ the reference engine and dict metrics.
 
-The numpy kernels of :mod:`repro.bgpsim.vectorized` dispatch inside the
-existing entry points (``propagate_compiled`` / ``propagate_batch`` /
-``dag_of`` / the metric kernels), so the only acceptable behaviour is
-bit-for-bit equivalence with the pure loops they replace.  This module
-proves it on seeded synthetic-Internet scenarios (≥3 seeds × 2 sizes):
+The numpy kernels of :mod:`repro.bgpsim.vectorized` serve every
+``propagate_compiled`` / ``propagate_batch`` / ``dag_of`` / metric-kernel
+call, so the only acceptable behaviour is bit-for-bit equivalence with
+the oracle: :func:`~repro.bgpsim.engine.propagate_reference` and the dict
+metrics of :mod:`repro.core`.  This module proves it on seeded
+synthetic-Internet scenarios (≥3 seeds × 2 sizes):
 
 * full propagation states (including :class:`DeltaRoutingState` leak
   injections and :class:`BatchOriginView` per-origin views);
 * every metric kernel output — counts and histograms by dict equality,
-  reliance / crossing fractions / hegemony by **float byte equality**
-  (the vectorized kernels replay the pure kernels' accumulation order);
-* the ``REPRO_VECTOR`` knob: ``off`` forces pure loops, ``on`` without
-  numpy raises, and ``auto`` without numpy silently falls back.
-
-Skipped wholesale (except the knob tests) when numpy is missing — the
-``[perf]`` extra is optional by design.
+  reliance / hegemony by **float byte equality** (the kernels replay the
+  dict metrics' accumulation order);
+* the one input the float64 sweeps hand back: tied-best-path counts
+  beyond 2**53, served by the big-int array loops of
+  :mod:`repro.bgpsim.metrics_kernel`;
+* the byte order of the batch sweep's mask-to-int conversion.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from .conftest import assert_states_equal, netgen_graph, sample_origins
@@ -29,11 +30,14 @@ from repro.bgpsim import (
     propagate_batch,
     propagate_compiled,
     propagate_delta,
-    resolve_vector,
+    propagate_reference,
 )
 from repro.bgpsim import metrics_kernel as mk
 from repro.bgpsim import vectorized as vec
-from repro.core.hegemony import _hegemony_values
+from repro.core.hegemony import _hegemony_values, path_cross_fractions
+from repro.core.pathlen import path_length_histogram
+from repro.core.reliance import _path_counts_routes, _reliance_from_routes
+from repro.topology import ASGraph
 
 #: (profile, scenario seed) — ≥3 seeds × 2 sizes, per the acceptance bar.
 SCENARIOS = [
@@ -45,171 +49,155 @@ SCENARIOS = [
     ("small", 8),
 ]
 
-needs_numpy = pytest.mark.skipif(
-    not vec.numpy_available(), reason="numpy not installed ([perf] extra)"
-)
+
+def _hex(values: dict) -> dict:
+    """Float values as exact hex strings."""
+    return {key: value.hex() for key, value in values.items()}
 
 
-@pytest.fixture
-def vector_off(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTOR", "off")
-
-
-@pytest.fixture
-def vector_on(monkeypatch):
-    if not vec.numpy_available():
-        pytest.skip("numpy not installed ([perf] extra)")
-    monkeypatch.setenv("REPRO_VECTOR", "on")
-
-
-def _with_mode(monkeypatch, mode, func):
-    with monkeypatch.context() as ctx:
-        ctx.setenv("REPRO_VECTOR", mode)
-        return func()
-
-
-def _metric_outputs(state, origin, targets):
-    """Every kernel output, floats as exact bytes."""
-    reliance = mk.reliance_kernel(state)
+def _kernel_outputs(state, origin, targets):
+    """Every metric kernel output of an array state, floats as bytes."""
     return {
         "counts": mk.path_counts_kernel(state),
-        "reliance_keys": sorted(reliance),
-        "reliance_bytes": [
-            reliance[key].hex() for key in sorted(reliance)
-        ],
-        "hegemony_bytes": _hegemony_values(
-            state, origin, targets
-        ).tobytes(),
+        "reliance": _hex(mk.reliance_kernel(state)),
+        "hegemony": _hegemony_values(state, origin, targets).tobytes(),
         "histogram": mk.length_histogram_kernel(state),
         "routed": mk.routed_count_kernel(state),
     }
 
 
-@needs_numpy
+def _dict_outputs(ref, origin, targets):
+    """The same outputs from the dict metrics on a reference state."""
+    return {
+        "counts": _path_counts_routes(ref),
+        "reliance": _hex(_reliance_from_routes(ref)),
+        "hegemony": _hegemony_values(ref, origin, targets).tobytes(),
+        "histogram": path_length_histogram(ref),
+        "routed": len(ref.reachable_ases()),
+    }
+
+
 class TestVectorizedDifferential:
     @pytest.mark.parametrize("profile_name,seed", SCENARIOS)
-    def test_propagation_states_identical(
-        self, monkeypatch, profile_name, seed
-    ):
+    def test_propagation_states_identical(self, profile_name, seed):
         graph = netgen_graph(profile_name, seed)
         cg = graph.compile()
         for origin in sample_origins(graph, 6, seed=seed):
             seeds = (Seed(asn=origin),)
-            pure = _with_mode(
-                monkeypatch, "off", lambda: propagate_compiled(cg, seeds)
-            )
-            fast = _with_mode(
-                monkeypatch, "on", lambda: propagate_compiled(cg, seeds)
-            )
             assert_states_equal(
-                pure, fast, f"({profile_name}/{seed} origin {origin})"
+                propagate_reference(graph, seeds),
+                propagate_compiled(cg, seeds),
+                f"({profile_name}/{seed} origin {origin})",
             )
 
     @pytest.mark.parametrize("profile_name,seed", SCENARIOS)
-    def test_metric_kernels_bit_identical(
-        self, monkeypatch, profile_name, seed
-    ):
+    def test_metric_kernels_bit_identical(self, profile_name, seed):
         graph = netgen_graph(profile_name, seed)
         cg = graph.compile()
         origins = sample_origins(graph, 4, seed=seed)
         targets = tuple(sample_origins(graph, 8, seed=seed + 1))
         for origin in origins:
             seeds = (Seed(asn=origin),)
-
-            def outputs():
-                state = propagate_compiled(cg, seeds)
-                return _metric_outputs(state, origin, targets)
-
-            pure = _with_mode(monkeypatch, "off", outputs)
-            fast = _with_mode(monkeypatch, "on", outputs)
-            assert pure == fast, (
+            fast = _kernel_outputs(
+                propagate_compiled(cg, seeds), origin, targets
+            )
+            oracle = _dict_outputs(
+                propagate_reference(graph, seeds), origin, targets
+            )
+            assert fast == oracle, (
                 f"metric outputs diverged ({profile_name}/{seed} "
                 f"origin {origin})"
             )
 
     @pytest.mark.parametrize("profile_name,seed", SCENARIOS[3:])
-    def test_delta_states_identical(self, monkeypatch, profile_name, seed):
+    def test_delta_states_identical(self, profile_name, seed):
         graph = netgen_graph(profile_name, seed)
         origins = sample_origins(graph, 4, seed=seed)
         leakers = sample_origins(graph, 4, seed=seed + 1)
-
-        def delta_state():
-            baseline = propagate_compiled(
-                graph.compile(), (Seed(asn=origin),)
-            )
-            leak = leak_seed(graph, origin, leaker)
-            return propagate_delta(graph, baseline, leak)
-
         for origin, leaker in zip(origins, leakers):
             if origin == leaker:
                 continue
+            legit = Seed(asn=origin)
+            baseline = propagate_compiled(graph.compile(), (legit,))
+            leak = leak_seed(graph, origin, leaker)
             try:
-                pure = _with_mode(monkeypatch, "off", delta_state)
+                delta = propagate_delta(graph, baseline, leak)
             except ValueError:
                 continue  # config outside the delta contract: skip pair
-            fast = _with_mode(monkeypatch, "on", delta_state)
             assert_states_equal(
-                pure, fast,
+                propagate_reference(graph, (legit, leak)),
+                delta,
                 f"(delta {profile_name}/{seed} {origin}->{leaker})",
             )
 
     @pytest.mark.parametrize("profile_name,seed", SCENARIOS[3:])
-    def test_batch_views_identical(self, monkeypatch, profile_name, seed):
+    def test_batch_views_identical(self, profile_name, seed):
         graph = netgen_graph(profile_name, seed)
         origins = sample_origins(graph, 8, seed=seed)
         targets = tuple(sample_origins(graph, 6, seed=seed + 1))
-
-        def batch_outputs():
-            batch = propagate_batch(graph, origins)
-            return [
-                _metric_outputs(state, origin, targets)
-                for origin, state in batch.views()
-            ]
-
-        pure = _with_mode(monkeypatch, "off", batch_outputs)
-        fast = _with_mode(monkeypatch, "on", batch_outputs)
-        assert pure == fast
+        batch = propagate_batch(graph, origins)
+        for origin, view in batch.views():
+            oracle = _dict_outputs(
+                propagate_reference(graph, Seed(asn=origin)), origin, targets
+            )
+            assert _kernel_outputs(view, origin, targets) == oracle, (
+                f"batch view diverged ({profile_name}/{seed} "
+                f"origin {origin})"
+            )
 
 
-class TestVectorKnob:
-    def test_off_forces_pure(self, vector_off):
-        assert resolve_vector() is False
-        assert vec.vector_enabled() is False
+def _provider_ladder(stages: int) -> tuple[ASGraph, int]:
+    """An origin under ``stages`` stages of two ASes each, every AS a
+    customer of both ASes one stage up: the top stage holds
+    ``2 ** (stages - 1)`` tied-best paths per AS."""
+    graph = ASGraph()
+    origin = 1
+    below = (origin,)
+    for stage in range(stages):
+        above = (10 + 2 * stage, 11 + 2 * stage)
+        for provider in above:
+            for customer in below:
+                graph.add_p2c(provider, customer)
+        below = above
+    return graph, origin
 
-    def test_explicit_values_win_over_env(self, vector_off):
-        if vec.numpy_available():
-            assert resolve_vector("on") is True
-        assert resolve_vector("off") is False
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_vector("sideways")
-
-    def test_auto_without_numpy_falls_back_silently(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "auto")
-        monkeypatch.setattr(vec, "_np", None)
-        monkeypatch.setattr(vec, "_np_checked", True)
-        assert resolve_vector() is False
-        # dispatch sites keep working on the pure path
-        graph = netgen_graph("tiny", 7)
-        state = propagate_compiled(
-            graph.compile(), (Seed(asn=sorted(graph.nodes())[0]),)
-        )
-        assert mk.routed_count_kernel(state) > 0
-
-    def test_on_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "on")
-        monkeypatch.setattr(vec, "_np", None)
-        monkeypatch.setattr(vec, "_np_checked", True)
-        with pytest.raises(RuntimeError, match="numpy"):
-            resolve_vector()
-
-    @needs_numpy
+class TestExactFloatFallback:
     def test_vector_kernels_return_none_beyond_exact_floats(self):
-        # counts beyond 2**53 cannot cast exactly; the builder hands back
-        graph = netgen_graph("tiny", 7)
-        state = propagate_compiled(
-            graph.compile(), (Seed(asn=sorted(graph.nodes())[0]),)
+        # 56 stages put 2**55 tied-best paths at the top, past the 2**53
+        # where int -> float64 casts round: the numpy DAG builder and
+        # kernels hand back, and the big-int array loops must still match
+        # the dict metrics exactly
+        graph, origin = _provider_ladder(56)
+        seed = Seed(asn=origin)
+        state = propagate_compiled(graph, seed)
+        ref = propagate_reference(graph, seed)
+        assert vec.build_metric_dag_vector(state) is None
+        assert max(mk.path_counts_kernel(state).values()) == 1 << 55
+
+        assert mk.path_counts_kernel(state) == _path_counts_routes(ref)
+        assert _hex(mk.reliance_kernel(state)) == _hex(
+            _reliance_from_routes(ref)
         )
-        dag = mk.dag_of(state)
-        assert dag is not None
+        assert mk.length_histogram_kernel(state) == path_length_histogram(ref)
+        targets = (10, 11, 64, 65, 120, 121)
+        for target in targets:
+            assert _hex(mk.cross_fractions_kernel(state, target)) == _hex(
+                path_cross_fractions(ref, target)
+            )
+        assert (
+            _hegemony_values(state, origin, targets).tobytes()
+            == _hegemony_values(ref, origin, targets).tobytes()
+        )
+
+
+class TestMaskConversion:
+    def test_big_endian_words_convert_little_endian(self):
+        # word w of a row holds bits 64w .. 64w + 63, whatever the byte
+        # order the matrix is stored in
+        rows = [[1, 0], [0xFFFFFFFFFFFFFFFF, 2], [1 << 63, 1 << 62]]
+        expected = [lo | hi << 64 for lo, hi in rows]
+        for dtype in (">u8", "<u8"):
+            mat = np.array(rows, dtype=dtype)
+            assert vec._rows_to_ints(mat) == expected
+        assert vec._rows_to_ints(np.zeros((0, 3), dtype=">u8")) == []
