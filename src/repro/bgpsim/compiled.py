@@ -62,11 +62,6 @@ def _signed_typecode(maxval: int) -> str:
     return "q"
 
 
-def _shrink(values, typecode: str) -> array:
-    """Copy ``values`` into the given (usually narrower) array typecode."""
-    return array(typecode, values)
-
-
 def _concrete_buffers(state: dict) -> dict:
     """Replace ``memoryview`` values (zero-copy views of a shared-memory
     arena, see :mod:`repro.bgpsim.shm`) with picklable owned copies."""
@@ -89,7 +84,7 @@ def _csr(
     for asn in asns:
         neighbors.extend(sorted(index[n] for n in rows(asn)))
         offsets.append(len(neighbors))
-    return _shrink(offsets, _unsigned_typecode(len(neighbors))), neighbors
+    return array(_unsigned_typecode(len(neighbors)), offsets), neighbors
 
 
 class CompiledGraph:
@@ -190,7 +185,7 @@ class CompiledGraph:
                 )
                 new_off.append(total)
             arrays.append(
-                (_shrink(new_off, _unsigned_typecode(total)), new_nbr)
+                (array(_unsigned_typecode(total), new_off), new_nbr)
             )
         (p_off, p_nbr), (c_off, c_nbr), (e_off, e_nbr) = arrays
         return cls(base.asns, p_off, p_nbr, c_off, c_nbr, e_off, e_nbr)

@@ -64,7 +64,6 @@ from typing import Optional
 
 from .compiled import (
     _NO_ROUTE,
-    _shrink,
     _signed_typecode,
     _unsigned_typecode,
     CompiledGraph,

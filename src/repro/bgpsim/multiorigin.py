@@ -9,8 +9,8 @@ situation bitset-parallel BFS collapses: this module gives each of B
 origins one bit of a per-AS mask and runs the three phases of
 :func:`~repro.bgpsim.compiled.propagate_compiled` once per *batch*
 instead of once per origin.  The sweep itself runs on ``(n, W)`` uint64
-mask matrices (:func:`repro.bgpsim.vectorized.propagate_batch_vector`);
-the batch keeps the result as one Python big int per AS and class.
+mask matrices (:func:`repro.bgpsim.vectorized.propagate_batch_vector`),
+and the batch keeps its arrival buckets as numpy arrays.
 
 Why first-arrival order is enough: with ``initial_length == 0`` for
 every origin (the plain ``Seed(asn=origin)`` the sweeps use), each phase
@@ -25,20 +25,24 @@ is level-synchronous —
 * phase 3 is a unit-weight Dijkstra down customer edges, i.e. a bucket
   queue over lengths, so again first arrival = final length.
 
-Per AS the batch stores three origin bitmasks (customer / peer /
-provider class) plus per-``(class, level)`` arrival masks; ``(phase,
-level)`` recovers the route class and path length for every origin bit,
-and parent pools are reconstructed on demand by scanning CSR neighbors
-for class/length-consistent predecessors — in ascending neighbor order,
-the same canonical order the metric kernels sort into.
+Each bucket entry names a node, a ``(class, level)`` pair and the mask
+of origin bits that first arrived there with it; every routed (node,
+bit) pair appears in exactly one entry, so a view's route class and path
+length columns are one vectorised read of its bit.  Parent pools are
+rebuilt on demand by one vectorised filter over the graph's
+(child, neighbour) edge arrays, keeping the edges whose relation carries
+the child's route class, whose neighbour may export that route, and
+whose neighbour is one hop shorter — sorted by (child, parent), the same
+canonical order the per-origin kernel and the metric kernels use.
 
 The result is a :class:`BatchRoutingState` whose per-origin
 :class:`BatchOriginView` objects subclass
 :class:`~repro.bgpsim.compiled.CompiledRoutingState`: the cheap queries
-(``has_route`` / ``path_length`` / ``route_class`` / per-AS ``route``)
-read straight off the batch masks, while the flat per-origin arrays the
-PR-4 metric kernels consume are materialized lazily on first touch — so
-every existing consumer, including the kernels, runs unchanged.
+(``has_route`` / ``path_length`` / ``route_class``) read this bit's
+class and length columns, while the parent pools the per-AS ``route``
+and the metric kernels consume are built lazily on first touch, at the
+per-origin kernel's compact typecodes — so every existing consumer,
+including the kernels and the shard writer, runs unchanged.
 Equivalence with per-origin :func:`propagate_compiled` is proven by the
 differential harness in ``tests/test_multiorigin_engine.py``.
 
@@ -60,13 +64,10 @@ from typing import Optional
 from .compiled import (
     _CLASSES,
     _NO_ROUTE,
-    _shrink,
-    _signed_typecode,
-    _unsigned_typecode,
     CompiledGraph,
     CompiledRoutingState,
 )
-from .routes import NodeRoute, Seed
+from .routes import Seed
 
 __all__ = [
     "BatchOriginView",
@@ -76,7 +77,7 @@ __all__ = [
     "resolve_batch",
 ]
 
-#: default batch width; 64–512 keeps the big-int masks in the sweet spot
+#: default batch width; 64–512 keeps the mask matrices in the sweet spot
 #: where one word-sliced sweep serves many origins without the masks
 #: outgrowing the CPU cache.
 DEFAULT_BATCH = 256
@@ -101,13 +102,14 @@ def resolve_batch(batch: Optional[int | str] = None) -> int:
 class BatchRoutingState:
     """The result of one bit-parallel multi-origin sweep.
 
-    Bit *b* of every mask corresponds to ``origins[b]``.  ``_cust`` /
-    ``_peer`` / ``_prov`` hold, per node index, the bitmask of origins
-    whose best route at that node has the respective class; ``_buckets``
-    maps ``(route class, path length)`` to the per-node masks of origins
-    that *arrived* with exactly that class and length.  Together they are
-    the whole routing state of all B origins — per-origin arrays are
-    derived views (:meth:`view`), not storage.
+    Bit *b* of every mask corresponds to ``origins[b]``.  The state is
+    the sweep's arrival buckets, concatenated: entry *e* says that the
+    origins whose bits are set in column *e* of ``_masks`` (a ``(W, E)``
+    uint64 matrix, word *w* holding bits ``64w`` to ``64w + 63``) first
+    reached node ``_nodes[e]`` with route class ``_classes[e]`` and path
+    length ``_levels[e]``.  Each (node, bit) pair arrives at most once,
+    so these arrays are the whole routing state of all B origins —
+    per-origin arrays are derived views (:meth:`view`), not storage.
 
     The compiled graph is carried only as a reference for on-demand
     parent reconstruction; pickling drops it (workers return batches to
@@ -118,17 +120,17 @@ class BatchRoutingState:
         self,
         cgraph: CompiledGraph,
         origins: tuple[int, ...],
-        cust: list[int],
-        peer: list[int],
-        prov: list[int],
-        buckets: dict[tuple[int, int], dict[int, int]],
+        nodes,
+        classes,
+        levels,
+        masks,
     ) -> None:
         self._graph: Optional[CompiledGraph] = cgraph
         self.origins = origins
-        self._cust = cust
-        self._peer = peer
-        self._prov = prov
-        self._buckets = buckets
+        self._nodes = nodes
+        self._classes = classes
+        self._levels = levels
+        self._masks = masks
         self._bit_of: dict[int, int] = {}
         for b, origin in enumerate(origins):
             self._bit_of.setdefault(origin, b)
@@ -187,17 +189,17 @@ def _restore_compiled(state: dict) -> CompiledRoutingState:
 
 
 class BatchOriginView(CompiledRoutingState):
-    """One origin's routing state, read lazily off a batch's masks.
+    """One origin's routing state, read lazily off a batch's buckets.
 
     The scalar queries (``has_route`` / ``path_length`` / ``route_class``
-    / per-AS ``route`` / ``reachable_ases``) are answered straight from
-    the batch bitmasks and arrival buckets — no per-origin arrays exist
-    until something touches them.  The flat arrays of the parent class
-    (``_route_class`` … ``_routed``, consumed by the metric kernels and
-    ``routes`` materialization) are reconstructed on first attribute
-    access by scanning CSR neighbors for class/length-consistent
-    predecessors, after which the view behaves exactly like the
-    ``CompiledRoutingState`` the per-origin kernel would have produced.
+    / ``reachable_ases``) read this bit's route-class and path-length
+    columns, picked out of the batch's arrival buckets on first use.
+    The rest of the parent class's arrays (the parent pools and
+    ``_routed``, consumed by ``route``, the metric kernels and
+    ``routes`` materialization) are built on first attribute access by
+    one vectorised filter over the graph's parent edges, after which the
+    view holds exactly the arrays — values and typecodes — that the
+    per-origin kernel would have produced.
 
     Pickling converts to a standalone ``CompiledRoutingState`` so a view
     never drags its whole batch across a process boundary.
@@ -219,10 +221,10 @@ class BatchOriginView(CompiledRoutingState):
         origin = batch.origins[bit]
         self._batch = batch
         self._bit = bit
-        self._seed_index = batch.graph.index[origin]
         self.seeds = (Seed(asn=origin),)
         self.seed_asns = frozenset((origin,))
         self._asns = batch.graph.asns
+        self._column = None
         self._origin_mask = None  # single seed: the fast path
         self._materialized = None
         self._metric_dag = None
@@ -238,123 +240,46 @@ class BatchOriginView(CompiledRoutingState):
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
-    # -- mask-backed scalar queries (never build the arrays) ---------------
-    def _class_of(self, i: int) -> int:
-        """Route class code at node ``i`` for this bit (``_NO_ROUTE`` if
-        unrouted), read off the three class masks."""
-        bit = self._bit
-        batch = self._batch
-        if batch._cust[i] >> bit & 1:
-            return 0
-        if batch._peer[i] >> bit & 1:
-            return 1
-        if batch._prov[i] >> bit & 1:
-            return 2
-        return _NO_ROUTE
+    def _columns(self) -> tuple[bytearray, array]:
+        """This bit's ``(route class, path length)`` columns (cached)."""
+        column = self._column
+        if column is None:
+            from .vectorized import batch_view_column
 
-    def _level_of(self, i: int, cls: int) -> int:
-        """Arrival level of this bit at node ``i`` (class ``cls``)."""
-        bit = self._bit
-        for (c, level), bucket in self._batch._buckets.items():
-            if c != cls:
-                continue
-            mask = bucket.get(i)
-            if mask is not None and mask >> bit & 1:
-                return level
-        raise AssertionError(
-            f"bit {bit} routed at node {i} but missing from arrival buckets"
-        )
+            column = self._column = batch_view_column(
+                self._batch, self._bit, len(self._asns)
+            )
+        return column
 
+    # -- column-backed scalar queries (never build the parent pools) -------
     def has_route(self, asn: int) -> bool:
         i = self._idx(asn)
-        return i is not None and self._class_of(i) != _NO_ROUTE
+        return i is not None and self._columns()[0][i] != _NO_ROUTE
 
     def route_class(self, asn: int):
         i = self._idx(asn)
         if i is None:
             return None
-        cls = self._class_of(i)
+        cls = self._columns()[0][i]
         return None if cls == _NO_ROUTE else _CLASSES[cls]
 
     def path_length(self, asn: int) -> Optional[int]:
         i = self._idx(asn)
         if i is None:
             return None
-        cls = self._class_of(i)
-        if cls == _NO_ROUTE:
-            return None
-        return self._level_of(i, cls)
+        rc, ln = self._columns()
+        return None if rc[i] == _NO_ROUTE else ln[i]
 
     def origins_at(self, asn: int) -> frozenset[str]:
         if self.has_route(asn):
             return frozenset((self.seeds[0].key,))
         return frozenset()
 
-    def _parent_indices(self, i: int, cls: int, level: int) -> list[int]:
-        """Class/length-consistent predecessors of node ``i``, ascending.
-
-        Scans the CSR neighbor row the sender side of the phase would
-        have exported across: customers for customer routes (they export
-        up), peers holding customer routes for peer routes, providers
-        holding any route for provider routes.  First-arrival levels make
-        "arrived at ``level - 1``" exactly the tied-parent condition.
-        """
-        cg = self._batch.graph
-        bit = self._bit
-        buckets = self._batch._buckets
-        if cls == 0:
-            off, nbr = cg.customer_off, cg.customer_nbr
-            senders = (buckets.get((0, level - 1)),)
-        elif cls == 1:
-            off, nbr = cg.peer_off, cg.peer_nbr
-            senders = (buckets.get((0, level - 1)),)
-        else:
-            off, nbr = cg.provider_off, cg.provider_nbr
-            senders = (
-                buckets.get((0, level - 1)),
-                buckets.get((1, level - 1)),
-                buckets.get((2, level - 1)),
-            )
-        parents: list[int] = []
-        for p in nbr[off[i] : off[i + 1]]:
-            for bucket in senders:
-                if bucket is None:
-                    continue
-                mask = bucket.get(p)
-                if mask is not None and mask >> bit & 1:
-                    parents.append(p)
-                    break
-        return parents
-
-    def route(self, asn: int) -> Optional[NodeRoute]:
-        """Per-AS :class:`NodeRoute` without materializing ``routes``."""
-        if self._materialized is not None:
-            return self._materialized.get(asn)
-        i = self._idx(asn)
-        if i is None:
-            return None
-        cls = self._class_of(i)
-        if cls == _NO_ROUTE:
-            return None
-        level = self._level_of(i, cls)
-        asns = self._asns
-        if i == self._seed_index:
-            parents: set[int] = set()
-        else:
-            parents = {
-                asns[p] for p in self._parent_indices(i, cls, level)
-            }
-        return NodeRoute(_CLASSES[cls], level, parents, {self.seeds[0].key})
-
     def reachable_ases(self) -> frozenset[int]:
-        bit = self._bit
-        batch = self._batch
-        cust, peer, prov = batch._cust, batch._peer, batch._prov
+        rc = self._columns()[0]
         asns = self._asns
         return frozenset(
-            asns[i]
-            for i in range(len(asns))
-            if (cust[i] | peer[i] | prov[i]) >> bit & 1
+            asns[i] for i, cls in enumerate(rc) if cls != _NO_ROUTE
         ) - self.seed_asns
 
     def ases_with_origin(self, key: str) -> frozenset[int]:
@@ -364,65 +289,15 @@ class BatchOriginView(CompiledRoutingState):
 
     # -- lazy per-origin array reconstruction ------------------------------
     def _build_arrays(self) -> None:
-        """Materialize the flat per-origin arrays the kernels consume.
+        """Materialize the flat per-origin arrays the kernels consume:
+        the class/length columns plus the parent pools and routed list
+        of :func:`~repro.bgpsim.vectorized.batch_view_pool`."""
+        from .vectorized import batch_view_pool
 
-        One pass over the arrival buckets transposes this bit's column
-        out of the batch (every routed node appears in exactly one
-        bucket), then one CSR scan per routed node rebuilds the parent
-        pools; neighbor rows are ascending, so pools come out in the
-        canonical ascending order the metric kernels expect.
-        """
-        batch = self._batch
-        cg = batch.graph
-        bit = self._bit
-        n = cg.n
-        rc = bytearray([_NO_ROUTE]) * n
-        ln = array("q", bytes(8 * n))
-        routed: list[int] = []
-        for (cls, level), bucket in batch._buckets.items():
-            for i, mask in bucket.items():
-                if mask >> bit & 1:
-                    rc[i] = cls
-                    ln[i] = level
-                    routed.append(i)
-        routed.sort()
-
-        head = array("i", b"\xff" * (4 * n))  # -1: no parents
-        pool_parent = array("i")
-        pool_next = array("i")
-        pp_append = pool_parent.append
-        pn_append = pool_next.append
-        poff, pnbr = cg.provider_off, cg.provider_nbr
-        coff, cnbr = cg.customer_off, cg.customer_nbr
-        qoff, qnbr = cg.peer_off, cg.peer_nbr
-        seed_i = self._seed_index
-        for i in routed:
-            if i == seed_i:
-                continue
-            cls = rc[i]
-            want = ln[i] - 1
-            if cls == 0:
-                row = cnbr[coff[i] : coff[i + 1]]
-                for p in row:
-                    if rc[p] == 0 and ln[p] == want:
-                        pp_append(p)
-                        pn_append(head[i])
-                        head[i] = len(pool_parent) - 1
-            elif cls == 1:
-                row = qnbr[qoff[i] : qoff[i + 1]]
-                for p in row:
-                    if rc[p] == 0 and ln[p] == want:
-                        pp_append(p)
-                        pn_append(head[i])
-                        head[i] = len(pool_parent) - 1
-            else:
-                row = pnbr[poff[i] : poff[i + 1]]
-                for p in row:
-                    if rc[p] != _NO_ROUTE and ln[p] == want:
-                        pp_append(p)
-                        pn_append(head[i])
-                        head[i] = len(pool_parent) - 1
-
+        rc, ln = self._columns()
+        head, pool_parent, pool_next, routed = batch_view_pool(
+            self._batch.graph, rc, ln
+        )
         d = self.__dict__
         d["_route_class"] = rc
         d["_length"] = ln
@@ -432,28 +307,18 @@ class BatchOriginView(CompiledRoutingState):
         d["_routed"] = routed
 
     def to_compiled(self) -> CompiledRoutingState:
-        """A standalone ``CompiledRoutingState`` copy of this view.
-
-        Arrays are shrunk to the smallest typecodes that fit, exactly as
-        the per-origin kernel does, so the copy pickles compactly.
-        """
-        rc = self._route_class
-        ln = self._length
-        routed = self._routed
-        n = len(self._asns)
-        pool_size = len(self._pool_parent)
-        node_code = _unsigned_typecode(max(n - 1, 0))
-        pool_code = _signed_typecode(pool_size)
-        max_len = max((ln[i] for i in routed), default=0)
+        """A standalone ``CompiledRoutingState`` copy of this view (its
+        arrays already have the per-origin kernel's compact typecodes,
+        so the copy pickles compactly)."""
         return CompiledRoutingState(
             self._asns,
             self.seeds,
-            bytearray(rc),
-            _shrink(ln, _unsigned_typecode(max_len)),
-            _shrink(self._parent_head, pool_code),
-            _shrink(self._pool_parent, node_code),
-            _shrink(self._pool_next, pool_code),
-            array(node_code, routed),
+            bytearray(self._route_class),
+            self._length[:],
+            self._parent_head[:],
+            self._pool_parent[:],
+            self._pool_next[:],
+            self._routed[:],
             None,
         )
 

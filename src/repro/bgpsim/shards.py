@@ -237,7 +237,8 @@ class ShardWriter:
         self._n = n_nodes
         self._asns_bytes = bytes(memoryview(asns).cast("B"))
         self._asns_fmt = _fmt_of(asns)
-        self._index: list[tuple[int, int]] = []
+        # origin -> record offset, in write order
+        self._index: dict[int, int] = {}
         self._handle = open(self.path, "wb")
         self._pos = 0
         self._write(b"\x00" * _HEADER.size)
@@ -257,7 +258,7 @@ class ShardWriter:
 
     @property
     def origins(self) -> tuple[int, ...]:
-        return tuple(origin for origin, _ in self._index)
+        return tuple(self._index)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -292,7 +293,7 @@ class ShardWriter:
                 f"state for AS{origin} has {len(state._asns)} nodes, "
                 f"shard graph has {self._n}"
             )
-        if any(o == origin for o, _ in self._index):
+        if origin in self._index:
             raise ShardError(f"duplicate origin AS{origin}")
 
         buffers = [getattr(state, field) for field in _RECORD_FIELDS]
@@ -314,7 +315,7 @@ class ShardWriter:
         for offset, data in payloads:
             self._pad_to(offset)
             self._write(data)
-        self._index.append((origin, record_off))
+        self._index[origin] = record_off
 
     def close(self) -> None:
         """Write the offset index, seal the header, and fsync."""
@@ -322,7 +323,7 @@ class ShardWriter:
             return
         index_off = _align8(self._pos)
         self._pad_to(index_off)
-        for origin, record_off in self._index:
+        for origin, record_off in self._index.items():
             self._write(_INDEX.pack(origin, record_off))
         header = _HEADER.pack(
             _MAGIC,
@@ -580,7 +581,8 @@ class MetricShardWriter:
         self._n = n_nodes
         self._asns_bytes = bytes(memoryview(asns).cast("B"))
         self._asns_fmt = _fmt_of(asns)
-        self._index: list[tuple[int, int]] = []
+        # origin -> record offset, in write order
+        self._index: dict[int, int] = {}
         self._handle = open(self.path, "wb")
         self._pos = 0
         self._write(b"\x00" * _MET_HEADER.size)
@@ -597,7 +599,7 @@ class MetricShardWriter:
 
     @property
     def origins(self) -> tuple[int, ...]:
-        return tuple(origin for origin, _ in self._index)
+        return tuple(self._index)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -630,7 +632,7 @@ class MetricShardWriter:
                     f"metric record {name} for AS{origin} must be "
                     f"{expect} float64s, got {len(mv)} {mv.format!r}"
                 )
-        if any(o == origin for o, _ in self._index):
+        if origin in self._index:
             raise ShardError(f"duplicate origin AS{origin}")
         record_off = _align8(self._pos)
         self._pad_to(record_off)
@@ -650,7 +652,7 @@ class MetricShardWriter:
         for offset, data in payloads:
             self._pad_to(offset)
             self._write(data)
-        self._index.append((origin, record_off))
+        self._index[origin] = record_off
 
     def close(self) -> None:
         """Write the offset index, seal the header, and fsync."""
@@ -658,7 +660,7 @@ class MetricShardWriter:
             return
         index_off = _align8(self._pos)
         self._pad_to(index_off)
-        for origin, record_off in self._index:
+        for origin, record_off in self._index.items():
             self._write(_INDEX.pack(origin, record_off))
         header = _MET_HEADER.pack(
             _MET_MAGIC,
@@ -1049,8 +1051,8 @@ def _reap_stale_leases(directory: Path) -> None:
 class ShardStore:
     """A directory of shards behind one origin → state lookup.
 
-    The directory holds ``manifest.json`` (graph digest, engine/vector
-    knobs, per-shard origin ranges) and the shard files it names; origins
+    The directory holds ``manifest.json`` (graph digest, engine and batch
+    settings, per-shard origin ranges) and the shard files it names; origins
     resolve to their shard in O(1).  Open with :meth:`open`, which also
     accepts the *root* directory of a content-addressed tree — it then
     descends into ``<digest16>/`` for the supplied graph, falling back
@@ -1326,7 +1328,6 @@ def precompute_shards(
     origins: Optional[Sequence[int]] = None,
     workers: int | str | None = None,
     batch: Optional[int] = None,
-    engine: Optional[str] = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
     force: bool = False,
     progress=None,
@@ -1335,7 +1336,9 @@ def precompute_shards(
 
     Fans the origin set through the bit-parallel batched sweeps of
     :func:`~repro.bgpsim.parallel.propagate_origins` (``workers``
-    processes, ``REPRO_BATCH``-sized batches) and streams the per-origin
+    processes, ``REPRO_BATCH``-sized batches; always the compiled engine,
+    whatever ``REPRO_ENGINE`` says, since a shard holds only compiled
+    array states) and streams the per-origin
     states into shard files of ``shard_size`` origins under the
     content-addressed directory ``<out_root>/<digest16>/``, consuming
     each batch as it completes — peak memory stays O(batch) regardless
@@ -1354,7 +1357,6 @@ def precompute_shards(
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
-    from .engine import resolve_engine
     from .multiorigin import resolve_batch
     from .parallel import propagate_origins, resolve_workers
     from .shm import resolve_shm
@@ -1398,7 +1400,7 @@ def precompute_shards(
             graph,
             origin_list,
             workers=workers,
-            engine=engine,
+            engine="compiled",
             batch=batch,
         ):
             if writer is None:
@@ -1426,7 +1428,7 @@ def precompute_shards(
         "graph_digest": digest,
         "n_nodes": cg.n,
         "origins": covered + len(origin_list),
-        "engine": resolve_engine(engine),
+        "engine": "compiled",
         "workers": resolve_workers(workers),
         "batch": resolve_batch(batch),
         "shm": resolve_shm(),
@@ -1559,7 +1561,10 @@ def _metric_row(state, origin: int, targets: tuple[int, ...], trim: float):
     :func:`~repro.bgpsim.metrics_kernel.reliance_mass_kernel` (seeds
     then zeroed, matching the dict wrapper's exclusion) and the fused
     ``_hegemony_values`` row — so serving a stored value is
-    bit-identical to kernel-per-request.
+    bit-identical to kernel-per-request.  The reliance mass and the
+    float64 counts are taken straight from the DAG's numpy cache; only a
+    DAG without one (tied-best-path counts above 2**53) takes the
+    big-int route, the one case where the counts can be inexact.
     """
     from ..core.hegemony import _hegemony_values
     from .metrics_kernel import (
@@ -1567,15 +1572,21 @@ def _metric_row(state, origin: int, targets: tuple[int, ...], trim: float):
         reliance_mass_kernel,
         routed_count_kernel,
     )
+    from .vectorized import metric_row_buffers
 
     dag, mass = reliance_mass_kernel(state)
-    reliance = array("d", mass)
-    for i in dag.seed_idx:
-        reliance[i] = 0.0
-    counts = path_counts_indexed(state)
-    counts_exact = all(c < 2**53 for c in counts)
-    counts_vec = array("d", (float(c) for c in counts))
-    hegemony = array("d", _hegemony_values(state, origin, targets, trim))
+    buffers = metric_row_buffers(dag)
+    if buffers is not None:
+        reliance, counts_vec = buffers
+        counts_exact = True
+    else:
+        reliance = array("d", mass)
+        for i in dag.seed_idx:
+            reliance[i] = 0.0
+        counts = path_counts_indexed(state)
+        counts_exact = all(c < 2**53 for c in counts)
+        counts_vec = array("d", (float(c) for c in counts))
+    hegemony = _hegemony_values(state, origin, targets, trim)
     return reliance, counts_vec, hegemony, routed_count_kernel(state), (
         counts_exact
     )
@@ -1589,14 +1600,13 @@ def precompute_metric_shards(
     trim: Optional[float] = None,
     workers: int | str | None = None,
     batch: Optional[int] = None,
-    engine: Optional[str] = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
     force: bool = False,
     progress=None,
 ) -> Path:
     """Precompute metric shards for ``origins`` (default: every AS).
 
-    Streams per-origin states through
+    Streams per-origin compiled-engine states through
     ``RoutingStateCache.states_for_many(stream=True)`` — O(batch) peak
     memory at any corpus size, and served straight off the mmap disk
     tier when the corpus already holds routing shards — and writes each
@@ -1682,7 +1692,7 @@ def precompute_metric_shards(
     target_dir.mkdir(parents=True, exist_ok=True)
 
     cache = RoutingStateCache(
-        graph, engine=engine, batch=batch, shards=routing_store
+        graph, engine="compiled", batch=batch, shards=routing_store
     )
     shard_infos: list[dict[str, Any]] = list(existing_infos)
     writer: Optional[MetricShardWriter] = None
@@ -1721,7 +1731,6 @@ def precompute_metric_shards(
             routing_store.close()
 
     if not manifest:
-        from .engine import resolve_engine
         from .multiorigin import resolve_batch
         from .shm import resolve_shm
 
@@ -1731,7 +1740,7 @@ def precompute_metric_shards(
             "graph_digest": digest,
             "n_nodes": cg.n,
             "origins": 0,
-            "engine": resolve_engine(engine),
+            "engine": "compiled",
             "workers": 1,
             "batch": resolve_batch(batch),
             "shm": resolve_shm(),

@@ -13,8 +13,9 @@ as level-synchronous numpy sweeps over the CSR arrays:
   route-equivalent to :func:`~repro.bgpsim.engine.propagate_reference`,
   with the parent pools in canonical ascending order.
 * :func:`propagate_batch_vector` — the multi-origin sweep on ``(n, W)``
-  uint64 mask matrices, converted back to the Python big-int lists a
-  :class:`~repro.bgpsim.multiorigin.BatchRoutingState` stores.
+  uint64 mask matrices; the batch keeps its arrival buckets as numpy
+  arrays, and :func:`batch_view_column` / :func:`batch_view_pool`
+  rebuild one origin's compiled arrays from them.
 * :func:`build_metric_dag_vector` and the kernel twins
   (:func:`reliance_mass_vector`, :func:`cross_fractions_vector`,
   :func:`length_histogram_vector`) — the DAG passes as level-batched
@@ -56,8 +57,11 @@ from .routes import Seed
 __all__ = [
     "propagate_compiled_vector",
     "propagate_batch_vector",
+    "batch_view_column",
+    "batch_view_pool",
     "build_metric_dag_vector",
     "path_counts_vector",
+    "metric_row_buffers",
     "reliance_mass_vector",
     "reliance_vector",
     "cross_fractions_vector",
@@ -387,17 +391,6 @@ def propagate_compiled_vector(
     else:
         children = parents = np.empty(0, dtype=np.int64)
     pool_size = children.size
-    head = np.full(n, -1, dtype=np.int64)
-    pool_next = np.empty(pool_size, dtype=np.int64)
-    if pool_size:
-        first = np.ones(pool_size, dtype=bool)
-        first[1:] = children[1:] != children[:-1]
-        pool_next = np.arange(pool_size, dtype=np.int64) - 1
-        pool_next[first] = -1
-        last = np.ones(pool_size, dtype=bool)
-        last[:-1] = first[1:]
-        head[children[last]] = np.nonzero(last)[0]
-    routed = np.nonzero(rc != _NO_ROUTE)[0].astype(np.int64)
 
     # -- origins: per-level OR of the parents' masks ---------------------
     origin_mask: Optional[list[int]] = None
@@ -430,19 +423,46 @@ def propagate_compiled_vector(
             for c, p in zip(ch_l, pa_l):
                 origin_mask[c] |= origin_mask[p]
 
-    node_code = _unsigned_typecode(max(n - 1, 0))
-    pool_code = _signed_typecode(pool_size)
+    routed = np.flatnonzero(rc != _NO_ROUTE)
     max_len = int(ln[routed].max()) if routed.size else 0
     return CompiledRoutingState(
         cg.asns,
         seeds,
         bytearray(rc.tobytes()),
         _to_array(_unsigned_typecode(max_len), ln),
+        *_linked_pool(n, children, parents, routed),
+        origin_mask,
+    )
+
+
+def _linked_pool(n: int, children, parents, routed) -> tuple:
+    """``(parent_head, pool_parent, pool_next, routed)`` at the compact
+    typecodes a :class:`CompiledRoutingState` stores, from parent edges
+    sorted by (child, parent).
+
+    Pool entries keep that order; ``parent_head[i]`` points at node
+    *i*'s last entry and ``pool_next`` walks back through the earlier
+    ones, ending at -1.
+    """
+    np = _numpy()
+    pool_size = children.size
+    head = np.full(n, -1, dtype=np.int64)
+    pool_next = np.empty(0, dtype=np.int64)
+    if pool_size:
+        first = np.ones(pool_size, dtype=bool)
+        first[1:] = children[1:] != children[:-1]
+        pool_next = np.arange(pool_size, dtype=np.int64) - 1
+        pool_next[first] = -1
+        last = np.ones(pool_size, dtype=bool)
+        last[:-1] = first[1:]
+        head[children[last]] = np.flatnonzero(last)
+    node_code = _unsigned_typecode(max(n - 1, 0))
+    pool_code = _signed_typecode(pool_size)
+    return (
         _to_array(pool_code, head),
         _to_array(node_code, parents),
         _to_array(pool_code, pool_next),
         _to_array(node_code, routed),
-        origin_mask,
     )
 
 
@@ -456,10 +476,11 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
 
     ``ex`` is the per-node excluded bytearray the caller already built.
     Origin masks live in ``(n, W)`` uint64 matrices (bit *b* of a row is
-    ``origins[b]``), OR-aggregated per level with ``np.bitwise_or.at``;
-    the result converts back to the Python big-int lists/buckets a
-    :class:`~repro.bgpsim.multiorigin.BatchRoutingState` stores, so views
-    and pickling are unchanged.
+    ``origins[b]``), OR-aggregated per level with ``np.bitwise_or.at``.
+    Every ``(class, level)`` arrival bucket is kept: the returned
+    :class:`~repro.bgpsim.multiorigin.BatchRoutingState` stores them
+    concatenated as flat arrays (node, class, level, and a ``(W, E)``
+    word-major mask matrix), from which each view reads its own bit.
     """
     from .multiorigin import BatchRoutingState
 
@@ -474,7 +495,7 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
     cust = np.zeros((n, words), dtype=np.uint64)
     peer = np.zeros((n, words), dtype=np.uint64)
     prov = np.zeros((n, words), dtype=np.uint64)
-    buckets_np: dict[tuple[int, int], tuple] = {}
+    buckets: dict[tuple[int, int], tuple] = {}
 
     poff, pnbr = g["poff"], g["pnbr"]
     coff, cnbr = g["coff"], g["cnbr"]
@@ -502,16 +523,17 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
         return recv[keep], rmask[keep]
 
     # -- phase 1: BFS up provider edges, all origin bits at once ---------
-    start: dict[int, int] = {}
-    for b, origin in enumerate(origins):
-        i = index[origin]
-        start[i] = start.get(i, 0) | (1 << b)
-    nodes = np.fromiter(start.keys(), np.int64, len(start))
+    bit_ids = np.arange(width, dtype=np.uint64)
+    nodes, slot = np.unique(
+        np.fromiter((index[o] for o in origins), np.int64, width),
+        return_inverse=True,
+    )
     masks = np.zeros((nodes.size, words), dtype=np.uint64)
-    for k, i in enumerate(nodes.tolist()):
-        mask = start[i]
-        for w in range(words):
-            masks[k, w] = np.uint64((mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF)
+    np.bitwise_or.at(
+        masks,
+        (slot, (bit_ids >> np.uint64(6)).astype(np.int64)),
+        np.uint64(1) << (bit_ids & np.uint64(63)),
+    )
     level = 0
     cust_levels: list[tuple[int, "object", "object"]] = []
     while nodes.size:
@@ -521,7 +543,7 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
         if not nodes.size:
             break
         cust[nodes] |= newm
-        buckets_np[(0, level)] = (nodes, newm)
+        buckets[(0, level)] = (nodes, newm)
         cust_levels.append((level, nodes, newm))
         edges = _expand(poff, pnbr, nodes, newm)
         if edges is None:
@@ -547,7 +569,7 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
             continue
         uq, acc = _aggregate(recv, bits)
         peer[uq] |= acc
-        buckets_np[(1, src_level + 1)] = (uq, acc)
+        buckets[(1, src_level + 1)] = (uq, acc)
         peer_levels.append((src_level + 1, uq, acc))
 
     # -- phase 3: bucket-queue Dijkstra down customer edges --------------
@@ -573,34 +595,97 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
         uq, new = uq[alive], new[alive]
         if uq.size:
             prov[uq] |= new
-            buckets_np[(2, depth)] = (uq, new)
+            buckets[(2, depth)] = (uq, new)
             _seed_down(depth, uq, new)
 
-    buckets = {
-        key: dict(zip(bnodes.tolist(), _rows_to_ints(bmasks)))
-        for key, (bnodes, bmasks) in buckets_np.items()
-    }
+    # every (node, bit) arrives in exactly one bucket: concatenated, the
+    # buckets are the whole routing state of the batch
+    keys = list(buckets)
+    sizes = [buckets[key][0].size for key in keys]
     return BatchRoutingState(
         cg,
         origins,
-        _rows_to_ints(cust),
-        _rows_to_ints(peer),
-        _rows_to_ints(prov),
-        buckets,
+        np.concatenate([buckets[key][0] for key in keys]),
+        np.repeat(np.array([c for c, _ in keys], dtype=np.uint8), sizes),
+        np.repeat(np.array([lv for _, lv in keys], dtype=np.int64), sizes),
+        np.ascontiguousarray(
+            np.concatenate([buckets[key][1] for key in keys]).T
+        ),
     )
 
 
-def _rows_to_ints(mat) -> list[int]:
-    """Each row of a ``(k, W)`` uint64 mask matrix as one Python int
-    (word ``w`` holds bits ``64w`` to ``64w + 63``).  The words are
-    copied out little-endian, whatever the byte order of the matrix or
-    the host."""
-    stride = 8 * mat.shape[1]
-    blob = mat.astype("<u8", copy=False).tobytes()
-    return [
-        int.from_bytes(blob[k : k + stride], "little")
-        for k in range(0, len(blob), stride)
-    ]
+def _parent_edges(cg: CompiledGraph) -> tuple:
+    """Every candidate parent edge of a compiled graph, sorted by
+    (child, parent) and cached with the CSR views (built on the first
+    batch view, never by ``compile()``).
+
+    Returns ``(child, parent, cls, widest)``: edge *e* can carry
+    ``child[e]``'s best route only when that route has class ``cls[e]``
+    — 0 when ``parent[e]`` is a customer of the child, 1 a peer, 2 a
+    provider — and the parent's own route class is at most
+    ``widest[e]`` (customers and peers export only customer routes,
+    providers export every route).
+    """
+    g = _graph_arrays(cg)
+    edges = g.get("parent_edges")
+    if edges is None:
+        np = _numpy()
+        rows = ((g["coff"], g["cnbr"]), (g["qoff"], g["qnbr"]),
+                (g["poff"], g["pnbr"]))
+        nodes = np.arange(cg.n, dtype=np.int64)
+        child = np.concatenate([np.repeat(nodes, np.diff(off))
+                                for off, _ in rows])
+        parent = np.concatenate([nbr for _, nbr in rows])
+        cls = np.repeat(np.arange(3, dtype=np.uint8),
+                        [nbr.size for _, nbr in rows])
+        o = np.lexsort((parent, child))
+        child, parent, cls = child[o], parent[o], cls[o]
+        widest = np.where(cls == 2, 2, 0).astype(np.uint8)
+        edges = g["parent_edges"] = (child, parent, cls, widest)
+    return edges
+
+
+def batch_view_column(batch, bit: int, n: int) -> tuple[bytearray, array]:
+    """One batch bit's route-class and path-length columns, at the
+    compact storage a :class:`CompiledRoutingState` uses: nodes where
+    the bit arrived take their bucket's class and level, the rest stay
+    unrouted."""
+    np = _numpy()
+    hit = np.flatnonzero(
+        batch._masks[bit >> 6] & np.uint64(1 << (bit & 63))
+    )
+    nodes = batch._nodes[hit]
+    levels = batch._levels[hit]
+    rc = np.full(n, _NO_ROUTE, dtype=np.uint8)
+    rc[nodes] = batch._classes[hit]
+    ln = np.zeros(n, dtype=np.int64)
+    ln[nodes] = levels
+    max_len = int(levels.max()) if levels.size else 0
+    return bytearray(rc.tobytes()), _to_array(_unsigned_typecode(max_len), ln)
+
+
+def batch_view_pool(cg: CompiledGraph, rc, ln) -> tuple:
+    """``(parent_head, pool_parent, pool_next, routed)`` of one batch
+    view, from its class/length columns.
+
+    A node's tied parents are the neighbours on the edges that can carry
+    its route class whose route is exportable to it and one hop shorter
+    (first-arrival levels make that exactly the tie set), so one
+    vectorised filter over :func:`_parent_edges` picks every parent edge
+    at once, already in the (child, parent) order of
+    :func:`propagate_compiled_vector`'s pools.  Seeds keep no parents:
+    nothing routes at length -1.
+    """
+    np = _numpy()
+    child, parent, cls, widest = _parent_edges(cg)
+    rcn = _as_np(rc)
+    lnn = _as_np(ln).astype(np.int64)
+    k = np.flatnonzero(rcn[child] == cls)
+    c, p = child[k], parent[k]
+    keep = (rcn[p] <= widest[k]) & (lnn[p] + 1 == lnn[c])
+    return _linked_pool(
+        cg.n, c[keep], p[keep], np.flatnonzero(rcn != _NO_ROUTE)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -793,11 +878,13 @@ def _finish_npc(
         # kernels raise; hand those (pathological) DAGs back to them
         "zero_denom": bool(np.any((denom == 0) & (pools > 0))),
         # lazy per-DAG caches: node->position lookup, ASN keys in order
-        # sequence, and the per-level sweep plans the kernels replay
+        # sequence, the per-level sweep plans the kernels replay, and the
+        # node-indexed reliance mass toward every receiver
         "pos": None,
         "keys": None,
         "rel_plan": None,
         "cf_plan": None,
+        "mass": None,
     }
     dag._np = npc
     return npc
@@ -972,13 +1059,16 @@ def _cf_plan(dag, npc):
 
 def _reliance_mass(state, receivers: Optional[Collection[int]]):
     """The §7 backward mass sweep; ``(dag, npc, mass ndarray)`` or
-    ``None`` when the pure fallback must serve."""
+    ``None`` when the pure fallback must serve.  The mass toward every
+    receiver is cached as ``npc["mass"]``; callers must not mutate it."""
     from .metrics_kernel import dag_of
 
     dag = dag_of(state)
     npc = _dag_np(dag)
     if npc is None or npc["zero_denom"]:
         return None
+    if receivers is None and npc["mass"] is not None:
+        return dag, npc, npc["mass"]
     np = _numpy()
     mass = np.zeros(dag.n)
     if receivers is None:
@@ -999,7 +1089,23 @@ def _reliance_mass(state, receivers: Optional[Collection[int]]):
         if not cm_k.any():
             continue
         np.add.at(mass, pa, np.repeat(cm_k, ct) * share)
+    if receivers is None:
+        npc["mass"] = mass
     return dag, npc, mass
+
+
+def metric_row_buffers(dag):
+    """``(reliance, counts)`` float64 node-indexed buffers for a metric
+    record, straight from the DAG's numpy cache: the cached all-receiver
+    reliance mass with the seeds zeroed (a copy) and the float64
+    tied-best-path counts.  ``None`` when the cache holds no mass (no
+    numpy cache, or the pure kernels served the reliance)."""
+    npc = dag._np
+    if not npc or npc["mass"] is None:
+        return None
+    reliance = npc["mass"].copy()
+    reliance[npc["seed_arr"]] = 0.0
+    return reliance, npc["countsf"]
 
 
 def reliance_mass_vector(state, receivers: Optional[Collection[int]] = None):
@@ -1159,11 +1265,19 @@ def hegemony_values_vector(state, origin: int, targets, trim: float):
     """One origin's local hegemony toward every target, fused: the
     crossing-fraction matrix feeds the trimmed means directly, with no
     intermediate per-target dicts (which dominate the many-dict sweep's
-    cost).  Bit-identical to the dict path: the sample multiset per
-    target is the same (every routed AS except the origin and the
-    target), sorting is value-determined, and the kept slice is summed
-    left-to-right like the pure ``sum``.  Returns ``None`` to request
-    the dict-based fallback."""
+    cost).  Returns ``None`` to request the dict-based fallback.
+
+    Bit-identical to the dict path, which sorts each target's samples
+    (the fractions of every routed AS except the origin and the target)
+    and ``sum``-s the kept slice.  Fractions are ``>= 0``, so the zeros
+    sort first, and adding ``+0.0`` changes neither the running sum nor
+    the compensation term of builtin ``sum`` (plain on Python <= 3.11,
+    Neumaier-compensated on 3.12+).  A target's value is therefore the
+    ``sum`` of the *nonzero* part of its kept slice over the kept width:
+    only a column whose kept slice reaches past its zeros has its
+    nonzero cells (a few percent of the matrix) sorted and boxed, and on
+    most targets the trim cuts every nonzero cell, leaving ``0.0``.
+    """
     from .metrics_kernel import dag_of
 
     dag = dag_of(state)
@@ -1181,14 +1295,24 @@ def hegemony_values_vector(state, origin: int, targets, trim: float):
         ti = dag.idx(target)
         if ti is not None:
             tks[j] = pos[ti]
-    live = np.nonzero(tks >= 0)[0]
-    columns = (
-        np.ascontiguousarray(_cf_matrix(dag, npc, tks[live]).T)
-        if live.size
-        else None
-    )
+    live = np.flatnonzero(tks >= 0)
     col_of = {j: c for c, j in enumerate(live.tolist())}
-    tkl = tks.tolist()
+    if live.size:
+        lt = tks[live]
+        frac = _cf_matrix(dag, npc, lt)
+        # the origin's and each target's own cells are not samples
+        if opos >= 0:
+            frac[opos] = 0.0
+        frac[lt, np.arange(lt.size)] = 0.0
+        nonzero = frac != 0.0
+        counts = np.count_nonzero(nonzero, axis=0).tolist()
+        # every live target has the same sample count: each routed AS
+        # but the origin and the target itself
+        nsmp = npc["order"].size - 1 - (opos >= 0)
+        cut = int(nsmp * trim)
+        lo, hi, _ = slice(cut, nsmp - cut).indices(nsmp)
+        if hi <= lo:
+            lo, hi = 0, nsmp  # an empty kept slice keeps every sample
     values = array("d")
     j = 0
     for target in targets:
@@ -1196,25 +1320,19 @@ def hegemony_values_vector(state, origin: int, targets, trim: float):
             values.append(math.nan)
             continue
         c = col_of.get(j)
-        tk = tkl[j]
         j += 1
-        if c is None:
-            # unrouted target: the dict path sees no fractions at all
+        if c is None or hi <= lo:
+            # unrouted target (the dict path sees no fractions at all),
+            # or no samples
             values.append(0.0)
             continue
-        samples = np.delete(
-            columns[c], [p for p in (opos, tk) if p >= 0]
+        # the kept slice of the sorted samples, minus its zero prefix
+        zeros = nsmp - counts[c]
+        a, b = max(lo - zeros, 0), max(hi - zeros, 0)
+        kept = (
+            np.sort(frac[nonzero[:, c], c])[a:b].tolist() if a < b else ()
         )
-        samples.sort()
-        nsmp = samples.size
-        cut = int(nsmp * trim)
-        kept = samples[cut : nsmp - cut]
-        if not kept.size:
-            kept = samples
-        if not kept.size:
-            values.append(0.0)
-            continue
-        values.append(sum(kept.tolist()) / kept.size)
+        values.append(sum(kept) / (hi - lo))
     return values
 
 

@@ -215,7 +215,6 @@ def cmd_precompute(args: argparse.Namespace) -> int:
         origins=origins,
         workers=args.workers,
         batch=args.batch,
-        engine=args.engine,
         shard_size=args.shard_size,
         force=args.force,
         progress=progress if not args.quiet else None,
@@ -233,7 +232,6 @@ def cmd_precompute(args: argparse.Namespace) -> int:
                 trim=args.trim,
                 workers=args.workers,
                 batch=args.batch,
-                engine=args.engine,
                 shard_size=args.shard_size,
                 force=args.force,
                 progress=progress if not args.quiet else None,
@@ -698,12 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="bit-parallel batch width (default: $REPRO_BATCH or 256)",
-    )
-    precompute.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="propagation engine (shards store compiled array states)",
     )
     precompute.add_argument(
         "--shard-size",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.bgpsim.cache import RoutingStateCache
 from repro.bgpsim.shards import (
     MANIFEST_NAME,
     MetricShardReader,
+    MetricShardWriter,
     ShardError,
     ShardStore,
     default_metric_targets,
@@ -92,7 +94,8 @@ def test_metric_counts_and_routed_round_trip(corpus):
     )
 
     metrics = store.metrics
-    cache = RoutingStateCache(graph)
+    # path_counts_indexed reads compiled arrays, whatever REPRO_ENGINE is
+    cache = RoutingStateCache(graph, engine="compiled")
     for origin in sample_origins(graph, 6, seed=32):
         state = cache.state_for(origin)
         counts = path_counts_indexed(state)
@@ -102,6 +105,23 @@ def test_metric_counts_and_routed_round_trip(corpus):
         by_asn = metrics.path_counts(origin)
         assert all(by_asn[a] >= 1 for a in by_asn)
         assert metrics.routed_count(origin) == routed_count_kernel(state)
+
+
+def test_metric_writer_rejects_duplicate_origin(tmp_path):
+    graph = netgen_graph("tiny")
+    targets = default_metric_targets(graph, 4)
+    zeros = array("d", bytes(8 * len(graph)))
+    row = (zeros, zeros, array("d", bytes(8 * len(targets))), 0)
+    origins = sample_origins(graph, 12, seed=6)
+    path = tmp_path / "d.mshard"
+    writer = MetricShardWriter(path, graph, targets=targets, trim=TRIM)
+    for origin in origins:
+        writer.add(origin, *row)
+    with pytest.raises(ShardError, match="duplicate origin"):
+        writer.add(origins[0], *row)
+    writer.close()
+    with MetricShardReader(path) as reader:
+        assert reader.origins == tuple(origins)
 
 
 def test_metric_store_miss_semantics(corpus):

@@ -7,7 +7,9 @@ per-origin :class:`BatchOriginView` must be *bit-for-bit* equivalent to
 the state ``propagate_compiled`` computes for that origin alone.  This
 module proves full-state equality on seeded synthetic-Internet scenarios
 (≥3 seeds × 2 sizes), for batch widths {1, 64, non-power-of-two} with
-ragged final batches, checks metric-kernel outputs are bit-identical on
+ragged final batches, checks ``to_compiled()`` holds the per-origin
+kernel's exact arrays (typecodes and bytes) at mask widths around the
+64-bit word edges, checks metric-kernel outputs are bit-identical on
 batch views, verifies the sweep consumers produce identical artifacts
 batched and unbatched, and pins error parity and the views' laziness.
 
@@ -145,6 +147,58 @@ class TestDifferentialNetgen:
             propagate_compiled(mini_graph, (Seed(asn=100),)),
             "(duplicate origin)",
         )
+
+
+#: the arrays a compiled state stores, all checked by typecode and bytes
+_STATE_ARRAYS = (
+    "_route_class",
+    "_length",
+    "_parent_head",
+    "_pool_parent",
+    "_pool_next",
+    "_routed",
+)
+
+
+def _assert_arrays_identical(a, b, context: str) -> None:
+    """``a`` and ``b`` hold the same arrays, typecode and bytes alike."""
+    for name in _STATE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y), f"{name} type differs {context}"
+        assert getattr(x, "typecode", None) == getattr(y, "typecode", None), (
+            f"{name} typecode differs {context}"
+        )
+        assert bytes(x) == bytes(y), f"{name} bytes differ {context}"
+
+
+class TestViewArraysByteIdentical:
+    """``view.to_compiled()`` holds exactly the arrays ``propagate_compiled``
+    builds, at every mask width (inside one 64-bit word, at its edges and
+    across several), with duplicate origins and a shared excluded set."""
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130, 256])
+    def test_to_compiled_arrays(self, width):
+        graph = netgen_graph("small", seed=8)
+        nodes = sorted(graph.nodes())
+        excluded = frozenset(random.Random(width).sample(nodes, 6))
+        pool = [o for o in nodes if o not in excluded]
+        distinct = random.Random(width + 1).sample(pool, max(width - 2, 1))
+        # repeat two origins (or the only one) so some bits share an AS
+        origins = (distinct + distinct[:2])[:width]
+        for shared in (frozenset(), excluded):
+            batch = propagate_batch(graph, origins, excluded=shared)
+            oracle = {}
+            for bit, origin in enumerate(origins):
+                if origin not in oracle:
+                    oracle[origin] = propagate_compiled(
+                        graph, (Seed(asn=origin),), excluded=shared
+                    )
+                _assert_arrays_identical(
+                    batch.view_at(bit).to_compiled(),
+                    oracle[origin],
+                    f"(width={width}, bit={bit}, AS{origin}, "
+                    f"excluded={len(shared)})",
+                )
 
 
 class TestBatchWidths:

@@ -250,6 +250,34 @@ def test_writer_validation(tmp_path):
     assert ShardReader(tmp_path / "v.shard").origins == (origins[0],)
 
 
+def test_duplicate_origin_rejected_after_many_records(tmp_path):
+    graph = netgen_graph("tiny")
+    origins = sample_origins(graph, 12, seed=4)
+    writer = ShardWriter(tmp_path / "d.shard", graph)
+    for origin, view in propagate_batch(graph, tuple(origins)).views():
+        writer.add(origin, view)
+    with pytest.raises(ShardError, match="duplicate origin"):
+        writer.add(origins[0], propagate_compiled(graph, Seed(asn=origins[0])))
+    writer.close()
+    assert ShardReader(tmp_path / "d.shard").origins == tuple(origins)
+
+
+def test_views_and_compiled_states_write_identical_bytes(tmp_path):
+    # a batch view's arrays are the per-origin kernel's, typecodes
+    # included, so the two shard files agree byte for byte
+    graph = netgen_graph("small", seed=7)
+    origins = sample_origins(graph, 40, seed=3)
+    with ShardWriter(tmp_path / "views.shard", graph) as writer:
+        for origin, view in propagate_batch(graph, tuple(origins)).views():
+            writer.add(origin, view)
+    with ShardWriter(tmp_path / "compiled.shard", graph) as writer:
+        for origin in origins:
+            writer.add(origin, propagate_compiled(graph, Seed(asn=origin)))
+    assert (tmp_path / "views.shard").read_bytes() == (
+        tmp_path / "compiled.shard"
+    ).read_bytes()
+
+
 def test_store_open_failures(tmp_path):
     with pytest.raises(ShardError, match="no manifest.json"):
         ShardStore.open(tmp_path)

@@ -15,12 +15,13 @@ synthetic-Internet scenarios (≥3 seeds × 2 sizes):
 * the one input the float64 sweeps hand back: tied-best-path counts
   beyond 2**53, served by the big-int array loops of
   :mod:`repro.bgpsim.metrics_kernel`;
-* the byte order of the batch sweep's mask-to-int conversion.
+* the sparse hegemony rows at several trims and on their edge cases
+  (no samples, unrouted targets, all-zero columns, the origin among the
+  targets).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from .conftest import assert_states_equal, netgen_graph, sample_origins
@@ -191,13 +192,63 @@ class TestExactFloatFallback:
         )
 
 
-class TestMaskConversion:
-    def test_big_endian_words_convert_little_endian(self):
-        # word w of a row holds bits 64w .. 64w + 63, whatever the byte
-        # order the matrix is stored in
-        rows = [[1, 0], [0xFFFFFFFFFFFFFFFF, 2], [1 << 63, 1 << 62]]
-        expected = [lo | hi << 64 for lo, hi in rows]
-        for dtype in (">u8", "<u8"):
-            mat = np.array(rows, dtype=dtype)
-            assert vec._rows_to_ints(mat) == expected
-        assert vec._rows_to_ints(np.zeros((0, 3), dtype=">u8")) == []
+def _star(leaves: int) -> ASGraph:
+    """Origin 1 single-homed to provider 2, whose other customers are
+    ``leaves`` stubs: every leaf's only path crosses 2."""
+    graph = ASGraph()
+    graph.add_p2c(2, 1)
+    for leaf in range(3, 3 + leaves):
+        graph.add_p2c(2, leaf)
+    return graph
+
+
+class TestHegemonyRows:
+    """The sparse hegemony rows (only nonzero crossing fractions are
+    sorted and summed) equal the dict path's sorted trimmed means."""
+
+    #: the paper's 0.1 and others below 0.5, plus two at or above 0.5,
+    #: where the trimmed slice is empty and every sample is kept
+    TRIMS = (0.0, 0.1, 0.25, 0.49, 0.5, 0.75)
+
+    def _assert_rows(self, graph, origin, targets, excluded=frozenset()):
+        seeds = (Seed(asn=origin),)
+        fast = propagate_compiled(graph, seeds, excluded=excluded)
+        ref = propagate_reference(graph, seeds, excluded=excluded)
+        for trim in self.TRIMS:
+            row = vec.hegemony_values_vector(fast, origin, targets, trim)
+            assert row is not None  # the numpy path, not a fallback
+            want = _hegemony_values(ref, origin, targets, trim).tobytes()
+            assert row.tobytes() == want, (origin, trim)
+            got = _hegemony_values(fast, origin, targets, trim).tobytes()
+            assert got == want, (origin, trim)
+
+    @pytest.mark.parametrize("profile_name,seed", SCENARIOS[::2])
+    def test_netgen_rows(self, profile_name, seed):
+        graph = netgen_graph(profile_name, seed)
+        stubs = [a for a in sorted(graph.nodes()) if graph.is_stub(a)]
+        targets = tuple(sample_origins(graph, 10, seed=seed + 1))
+        for origin in sample_origins(graph, 4, seed=seed):
+            # the origin itself (NaN) and a stub nobody routes through
+            # (an all-zero column) ride along
+            row_targets = targets + (origin, stubs[-1])
+            self._assert_rows(graph, origin, row_targets)
+
+    def test_every_sample_nonzero(self):
+        # all leaves cross the target: the trim cuts nonzero samples at
+        # the low end as well as the high end
+        self._assert_rows(_star(9), 1, (2, 1, 3))
+
+    def test_kept_slice_empty(self):
+        # only the origin and the target are routed: no samples at all
+        graph = ASGraph()
+        graph.add_p2c(2, 1)
+        self._assert_rows(graph, 1, (2, 1))
+
+    def test_unrouted_targets(self):
+        # 21 hears 1 only across two peer hops, which is not valley-free,
+        # and 9 is excluded: both are unrouted targets
+        graph = _star(4)
+        graph.add_p2p(1, 20)
+        graph.add_p2p(20, 21)
+        graph.add_p2c(9, 3)
+        self._assert_rows(graph, 1, (21, 2, 9, 20), excluded={9})
