@@ -1,75 +1,60 @@
-"""Precomputed on-disk routing shards with zero-copy mmap readers.
+"""Precomputed on-disk shards with zero-copy mmap readers.
 
 Every headline metric in the paper — reachability, path lengths,
 reliance, hegemony — is a pure function of a per-origin routing state,
 and the compiled engine already represents those states as flat arrays
 (:class:`~repro.bgpsim.compiled.CompiledRoutingState`).  This module
-persists them: a *shard* is an append-only binary file packing many
-origins' state arrays with a fixed header and a per-origin offset index,
-so a :class:`ShardReader` can ``mmap`` the file once and materialize any
-origin's state **zero-copy** — the state's arrays are ``memoryview``
-slices aliased onto the map, exactly the buffer-protocol objects the
-pure loops index and the vectorized kernels ``np.frombuffer`` (the same
-trick :mod:`repro.bgpsim.shm` plays with worker payloads).  No route
-objects are unpickled; opening a state is a dict lookup plus six
-``memoryview.cast`` calls.
-
-File layout (all integers little-endian, all payloads 8-byte aligned,
-matching the shared-memory arena packing):
+persists them, and the metric answers computed from them, as *shards*:
+append-only files of per-origin records that a reader maps once and
+decodes **zero-copy** — every array it hands out is a ``memoryview``
+slice aliased onto the map, exactly the buffer-protocol objects the
+numpy kernels ``np.frombuffer`` (the same trick :mod:`repro.bgpsim.shm`
+plays with worker payloads, and the same packing rule,
+:func:`~repro.bgpsim.shm.layout`).  Both record kinds share one sealed
+container (little-endian, every array 8-byte aligned):
 
 .. code-block:: text
 
-   header   magic "RPBGPSH1" | version u32 | flags u32 | n_nodes u64
-            | n_origins u64 | index_off u64 (0 while unsealed)
-            | asns_off u64 | asns_nbytes u64 | asns fmt char | pad
-            | sha256 graph digest (32 bytes)                     [96 B]
-   asns     the shared ASN table, one copy per shard
-   records  per origin: origin u64, then 6 entry descriptors
-            (fmt char | pad | abs offset u64 | nbytes u64) for
-            route_class / length / parent_head / pool_parent /
-            pool_next / routed, then the 8-aligned array payloads
-   index    n_origins × (origin u64, record offset u64)
+   header   magic (names the record kind) | version u32 | flags u32
+            | n_nodes u64 | n_records u64 | index_off u64 (0 while
+            unsealed) | n_tables u64 | sha256 graph digest      [80 B]
+   tables   file-level typed arrays: one descriptor each (fmt char
+            | pad | offset u64 | nbytes u64), then the arrays
+   records  per origin: origin u64, one descriptor per array, then
+            the arrays; descriptor offsets count from the record start
+   index    n_records × (origin u64 | record offset u64 | nbytes u32
+            | zlib.crc32 u32), in write order
 
-The header is written last (the writer seals the file by back-patching
-``index_off``), so a crash mid-write leaves ``index_off == 0`` and the
-reader rejects the file instead of serving a torn state.  The graph
-digest binds a shard to the exact CSR snapshot it was computed over;
-readers and stores refuse shards whose digest does not match the serving
-graph.
+*Routing shards* (magic ``RPBGPSH1``) hold the ASN table and, per
+origin, the six state arrays.  *Metric shards* (``RPBGMET1``) hold the
+ASN table, the hegemony target set and trim, and per origin the answers
+of the paper's metric kernels: the §7 reliance mass vector, the
+tied-best-path counts, the fused local-hegemony row toward the targets
+(Fontugne et al.) and the routed count, every float produced by the
+kernels a live query runs, so served answers are bit-identical to
+kernel-per-request (``float.hex()``-asserted in
+``tests/test_metric_shards.py``).
 
-On top of single files, :class:`ShardStore` manages a *content-addressed
-results directory* — ``<root>/<digest16>/manifest.json`` plus shard
-files — and :func:`precompute_shards` fans the origin set through the
-bit-parallel batched sweeps of
-:func:`~repro.bgpsim.parallel.propagate_origins` to build one.
-Correctness is anchored by the differential harness in
-``tests/test_shards.py`` (mmap-aliased states ≡ ``propagate_compiled``
-output on multiple netgen seeds).
+The writer seals a file by back-patching ``index_off``, so a crash
+mid-write leaves a file readers reject as unsealed.  The graph digest
+binds a file to the CSR snapshot it was computed over.  A record's crc32
+is checked the first time a reader maps it, so a flipped byte raises
+:class:`ShardError` naming the file and origin instead of being served.
+Records are relocatable, so :meth:`ShardStore.compact` merges files by
+copying crc-checked bytes.  Version-1 files are rejected with a message
+to rebuild.
 
-**Metric shards** (magic ``RPBGMET1``) are the second record type in a
-corpus: instead of state arrays they pack the *answers* of the paper's
-metric kernels — per origin, the §7 reliance mass vector over every
-node, the fused local-hegemony row toward a fixed target set (Fontugne
-et al.), the tied-best-path counts both share, and the routed count.
-All three payloads are float64 arrays, so ``/reliance`` and
-``/hegemony`` queries become a single zero-copy ``memoryview`` read;
-every stored float is produced by the same kernels the live path runs
-(:func:`~repro.bgpsim.metrics_kernel.reliance_mass_kernel`,
-``_hegemony_values``), so served answers are bit-identical to
-kernel-per-request — asserted with exact ``float.hex()`` comparisons in
-``tests/test_metric_shards.py`` and ``make bench-serve``.  The layout
-mirrors routing shards: sealed header (``index_off`` back-patched on
-close, torn writes rejected), the same sha256 graph digest, a shared
-ASN table, plus a target table and the trim fraction the hegemony rows
-were computed with.  :func:`precompute_metric_shards` streams states
-through ``states_for_many(stream=True)`` (O(batch) memory at ``full``
-scale, shard-accelerated when a routing corpus is present) and resumes
-partial corpora exactly like :func:`precompute_shards`.
-
-A corpus also carries *leases* (``leases/<pid>-<token>.lease``): every
-serving process that opens the store with ``lease=True`` registers its
-pid, and :meth:`ShardStore.compact` / :func:`gc_corpora` refuse to
-rewrite or delete a corpus something live still maps.
+:class:`ShardStore` manages a *content-addressed results directory* —
+``<root>/<digest16>/manifest.json`` plus shard files — built by
+:func:`precompute_shards` (the bit-parallel sweeps of
+:func:`~repro.bgpsim.parallel.propagate_origins`) and
+:func:`precompute_metric_shards` (``states_for_many(stream=True)``, off
+the routing shards when present); both stream in O(batch) memory and
+resume partial corpora.  A corpus also carries *leases*
+(``leases/<pid>-<token>.lease``): every serving process that opens the
+store with ``lease=True`` registers its pid, and
+:meth:`ShardStore.compact` / :func:`gc_corpora` refuse to rewrite or
+delete a corpus something live still maps.
 """
 
 from __future__ import annotations
@@ -81,14 +66,16 @@ import mmap
 import os
 import shutil
 import struct
+import zlib
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 from typing import Any, Optional
 
 from .compiled import CompiledGraph, CompiledRoutingState
 from .routes import Seed
+from .shm import layout, view_of
 
 __all__ = [
     "DEFAULT_METRIC_TARGETS",
@@ -110,20 +97,22 @@ __all__ = [
     "precompute_shards",
 ]
 
-_MAGIC = b"RPBGPSH1"
-_VERSION = 1
-#: header: magic, version, flags, n_nodes, n_origins, index_off,
-#: asns_off, asns_nbytes, asns fmt char (+pad), graph digest
-_HEADER = struct.Struct("<8sIIQQQQQc7x32s")
-#: one per-origin record header: the origin ASN
-_REC = struct.Struct("<Q")
-#: one array entry descriptor: fmt char (+pad), abs offset, nbytes
+_VERSION = 2
+#: header: magic, version, flags, n_nodes, n_records, index_off,
+#: n_tables, graph digest
+_HEADER = struct.Struct("<8sIIQQQQ32s")
+#: one typed-array descriptor: fmt char (+pad), offset, nbytes
 _ENTRY = struct.Struct("<c7xQQ")
-#: one offset-index row: origin ASN, record offset
-_INDEX = struct.Struct("<QQ")
+#: a record's head: its origin ASN
+_ORIGIN = struct.Struct("<Q")
+#: one index row: origin ASN, record offset, record nbytes, crc32
+_INDEX = struct.Struct("<QQII")
+#: what a corrupt table, descriptor or row raises while it is decoded
+_DECODE_ERRORS = (struct.error, ValueError, TypeError)
 
-#: the state arrays a record stores, in on-disk order; ``_asns`` is
-#: shard-level (stored once, aliased by every origin's state)
+_MAGIC = b"RPBGPSH1"
+#: the state arrays a routing record stores, in on-disk order; the ASN
+#: table is file-level (stored once, aliased by every origin's state)
 _RECORD_FIELDS = (
     "_route_class",
     "_length",
@@ -134,16 +123,10 @@ _RECORD_FIELDS = (
 )
 
 _MET_MAGIC = b"RPBGMET1"
-_MET_VERSION = 1
-#: metric-shard header: magic, version, flags, n_nodes, n_origins,
-#: index_off, asns_off, asns_nbytes, asns fmt char (+pad), targets_off,
-#: n_targets, trim, graph digest
-_MET_HEADER = struct.Struct("<8sIIQQQQQc7xQQd32s")
-#: one metric record header: origin ASN, flags, routed count
-_MET_REC = struct.Struct("<QQQ")
 #: metric record flag: every tied-best-path count fit a float64 exactly
 _MET_EXACT_COUNTS = 1
-#: the float64 payloads a metric record stores, in on-disk order
+#: the float64 arrays a metric record stores, in on-disk order; a
+#: fourth ``Q`` array holds the routed count and the flags
 _MET_FIELDS = ("reliance", "counts", "hegemony")
 
 MANIFEST_NAME = "manifest.json"
@@ -165,19 +148,6 @@ class ShardError(RuntimeError):
     """A shard file or store is unreadable, unsealed, or mismatched."""
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-def _fmt_of(buf: Any) -> str:
-    """The element format char of a state buffer (``B`` for raw bytes)."""
-    if isinstance(buf, array):
-        return buf.typecode
-    if isinstance(buf, memoryview):
-        return buf.format
-    return "B"  # bytes / bytearray
-
-
 def graph_digest(graph) -> str:
     """SHA-256 hex digest of a graph's compiled CSR snapshot.
 
@@ -196,23 +166,347 @@ def graph_digest(graph) -> str:
         "peer_off",
         "peer_nbr",
     ):
-        buf = getattr(cg, name)
-        mv = memoryview(buf)
+        mv = memoryview(getattr(cg, name))
         digest.update(name.encode())
-        digest.update(_fmt_of(buf).encode())
+        digest.update(mv.format.encode())
         digest.update(mv.nbytes.to_bytes(8, "little"))
         digest.update(mv.cast("B"))
     return digest.hexdigest()
 
 
-class ShardWriter:
-    """Append per-origin compiled states to one shard file.
+# ---------------------------------------------------------------------------
+# the sealed container: one writer, one reader, two record schemas
+# ---------------------------------------------------------------------------
+
+
+def _pack(head: bytes, buffers: Sequence) -> bytearray:
+    """``head`` (8-byte aligned), one descriptor per buffer, then the
+    buffers, every descriptor offset counted from the block start."""
+    entries, end = layout(buffers, len(head) + _ENTRY.size * len(buffers))
+    block = bytearray(end)
+    block[: len(head)] = head
+    cursor = len(head)
+    for (fmt, offset, nbytes), buf in zip(entries, buffers):
+        _ENTRY.pack_into(block, cursor, fmt.encode(), offset, nbytes)
+        block[offset : offset + nbytes] = memoryview(buf).cast("B")
+        cursor += _ENTRY.size
+    return block
+
+
+def _unpack(buf, start: int, end: int, head: int, count: int) -> list:
+    """The ``count`` arrays of the :func:`_pack` block at ``start``,
+    aliased onto ``buf``; raises ``ValueError`` for one past ``end``."""
+    views = []
+    for k in range(count):
+        fmt, offset, nbytes = _ENTRY.unpack_from(
+            buf, start + head + k * _ENTRY.size
+        )
+        if start + offset + nbytes > end:
+            raise ValueError(f"array {k} runs past its block")
+        views.append(view_of(buf, fmt.decode(), start + offset, nbytes))
+    return views
+
+
+def _graph_identity(graph, digest, n_nodes, asns) -> tuple:
+    """``(digest, n_nodes, asns)`` of ``graph``, else the given ones."""
+    if graph is not None:
+        cg = graph.compile()
+        return graph_digest(cg), cg.n, cg.asns
+    if digest is None or n_nodes is None or asns is None:
+        raise ShardError(
+            "a shard writer needs a graph, or digest + n_nodes + asns"
+        )
+    return digest, n_nodes, asns
+
+
+class _SealedWriter:
+    """Append records to one sealed shard file.
 
     The header is written as a placeholder (``index_off = 0``) up front
-    and back-patched by :meth:`close` after the offset index — an
-    interrupted write therefore never yields a readable-but-torn shard.
-    Usable as a context manager.
+    and back-patched by :meth:`close` after the index, so an interrupted
+    write never yields a readable-but-torn file.  An existing file at
+    ``path`` is unlinked, never truncated: processes that map it keep the
+    old inode.  Usable as a context manager.
     """
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        magic: bytes,
+        digest: str,
+        n_nodes: int,
+        tables: Sequence,
+    ) -> None:
+        self.path = Path(path)
+        self.digest = digest
+        self._magic = magic
+        self._n = n_nodes
+        self._n_tables = len(tables)
+        # origin -> (record offset, nbytes, crc32), in write order
+        self._index: dict[int, tuple[int, int, int]] = {}
+        self.path.unlink(missing_ok=True)
+        self._handle = open(self.path, "xb")
+        self._closed = False
+        self._pos = 0
+        self._write(self._header(0))
+        self._write(_pack(b"", tables))
+
+    def _header(self, index_off: int) -> bytes:
+        return _HEADER.pack(
+            self._magic,
+            _VERSION,
+            0,
+            self._n,
+            len(self._index),
+            index_off,
+            self._n_tables,
+            bytes.fromhex(self.digest),
+        )
+
+    def _write(self, data) -> None:
+        self._handle.write(data)
+        self._pos += len(data)
+
+    @property
+    def origins(self) -> tuple[int, ...]:
+        return tuple(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def append(self, origin: int, record) -> None:
+        """Append one encoded record (its origin head first)."""
+        if self._closed:
+            raise ShardError(f"shard {self.path} is already sealed")
+        if origin in self._index:
+            raise ShardError(f"duplicate origin AS{origin}")
+        self._write(bytes(-self._pos % 8))
+        self._index[origin] = (self._pos, len(record), zlib.crc32(record))
+        self._write(record)
+
+    def close(self) -> None:
+        """Write the index, seal the header, and fsync."""
+        if self._closed:
+            return
+        self._write(bytes(-self._pos % 8))
+        index_off = self._pos
+        self._write(
+            b"".join(
+                _INDEX.pack(origin, *row)
+                for origin, row in self._index.items()
+            )
+        )
+        self._handle.flush()
+        self._handle.seek(0)
+        self._handle.write(self._header(index_off))
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        self._handle.close()
+        self._closed = True
+
+    def abandon(self) -> None:
+        """Close without sealing: readers reject the file as unsealed."""
+        self._handle.close()
+        self._closed = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abandon()
+
+
+class _SealedReader:
+    """Memory-mapped random access to one sealed shard file.
+
+    Opening reads the header, the file-level tables and the index, and
+    no record bytes.  A record's crc32 is checked the first time it is
+    mapped.  Readers are independent (several may map the same file) and
+    lookups are thread-safe after construction (two threads may both
+    check a record; the result is the same).
+    """
+
+    #: the magic naming the record kind, and the kind in messages
+    magic = b""
+    kind = "shard"
+    #: arrays per record
+    n_arrays = 0
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        expected_digest: Optional[str] = None,
+    ) -> None:
+        self.path = Path(path)
+        try:
+            self._file = open(self.path, "rb")
+        except OSError as exc:
+            raise ShardError(f"cannot open shard {self.path}: {exc}") from exc
+        try:
+            size = os.fstat(self._file.fileno()).st_size
+            if size < _HEADER.size:
+                raise ShardError(
+                    f"{self.kind} {self.path} is truncated "
+                    f"({size} bytes < {_HEADER.size}-byte header)"
+                )
+            self._mm = mmap.mmap(
+                self._file.fileno(), 0, access=mmap.ACCESS_READ
+            )
+            self._buf = memoryview(self._mm)
+            self._open(size, expected_digest)
+        except ShardError:
+            self.close()
+            raise
+        except _DECODE_ERRORS as exc:
+            self.close()
+            raise ShardError(f"corrupted shard {self.path}: {exc}") from exc
+
+    def _open(self, size: int, expected_digest: Optional[str]) -> None:
+        """Parse the header, tables and index (no record bytes)."""
+        (magic, version, _flags, self.n_nodes, n_records, index_off,
+         n_tables, digest) = _HEADER.unpack_from(self._buf, 0)
+        if magic != self.magic:
+            raise ShardError(
+                f"{self.path} is not a {self.kind} (bad magic {magic!r})"
+            )
+        if version != _VERSION:
+            raise ShardError(
+                f"{self.path} has shard format version {version}; this "
+                f"reader understands {_VERSION} — rebuild the corpus with "
+                "`repro precompute --force`"
+            )
+        if index_off == 0:
+            raise ShardError(f"{self.path} is unsealed (interrupted write?)")
+        index_end = index_off + n_records * _INDEX.size
+        if index_end > size:
+            raise ShardError(
+                f"{self.path} is truncated ({size} bytes; "
+                f"index ends at {index_end})"
+            )
+        self.digest = digest.hex()
+        if expected_digest is not None and self.digest != expected_digest:
+            raise ShardError(
+                f"{self.path} was precomputed for graph "
+                f"{self.digest[:16]}, expected {expected_digest[:16]}"
+            )
+        self._tables = _unpack(self._buf, _HEADER.size, index_off, 0, n_tables)
+        self._load(*self._tables)
+        if len(self.asns) != self.n_nodes:
+            raise ShardError(
+                f"corrupted shard {self.path}: ASN table holds "
+                f"{len(self.asns)} entries for {self.n_nodes} nodes"
+            )
+        # origin -> (record offset, nbytes, crc32)
+        self._index: dict[int, tuple[int, int, int]] = {}
+        for origin, offset, nbytes, crc in _INDEX.iter_unpack(
+            self._buf[index_off:index_end]
+        ):
+            if nbytes < _ORIGIN.size or offset + nbytes > index_off:
+                raise ShardError(
+                    f"corrupted shard {self.path}: the index row of "
+                    f"AS{origin} points past the index"
+                )
+            self._index[origin] = (offset, nbytes, crc)
+        # origins whose record passed its crc check
+        self._checked: set[int] = set()
+
+    def _load(self, asns) -> None:
+        """Take the file-level tables (one argument per table)."""
+        self.asns = asns
+
+    # -- queries --------------------------------------------------------
+    @property
+    def origins(self) -> tuple[int, ...]:
+        """Origins in record (precompute input) order."""
+        return tuple(self._index)
+
+    def __contains__(self, origin: int) -> bool:
+        return origin in self._index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def record_bytes(self, origin: int) -> memoryview:
+        """``origin``'s encoded record, aliased onto the map, after its
+        crc32 and origin head check out."""
+        offset, nbytes, crc = self._index[origin]
+        record = self._buf[offset : offset + nbytes]
+        if zlib.crc32(record) != crc:
+            raise ShardError(
+                f"corrupted shard {self.path}: the record for AS{origin} "
+                "fails its crc32 check"
+            )
+        (stored,) = _ORIGIN.unpack_from(record)
+        if stored != origin:
+            raise ShardError(
+                f"corrupted shard {self.path}: index points AS{origin} "
+                f"at a record for AS{stored}"
+            )
+        self._checked.add(origin)
+        return record
+
+    def _arrays(self, origin: int) -> list[memoryview]:
+        """``origin``'s record arrays, aliased onto the map."""
+        row = self._index.get(origin)
+        if row is None:
+            raise KeyError(f"AS{origin} not in {self.kind} {self.path}")
+        if origin not in self._checked:
+            self.record_bytes(origin)
+        offset, nbytes, _crc = row
+        try:
+            return _unpack(
+                self._buf, offset, offset + nbytes, _ORIGIN.size,
+                self.n_arrays,
+            )
+        except _DECODE_ERRORS as exc:
+            raise ShardError(
+                f"corrupted shard {self.path}: the record for AS{origin} "
+                f"is malformed ({exc})"
+            ) from exc
+
+    def check(self) -> int:
+        """Check every record's crc32, raising :class:`ShardError` at
+        the first bad one; returns the record count."""
+        for origin in self._index:
+            if origin not in self._checked:
+                self.record_bytes(origin)
+        return len(self._index)
+
+    def close(self) -> None:
+        """Release the map (idempotent).
+
+        Records handed out earlier keep the map alive through their
+        views; like the shared-memory arenas, a map pinned by live views
+        is simply left for process exit to reclaim.
+        """
+        buf = self.__dict__.pop("_buf", None)
+        if buf is not None:
+            try:
+                buf.release()
+            except BufferError:
+                pass
+        mm = self.__dict__.pop("_mm", None)
+        if mm is not None:
+            try:
+                mm.close()
+            except BufferError:
+                pass  # live record views pin the map; exit reclaims it
+        handle = self.__dict__.pop("_file", None)
+        if handle is not None:
+            handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ShardWriter(_SealedWriter):
+    """Append per-origin compiled routing states to one routing shard."""
 
     def __init__(
         self,
@@ -223,45 +517,8 @@ class ShardWriter:
         n_nodes: Optional[int] = None,
         asns=None,
     ) -> None:
-        if graph is not None:
-            cg = graph.compile() if hasattr(graph, "compile") else graph
-            digest = graph_digest(cg)
-            n_nodes = cg.n
-            asns = cg.asns
-        elif digest is None or n_nodes is None or asns is None:
-            raise ShardError(
-                "ShardWriter needs a graph, or digest + n_nodes + asns"
-            )
-        self.path = Path(path)
-        self.digest = digest
-        self._n = n_nodes
-        self._asns_bytes = bytes(memoryview(asns).cast("B"))
-        self._asns_fmt = _fmt_of(asns)
-        # origin -> record offset, in write order
-        self._index: dict[int, int] = {}
-        self._handle = open(self.path, "wb")
-        self._pos = 0
-        self._write(b"\x00" * _HEADER.size)
-        self._pad_to(_align8(self._pos))
-        self._asns_off = self._pos
-        self._write(self._asns_bytes)
-        self._closed = False
-
-    # -- low-level append ----------------------------------------------
-    def _write(self, data: bytes) -> None:
-        self._handle.write(data)
-        self._pos += len(data)
-
-    def _pad_to(self, target: int) -> None:
-        if target > self._pos:
-            self._write(b"\x00" * (target - self._pos))
-
-    @property
-    def origins(self) -> tuple[int, ...]:
-        return tuple(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
+        digest, n_nodes, asns = _graph_identity(graph, digest, n_nodes, asns)
+        super().__init__(path, _MAGIC, digest, n_nodes, (asns,))
 
     def add(self, origin: int, state) -> None:
         """Append ``origin``'s routing state.
@@ -273,8 +530,6 @@ class ShardWriter:
         via ``to_compiled()``, which also shrinks its arrays to the
         smallest typecodes — the compact on-disk form).
         """
-        if self._closed:
-            raise ShardError(f"shard {self.path} is already sealed")
         to_compiled = getattr(state, "to_compiled", None)
         if to_compiled is not None:
             state = to_compiled()
@@ -293,249 +548,37 @@ class ShardWriter:
                 f"state for AS{origin} has {len(state._asns)} nodes, "
                 f"shard graph has {self._n}"
             )
-        if origin in self._index:
-            raise ShardError(f"duplicate origin AS{origin}")
-
-        buffers = [getattr(state, field) for field in _RECORD_FIELDS]
-        record_off = _align8(self._pos)
-        self._pad_to(record_off)
-        # lay the payloads out after the descriptor table, 8-aligned
-        cursor = record_off + _REC.size + _ENTRY.size * len(buffers)
-        descriptors = []
-        payloads = []
-        for buf in buffers:
-            data = bytes(memoryview(buf).cast("B"))
-            cursor = _align8(cursor)
-            descriptors.append((_fmt_of(buf).encode(), cursor, len(data)))
-            payloads.append((cursor, data))
-            cursor += len(data)
-        self._write(_REC.pack(origin))
-        for fmt, offset, nbytes in descriptors:
-            self._write(_ENTRY.pack(fmt, offset, nbytes))
-        for offset, data in payloads:
-            self._pad_to(offset)
-            self._write(data)
-        self._index[origin] = record_off
+        self.append(
+            origin,
+            _pack(
+                _ORIGIN.pack(origin),
+                [getattr(state, field) for field in _RECORD_FIELDS],
+            ),
+        )
 
     def close(self) -> None:
-        """Write the offset index, seal the header, and fsync."""
-        if self._closed:
-            return
-        index_off = _align8(self._pos)
-        self._pad_to(index_off)
-        for origin, record_off in self._index.items():
-            self._write(_INDEX.pack(origin, record_off))
-        header = _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            0,
-            self._n,
-            len(self._index),
-            index_off,
-            self._asns_off,
-            len(self._asns_bytes),
-            self._asns_fmt.encode(),
-            bytes.fromhex(self.digest),
-        )
-        self._handle.flush()
-        self._handle.seek(0)
-        self._handle.write(header)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._handle.close()
-        self._closed = True
-
-    def __enter__(self) -> "ShardWriter":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is None:
-            self.close()
-        else:  # abandon the torn file unsealed (readers will reject it)
-            self._handle.close()
-            self._closed = True
+        """Write the index, seal the header, and fsync (defined per
+        writer class, so span tracing can wrap each one)."""
+        super().close()
 
 
-class ShardReader:
-    """Memory-mapped random access to one shard file.
+class ShardReader(_SealedReader):
+    """Memory-mapped random access to one routing shard file.
 
     ``state_for`` materializes an origin's
     :class:`~repro.bgpsim.compiled.CompiledRoutingState` with every
-    array aliased onto the map — no copies, no unpickling.  Readers are
-    independent (several may map the same file) and ``state_for`` is
-    thread-safe after construction (reads only immutable lookups and the
-    shared map).
+    array aliased onto the map — no copies, no unpickling.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        expected_digest: Optional[str] = None,
-    ) -> None:
-        self.path = Path(path)
-        try:
-            self._file = open(self.path, "rb")
-        except OSError as exc:
-            raise ShardError(f"cannot open shard {self.path}: {exc}") from exc
-        try:
-            size = os.fstat(self._file.fileno()).st_size
-            if size < _HEADER.size:
-                raise ShardError(
-                    f"shard {self.path} is truncated "
-                    f"({size} bytes < {_HEADER.size}-byte header)"
-                )
-            self._mm = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except ShardError:
-            self._file.close()
-            raise
-        self._buf = memoryview(self._mm)
-        self._size = size
-        try:
-            (
-                magic,
-                version,
-                _flags,
-                self.n_nodes,
-                n_origins,
-                index_off,
-                asns_off,
-                asns_nbytes,
-                asns_fmt,
-                digest,
-            ) = _HEADER.unpack_from(self._buf, 0)
-            if magic != _MAGIC:
-                raise ShardError(
-                    f"{self.path} is not a routing shard "
-                    f"(bad magic {magic!r})"
-                )
-            if version != _VERSION:
-                raise ShardError(
-                    f"{self.path} has shard format version {version}; "
-                    f"this reader understands {_VERSION}"
-                )
-            if index_off == 0:
-                raise ShardError(
-                    f"{self.path} is unsealed (interrupted write?)"
-                )
-            index_end = index_off + n_origins * _INDEX.size
-            if index_end > size or asns_off + asns_nbytes > size:
-                raise ShardError(
-                    f"{self.path} is truncated ({size} bytes; "
-                    f"index ends at {index_end})"
-                )
-            self.digest = digest.hex()
-            if expected_digest is not None and self.digest != expected_digest:
-                raise ShardError(
-                    f"{self.path} was precomputed for graph "
-                    f"{self.digest[:16]}, expected {expected_digest[:16]}"
-                )
-            fmt = asns_fmt.decode()
-            asns_view = self._buf[asns_off : asns_off + asns_nbytes]
-            self._asns = asns_view if fmt == "B" else asns_view.cast(fmt)
-            self._index: dict[int, int] = {}
-            for row in range(n_origins):
-                origin, record_off = _INDEX.unpack_from(
-                    self._buf, index_off + row * _INDEX.size
-                )
-                self._index[origin] = record_off
-        except ShardError:
-            self.close()
-            raise
-        except (struct.error, ValueError) as exc:
-            self.close()
-            raise ShardError(f"corrupted shard {self.path}: {exc}") from exc
-
-    # -- queries --------------------------------------------------------
-    @property
-    def origins(self) -> tuple[int, ...]:
-        """Origins in record (precompute input) order."""
-        return tuple(self._index)
-
-    def __contains__(self, origin: int) -> bool:
-        return origin in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
+    magic = _MAGIC
+    kind = "routing shard"
+    n_arrays = len(_RECORD_FIELDS)
 
     def state_for(self, origin: int) -> CompiledRoutingState:
         """``origin``'s routing state, arrays aliased onto the map."""
-        record_off = self._index.get(origin)
-        if record_off is None:
-            raise KeyError(f"AS{origin} not in shard {self.path}")
-        try:
-            (stored,) = _REC.unpack_from(self._buf, record_off)
-        except struct.error as exc:
-            raise ShardError(
-                f"corrupted shard {self.path}: record for AS{origin} "
-                f"at {record_off} is out of bounds"
-            ) from exc
-        if stored != origin:
-            raise ShardError(
-                f"corrupted shard {self.path}: index points AS{origin} "
-                f"at a record for AS{stored}"
-            )
-        views = []
-        cursor = record_off + _REC.size
-        for field in _RECORD_FIELDS:
-            try:
-                fmt, offset, nbytes = _ENTRY.unpack_from(self._buf, cursor)
-            except struct.error as exc:
-                raise ShardError(
-                    f"corrupted shard {self.path}: torn entry table "
-                    f"for AS{origin}"
-                ) from exc
-            cursor += _ENTRY.size
-            if offset + nbytes > self._size:
-                raise ShardError(
-                    f"corrupted shard {self.path}: {field} of AS{origin} "
-                    f"extends past end of file"
-                )
-            view = self._buf[offset : offset + nbytes]
-            code = fmt.decode()
-            views.append(view if code == "B" else view.cast(code))
-        rc, length, head, pool_parent, pool_next, routed = views
         return CompiledRoutingState(
-            self._asns,
-            (Seed(asn=origin),),
-            rc,
-            length,
-            head,
-            pool_parent,
-            pool_next,
-            routed,
-            None,
+            self.asns, (Seed(asn=origin),), *self._arrays(origin), None
         )
-
-    def close(self) -> None:
-        """Release the map (idempotent).
-
-        States handed out earlier keep the map alive through their
-        views; like the shared-memory arenas, a map pinned by live views
-        is simply left for process exit to reclaim.
-        """
-        buf = self.__dict__.pop("_buf", None)
-        if buf is not None:
-            try:
-                buf.release()
-            except BufferError:
-                pass
-        mm = self.__dict__.pop("_mm", None)
-        if mm is not None:
-            try:
-                mm.close()
-            except BufferError:
-                pass  # live state views pin the map; exit reclaims it
-        handle = self.__dict__.pop("_file", None)
-        if handle is not None:
-            handle.close()
-
-    def __enter__(self) -> "ShardReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +586,13 @@ class ShardReader:
 # ---------------------------------------------------------------------------
 
 
-class MetricShardWriter:
+class MetricShardWriter(_SealedWriter):
     """Append per-origin precomputed metric rows to one metric shard.
 
-    Each record holds three float64 payloads — the node-indexed reliance
+    Each record holds three float64 arrays — the node-indexed reliance
     mass vector, the node-indexed tied-best-path counts, and the
     hegemony row toward the shard's fixed target set — plus the routed
-    count.  Sealing works exactly like :class:`ShardWriter`: the header
-    is zeros until :meth:`close` back-patches ``index_off``, so torn
-    writes are rejected by readers.
+    count; the file-level tables hold the target set and trim.
     """
 
     def __init__(
@@ -565,44 +606,16 @@ class MetricShardWriter:
         n_nodes: Optional[int] = None,
         asns=None,
     ) -> None:
-        if graph is not None:
-            cg = graph.compile() if hasattr(graph, "compile") else graph
-            digest = graph_digest(cg)
-            n_nodes = cg.n
-            asns = cg.asns
-        elif digest is None or n_nodes is None or asns is None:
-            raise ShardError(
-                "MetricShardWriter needs a graph, or digest + n_nodes + asns"
-            )
-        self.path = Path(path)
-        self.digest = digest
+        digest, n_nodes, asns = _graph_identity(graph, digest, n_nodes, asns)
         self.targets = tuple(targets)
         self.trim = float(trim)
-        self._n = n_nodes
-        self._asns_bytes = bytes(memoryview(asns).cast("B"))
-        self._asns_fmt = _fmt_of(asns)
-        # origin -> record offset, in write order
-        self._index: dict[int, int] = {}
-        self._handle = open(self.path, "wb")
-        self._pos = 0
-        self._write(b"\x00" * _MET_HEADER.size)
-        self._pad_to(_align8(self._pos))
-        self._asns_off = self._pos
-        self._write(self._asns_bytes)
-        self._pad_to(_align8(self._pos))
-        self._targets_off = self._pos
-        self._write(array("q", self.targets).tobytes())
-        self._closed = False
-
-    _write = ShardWriter._write
-    _pad_to = ShardWriter._pad_to
-
-    @property
-    def origins(self) -> tuple[int, ...]:
-        return tuple(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
+        super().__init__(
+            path,
+            _MET_MAGIC,
+            digest,
+            n_nodes,
+            (asns, array("q", self.targets), array("d", [self.trim])),
+        )
 
     def add(
         self,
@@ -621,8 +634,6 @@ class MetricShardWriter:
         (NaN where target == origin).  ``counts_exact`` records whether
         every tied-best-path count survived the float64 round-trip.
         """
-        if self._closed:
-            raise ShardError(f"metric shard {self.path} is already sealed")
         buffers = (reliance, counts, hegemony)
         want = (self._n, self._n, len(self.targets))
         for name, buf, expect in zip(_MET_FIELDS, buffers, want):
@@ -632,68 +643,19 @@ class MetricShardWriter:
                     f"metric record {name} for AS{origin} must be "
                     f"{expect} float64s, got {len(mv)} {mv.format!r}"
                 )
-        if origin in self._index:
-            raise ShardError(f"duplicate origin AS{origin}")
-        record_off = _align8(self._pos)
-        self._pad_to(record_off)
-        cursor = record_off + _MET_REC.size + _ENTRY.size * len(buffers)
-        descriptors = []
-        payloads = []
-        for buf in buffers:
-            data = bytes(memoryview(buf).cast("B"))
-            cursor = _align8(cursor)
-            descriptors.append((b"d", cursor, len(data)))
-            payloads.append((cursor, data))
-            cursor += len(data)
         flags = _MET_EXACT_COUNTS if counts_exact else 0
-        self._write(_MET_REC.pack(origin, flags, routed_count))
-        for fmt, offset, nbytes in descriptors:
-            self._write(_ENTRY.pack(fmt, offset, nbytes))
-        for offset, data in payloads:
-            self._pad_to(offset)
-            self._write(data)
-        self._index[origin] = record_off
+        self.append(
+            origin,
+            _pack(
+                _ORIGIN.pack(origin),
+                (*buffers, array("Q", (routed_count, flags))),
+            ),
+        )
 
     def close(self) -> None:
-        """Write the offset index, seal the header, and fsync."""
-        if self._closed:
-            return
-        index_off = _align8(self._pos)
-        self._pad_to(index_off)
-        for origin, record_off in self._index.items():
-            self._write(_INDEX.pack(origin, record_off))
-        header = _MET_HEADER.pack(
-            _MET_MAGIC,
-            _MET_VERSION,
-            0,
-            self._n,
-            len(self._index),
-            index_off,
-            self._asns_off,
-            len(self._asns_bytes),
-            self._asns_fmt.encode(),
-            self._targets_off,
-            len(self.targets),
-            self.trim,
-            bytes.fromhex(self.digest),
-        )
-        self._handle.flush()
-        self._handle.seek(0)
-        self._handle.write(header)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._handle.close()
-        self._closed = True
-
-    def __enter__(self) -> "MetricShardWriter":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is None:
-            self.close()
-        else:  # abandon the torn file unsealed (readers will reject it)
-            self._handle.close()
-            self._closed = True
+        """Write the index, seal the header, and fsync (defined per
+        writer class, so span tracing can wrap each one)."""
+        super().close()
 
 
 class MetricRecord:
@@ -712,165 +674,29 @@ class MetricRecord:
         self.counts_exact = counts_exact
 
 
-class MetricShardReader:
+class MetricShardReader(_SealedReader):
     """Memory-mapped random access to one metric shard file.
 
-    Shares the sealed-header/torn-write rejection and digest binding of
-    :class:`ShardReader`; :meth:`record_for` returns float64
-    ``memoryview`` payloads aliased onto the map.
+    :meth:`record_for` returns float64 ``memoryview`` arrays aliased
+    onto the map; :attr:`targets` and :attr:`trim` are the hegemony
+    target set and trim the rows were computed with.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        expected_digest: Optional[str] = None,
-    ) -> None:
-        self.path = Path(path)
-        try:
-            self._file = open(self.path, "rb")
-        except OSError as exc:
-            raise ShardError(f"cannot open shard {self.path}: {exc}") from exc
-        try:
-            size = os.fstat(self._file.fileno()).st_size
-            if size < _MET_HEADER.size:
-                raise ShardError(
-                    f"metric shard {self.path} is truncated "
-                    f"({size} bytes < {_MET_HEADER.size}-byte header)"
-                )
-            self._mm = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except ShardError:
-            self._file.close()
-            raise
-        self._buf = memoryview(self._mm)
-        self._size = size
-        try:
-            (
-                magic,
-                version,
-                _flags,
-                self.n_nodes,
-                n_origins,
-                index_off,
-                asns_off,
-                asns_nbytes,
-                asns_fmt,
-                targets_off,
-                n_targets,
-                self.trim,
-                digest,
-            ) = _MET_HEADER.unpack_from(self._buf, 0)
-            if magic != _MET_MAGIC:
-                raise ShardError(
-                    f"{self.path} is not a metric shard "
-                    f"(bad magic {magic!r})"
-                )
-            if version != _MET_VERSION:
-                raise ShardError(
-                    f"{self.path} has metric shard format version "
-                    f"{version}; this reader understands {_MET_VERSION}"
-                )
-            if index_off == 0:
-                raise ShardError(
-                    f"{self.path} is unsealed (interrupted write?)"
-                )
-            index_end = index_off + n_origins * _INDEX.size
-            targets_end = targets_off + n_targets * 8
-            if max(index_end, asns_off + asns_nbytes, targets_end) > size:
-                raise ShardError(
-                    f"{self.path} is truncated ({size} bytes; "
-                    f"index ends at {index_end})"
-                )
-            self.digest = digest.hex()
-            if expected_digest is not None and self.digest != expected_digest:
-                raise ShardError(
-                    f"{self.path} was precomputed for graph "
-                    f"{self.digest[:16]}, expected {expected_digest[:16]}"
-                )
-            fmt = asns_fmt.decode()
-            asns_view = self._buf[asns_off : asns_off + asns_nbytes]
-            self.asns = asns_view if fmt == "B" else asns_view.cast(fmt)
-            self.targets: tuple[int, ...] = tuple(
-                self._buf[targets_off:targets_end].cast("q")
-            )
-            self._index: dict[int, int] = {}
-            for row in range(n_origins):
-                origin, record_off = _INDEX.unpack_from(
-                    self._buf, index_off + row * _INDEX.size
-                )
-                self._index[origin] = record_off
-        except ShardError:
-            self.close()
-            raise
-        except (struct.error, ValueError) as exc:
-            self.close()
-            raise ShardError(f"corrupted shard {self.path}: {exc}") from exc
+    magic = _MET_MAGIC
+    kind = "metric shard"
+    n_arrays = len(_MET_FIELDS) + 1
 
-    # -- queries --------------------------------------------------------
-    @property
-    def origins(self) -> tuple[int, ...]:
-        return tuple(self._index)
-
-    def __contains__(self, origin: int) -> bool:
-        return origin in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
+    def _load(self, asns, targets, trim) -> None:
+        self.asns = asns
+        self.targets: tuple[int, ...] = tuple(targets)
+        (self.trim,) = trim
 
     def record_for(self, origin: int) -> MetricRecord:
-        """``origin``'s metric row, payloads aliased onto the map."""
-        record_off = self._index.get(origin)
-        if record_off is None:
-            raise KeyError(f"AS{origin} not in metric shard {self.path}")
-        try:
-            stored, flags, routed_count = _MET_REC.unpack_from(
-                self._buf, record_off
-            )
-        except struct.error as exc:
-            raise ShardError(
-                f"corrupted shard {self.path}: record for AS{origin} "
-                f"at {record_off} is out of bounds"
-            ) from exc
-        if stored != origin:
-            raise ShardError(
-                f"corrupted shard {self.path}: index points AS{origin} "
-                f"at a record for AS{stored}"
-            )
-        views = []
-        cursor = record_off + _MET_REC.size
-        for field in _MET_FIELDS:
-            try:
-                fmt, offset, nbytes = _ENTRY.unpack_from(self._buf, cursor)
-            except struct.error as exc:
-                raise ShardError(
-                    f"corrupted shard {self.path}: torn entry table "
-                    f"for AS{origin}"
-                ) from exc
-            cursor += _ENTRY.size
-            if fmt != b"d" or offset + nbytes > self._size:
-                raise ShardError(
-                    f"corrupted shard {self.path}: {field} of AS{origin} "
-                    f"is malformed"
-                )
-            views.append(self._buf[offset : offset + nbytes].cast("d"))
-        reliance, counts, hegemony = views
+        """``origin``'s metric row, arrays aliased onto the map."""
+        *rows, (routed_count, flags) = self._arrays(origin)
         return MetricRecord(
-            origin,
-            reliance,
-            counts,
-            hegemony,
-            routed_count,
-            bool(flags & _MET_EXACT_COUNTS),
+            origin, *rows, routed_count, bool(flags & _MET_EXACT_COUNTS)
         )
-
-    close = ShardReader.close
-
-    def __enter__(self) -> "MetricShardReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class MetricShardStore:
@@ -1116,16 +942,13 @@ class ShardStore:
         readers: list[ShardReader] = []
         metric_readers: list[MetricShardReader] = []
         try:
-            for entry in manifest.get("shards", ()):
-                readers.append(
-                    ShardReader(base / entry["file"], expected_digest=digest)
-                )
-            for entry in manifest.get("metric_shards", ()):
-                metric_readers.append(
-                    MetricShardReader(
-                        base / entry["file"], expected_digest=digest
-                    )
-                )
+            for key, reader_cls, opened in (
+                ("shards", ShardReader, readers),
+                ("metric_shards", MetricShardReader, metric_readers),
+            ):
+                for entry in manifest.get(key, ()):
+                    path = base / entry["file"]
+                    opened.append(reader_cls(path, expected_digest=digest))
         except ShardError:
             for reader in [*readers, *metric_readers]:
                 reader.close()
@@ -1188,16 +1011,32 @@ class ShardStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def check(self) -> dict[str, tuple[int, int]]:
+        """Check the crc32 of every record in the corpus, raising
+        :class:`ShardError` that names the first bad file and origin;
+        returns ``{"routing" | "metric": (records, files)}``."""
+        kinds = {"routing": self._readers, "metric": self._metric_readers()}
+        return {
+            kind: (sum(reader.check() for reader in readers), len(readers))
+            for kind, readers in kinds.items()
+        }
+
+    def _metric_readers(self) -> tuple[MetricShardReader, ...]:
+        return () if self.metrics is None else self.metrics._readers
+
     # -- compaction -----------------------------------------------------
     def compact(self, shard_size: Optional[int] = None) -> dict[str, Any]:
         """Merge rolling shard files into full-size ones, in place.
 
         Interrupted precomputes, ``shard_size`` flushes, and resume
         appends leave a corpus as many small files; this rewrites each
-        record type into ``ceil(origins / shard_size)`` files (states
-        and metric rows byte-identical — they round-trip through the
-        same writers), atomically replaces the manifest, unlinks the
-        superseded files, and reloads the store's readers.
+        record kind into ``ceil(origins / shard_size)`` files by copying
+        every record's crc-checked bytes (records are relocatable, so
+        merged records are byte-identical), atomically replaces the
+        manifest, unlinks the superseded files, and reloads the store's
+        readers.  A record that fails its check, or any other error
+        before the manifest is replaced, raises with the merged files
+        deleted and the corpus as it was.
 
         Refuses (:class:`ShardError`) while any *other* live process
         holds a lease on the corpus — their mmaps alias the very files
@@ -1228,78 +1067,47 @@ class ShardStore:
         token = os.urandom(3).hex()
         manifest = dict(self.manifest)
         old_files: list[Path] = []
-
-        routing_infos = list(manifest.get("shards", ()))
-        if _needs_merge(routing_infos, shard_size):
-            merged: list[dict[str, Any]] = []
-            writer: Optional[ShardWriter] = None
-            reference = self._readers[0]
-            for reader in self._readers:
-                for origin in reader.origins:
-                    if writer is None:
-                        name = f"shard-{token}-{len(merged):05d}.shard"
-                        writer = ShardWriter(
-                            self.directory / name,
-                            digest=self.digest,
-                            n_nodes=reference.n_nodes,
-                            asns=reference._asns,
-                        )
-                    writer.add(origin, reader.state_for(origin))
-                    if len(writer) >= shard_size:
-                        writer.close()
-                        merged.append(_shard_info(writer))
-                        writer = None
-            if writer is not None and len(writer):
-                writer.close()
-                merged.append(_shard_info(writer))
-            old_files += [self.directory / e["file"] for e in routing_infos]
-            manifest["shards"] = merged
-
-        metric_infos = list(manifest.get("metric_shards", ()))
-        if self.metrics is not None and _needs_merge(metric_infos, shard_size):
-            merged = []
-            mwriter: Optional[MetricShardWriter] = None
-            reference_m = self.metrics._readers[0]
-            for reader in self.metrics._readers:
-                for origin in reader.origins:
-                    if mwriter is None:
-                        name = f"metrics-{token}-{len(merged):05d}.mshard"
-                        mwriter = MetricShardWriter(
-                            self.directory / name,
-                            targets=self.metrics.targets,
-                            trim=self.metrics.trim,
-                            digest=self.digest,
-                            n_nodes=reference_m.n_nodes,
-                            asns=reference_m.asns,
-                        )
-                    record = reader.record_for(origin)
-                    mwriter.add(
-                        origin,
-                        record.reliance,
-                        record.counts,
-                        record.hegemony,
-                        record.routed_count,
-                        record.counts_exact,
-                    )
-                    if len(mwriter) >= shard_size:
-                        mwriter.close()
-                        merged.append(_metric_shard_info(mwriter))
-                        mwriter = None
-            if mwriter is not None and len(mwriter):
-                mwriter.close()
-                merged.append(_metric_shard_info(mwriter))
-            old_files += [self.directory / e["file"] for e in metric_infos]
-            manifest["metric_shards"] = merged
+        try:
+            for key, stem, suffix, readers in (
+                ("shards", "shard", ".shard", self._readers),
+                ("metric_shards", "metrics", ".mshard",
+                 self._metric_readers()),
+            ):
+                infos = manifest.get(key, ())
+                if not readers or not _needs_merge(infos, shard_size):
+                    continue
+                first = readers[0]
+                manifest[key] = _write_rolling(
+                    (
+                        (origin, reader.record_bytes(origin))
+                        for reader in readers
+                        for origin in reader.origins
+                    ),
+                    lambda k: _SealedWriter(
+                        self.directory / f"{stem}-{token}-{k:05d}{suffix}",
+                        first.magic,
+                        self.digest,
+                        first.n_nodes,
+                        first._tables,
+                    ),
+                    _SealedWriter.append,
+                    shard_size,
+                )
+                old_files += [self.directory / e["file"] for e in infos]
+            if old_files:
+                manifest["shard_size"] = shard_size
+                _write_manifest(self.directory, manifest)
+        except BaseException:
+            # leave the corpus as it was: drop this merge's files
+            for path in self.directory.glob(f"*-{token}-*"):
+                path.unlink(missing_ok=True)
+            raise
 
         if old_files:
-            manifest["shard_size"] = shard_size
-            _write_manifest(self.directory, manifest)
             # manifest now names only the merged files; old readers may
             # still map the superseded ones — close them before unlink
-            for reader in self._readers:
+            for reader in (*self._readers, *self._metric_readers()):
                 reader.close()
-            if self.metrics is not None:
-                self.metrics.close()
             for path in old_files:
                 path.unlink(missing_ok=True)
             fresh = ShardStore.open(self.directory)
@@ -1318,8 +1126,44 @@ class ShardStore:
 
 
 # ---------------------------------------------------------------------------
-# precompute driver
+# precompute drivers
 # ---------------------------------------------------------------------------
+
+
+def _write_rolling(
+    records: Iterable[tuple[int, Any]],
+    open_writer: Callable[[int], _SealedWriter],
+    write: Callable[[Any, int, Any], None],
+    shard_size: int,
+    progress=None,
+    total: int = 0,
+) -> list[dict[str, Any]]:
+    """Stream ``(origin, item)`` pairs into files of ``shard_size``
+    records: ``open_writer(k)`` opens the ``k``-th file and
+    ``write(writer, origin, item)`` appends one record.  Returns the
+    manifest entry of every sealed file; on any error the open file is
+    abandoned unsealed and the error propagates."""
+    infos: list[dict[str, Any]] = []
+    writer = None
+    try:
+        for done, (origin, item) in enumerate(records, 1):
+            if writer is None:
+                writer = open_writer(len(infos))
+            write(writer, origin, item)
+            if progress is not None:
+                progress(done, total)
+            if len(writer) >= shard_size:
+                writer.close()
+                infos.append(_shard_info(writer))
+                writer = None
+        if writer is not None:
+            writer.close()
+            infos.append(_shard_info(writer))
+            writer = None
+    finally:
+        if writer is not None:
+            writer.abandon()
+    return infos
 
 
 def precompute_shards(
@@ -1357,9 +1201,7 @@ def precompute_shards(
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
-    from .multiorigin import resolve_batch
-    from .parallel import propagate_origins, resolve_workers
-    from .shm import resolve_shm
+    from .parallel import propagate_origins
 
     cg: CompiledGraph = graph.compile()
     digest = graph_digest(cg)
@@ -1392,55 +1234,53 @@ def precompute_shards(
             origin_list = [o for o in origin_list if o not in have]
     target.mkdir(parents=True, exist_ok=True)
 
-    shard_infos: list[dict[str, Any]] = list(existing_infos)
-    writer: Optional[ShardWriter] = None
-    done = 0
-    try:
-        for origin, state in propagate_origins(
+    first = len(existing_infos)
+    shard_infos = existing_infos + _write_rolling(
+        propagate_origins(
             graph,
             origin_list,
             workers=workers,
             engine="compiled",
             batch=batch,
-        ):
-            if writer is None:
-                name = f"shard-{len(shard_infos):05d}.shard"
-                writer = ShardWriter(target / name, cg)
-            writer.add(origin, state)
-            done += 1
-            if progress is not None:
-                progress(done, len(origin_list))
-            if len(writer) >= shard_size:
-                writer.close()
-                shard_infos.append(_shard_info(writer))
-                writer = None
-        if writer is not None and len(writer):
-            writer.close()
-            shard_infos.append(_shard_info(writer))
-            writer = None
-    finally:
-        if writer is not None:
-            writer._handle.close()  # abandon unsealed on error
+        ),
+        lambda k: ShardWriter(target / f"shard-{first + k:05d}.shard", cg),
+        ShardWriter.add,
+        shard_size,
+        progress,
+        len(origin_list),
+    )
 
-    manifest = {
+    manifest = _new_manifest(cg, digest, workers, batch, shard_size)
+    manifest.update(
+        origins=covered + len(origin_list), shards=shard_infos, **carried
+    )
+    _write_manifest(target, manifest)
+    return target
+
+
+def _new_manifest(cg, digest: str, workers, batch, shard_size: int) -> dict:
+    """A manifest naming no shard files yet, stamped with the settings
+    the corpus is built under."""
+    from .multiorigin import resolve_batch
+    from .parallel import resolve_workers
+    from .shm import resolve_shm
+
+    return {
         "format": "repro.bgpsim.shards",
         "version": _VERSION,
         "graph_digest": digest,
         "n_nodes": cg.n,
-        "origins": covered + len(origin_list),
+        "origins": 0,
         "engine": "compiled",
         "workers": resolve_workers(workers),
         "batch": resolve_batch(batch),
         "shm": resolve_shm(),
         "shard_size": shard_size,
-        "shards": shard_infos,
-        **carried,
+        "shards": [],
     }
-    _write_manifest(target, manifest)
-    return target
 
 
-def _shard_info(writer: ShardWriter) -> dict[str, Any]:
+def _shard_info(writer: _SealedWriter) -> dict[str, Any]:
     origins = writer.origins
     return {
         "file": writer.path.name,
@@ -1449,9 +1289,6 @@ def _shard_info(writer: ShardWriter) -> dict[str, Any]:
         "last": max(origins),
         "bytes": writer.path.stat().st_size,
     }
-
-
-_metric_shard_info = _shard_info  # same fields, same meaning
 
 
 def _load_manifest(manifest_path: Path) -> dict[str, Any]:
@@ -1645,108 +1482,76 @@ def precompute_metric_shards(
         else:
             manifest = dict(routing_store.manifest)
 
-    existing_infos: list[dict[str, Any]] = []
-    covered = 0
-    stored = routing_store.metrics if routing_store is not None else None
-    if stored is not None and force:
-        # rebuild: drop the old metric shards (routing shards untouched)
-        for entry in manifest.get("metric_shards", ()):
-            (target_dir / entry["file"]).unlink(missing_ok=True)
-        stored.close()
-        stored = None
-        for key in [k for k in manifest if k.startswith("metric_")]:
-            del manifest[key]
-    if stored is not None:
-        if targets is not None and tuple(targets) != stored.targets:
-            routing_store.close()
-            raise ShardError(
-                f"corpus {target_dir} already holds metric shards for "
-                f"{len(stored.targets)} targets; pass force=True to "
-                "rebuild with a different target set"
-            )
-        if trim is not None and float(trim) != stored.trim:
-            routing_store.close()
-            raise ShardError(
-                f"corpus {target_dir} already holds metric shards with "
-                f"trim={stored.trim}; pass force=True to rebuild"
-            )
-        targets = stored.targets
-        trim = stored.trim
-        have = set(stored.origins())
-        existing_infos = list(manifest.get("metric_shards", ()))
-        covered = len(have)
-        if set(origin_list) <= have:
-            routing_store.close()
-            return target_dir
-        origin_list = [o for o in origin_list if o not in have]
-
-    target_tuple = tuple(
-        targets if targets is not None else default_metric_targets(graph)
-    )
-    unknown = [t for t in target_tuple if t not in graph]
-    if unknown:
-        if routing_store is not None:
-            routing_store.close()
-        raise ShardError(f"hegemony target AS{unknown[0]} not in graph")
-    trim_value = TRIM if trim is None else float(trim)
-    target_dir.mkdir(parents=True, exist_ok=True)
-
-    cache = RoutingStateCache(
-        graph, engine="compiled", batch=batch, shards=routing_store
-    )
-    shard_infos: list[dict[str, Any]] = list(existing_infos)
-    writer: Optional[MetricShardWriter] = None
-    done = 0
     try:
-        for origin, state in cache.states_for_many(
-            origin_list, workers=workers, batch=batch, stream=True
-        ):
-            if writer is None:
-                name = f"metrics-{len(shard_infos):05d}.mshard"
-                writer = MetricShardWriter(
-                    target_dir / name,
-                    targets=target_tuple,
-                    trim=trim_value,
-                    digest=digest,
-                    n_nodes=cg.n,
-                    asns=cg.asns,
+        existing_infos: list[dict[str, Any]] = []
+        covered = 0
+        stored = routing_store.metrics if routing_store is not None else None
+        if stored is not None and force:
+            # rebuild: drop the old metric shards (routing shards untouched)
+            for entry in manifest.get("metric_shards", ()):
+                (target_dir / entry["file"]).unlink(missing_ok=True)
+            stored.close()
+            stored = None
+            for key in [k for k in manifest if k.startswith("metric_")]:
+                del manifest[key]
+        if stored is not None:
+            if targets is not None and tuple(targets) != stored.targets:
+                raise ShardError(
+                    f"corpus {target_dir} already holds metric shards for "
+                    f"{len(stored.targets)} targets; pass force=True to "
+                    "rebuild with a different target set"
                 )
-            writer.add(origin, *_metric_row(state, origin, target_tuple,
-                                            trim_value))
-            done += 1
-            if progress is not None:
-                progress(done, len(origin_list))
-            if len(writer) >= shard_size:
-                writer.close()
-                shard_infos.append(_metric_shard_info(writer))
-                writer = None
-        if writer is not None and len(writer):
-            writer.close()
-            shard_infos.append(_metric_shard_info(writer))
-            writer = None
+            if trim is not None and float(trim) != stored.trim:
+                raise ShardError(
+                    f"corpus {target_dir} already holds metric shards with "
+                    f"trim={stored.trim}; pass force=True to rebuild"
+                )
+            targets = stored.targets
+            trim = stored.trim
+            have = set(stored.origins())
+            existing_infos = list(manifest.get("metric_shards", ()))
+            covered = len(have)
+            if set(origin_list) <= have:
+                return target_dir
+            origin_list = [o for o in origin_list if o not in have]
+
+        target_tuple = tuple(
+            targets if targets is not None else default_metric_targets(graph)
+        )
+        unknown = [t for t in target_tuple if t not in graph]
+        if unknown:
+            raise ShardError(f"hegemony target AS{unknown[0]} not in graph")
+        trim_value = TRIM if trim is None else float(trim)
+        target_dir.mkdir(parents=True, exist_ok=True)
+
+        cache = RoutingStateCache(
+            graph, engine="compiled", batch=batch, shards=routing_store
+        )
+        first = len(existing_infos)
+        shard_infos = existing_infos + _write_rolling(
+            cache.states_for_many(
+                origin_list, workers=workers, batch=batch, stream=True
+            ),
+            lambda k: MetricShardWriter(
+                target_dir / f"metrics-{first + k:05d}.mshard",
+                targets=target_tuple,
+                trim=trim_value,
+                digest=digest,
+                n_nodes=cg.n,
+                asns=cg.asns,
+            ),
+            lambda writer, origin, state: writer.add(
+                origin, *_metric_row(state, origin, target_tuple, trim_value)
+            ),
+            shard_size,
+            progress,
+            len(origin_list),
+        )
     finally:
-        if writer is not None:
-            writer._handle.close()  # abandon unsealed on error
         if routing_store is not None:
             routing_store.close()
 
-    if not manifest:
-        from .multiorigin import resolve_batch
-        from .shm import resolve_shm
-
-        manifest = {
-            "format": "repro.bgpsim.shards",
-            "version": _VERSION,
-            "graph_digest": digest,
-            "n_nodes": cg.n,
-            "origins": 0,
-            "engine": "compiled",
-            "workers": 1,
-            "batch": resolve_batch(batch),
-            "shm": resolve_shm(),
-            "shard_size": shard_size,
-            "shards": [],
-        }
+    manifest = manifest or _new_manifest(cg, digest, 1, batch, shard_size)
     manifest["metric_shards"] = shard_infos
     manifest["metric_targets"] = list(target_tuple)
     manifest["metric_trim"] = trim_value
@@ -1794,11 +1599,3 @@ def gc_corpora(
         shutil.rmtree(corpus)
         removed.append(corpus)
     return removed, kept, refused
-
-
-def iter_store_states(
-    store: ShardStore,
-) -> Iterator[tuple[int, CompiledRoutingState]]:
-    """``(origin, state)`` pairs for every origin in the store."""
-    for origin in store.origins():
-        yield origin, store.state_for(origin)

@@ -31,7 +31,6 @@ once per worker via the initializer.  :func:`stats` surfaces per-process
 from __future__ import annotations
 
 import atexit
-from array import array
 from typing import Any, Optional
 
 from .compiled import CompiledGraph, CompiledRoutingState
@@ -39,12 +38,14 @@ from .compiled import CompiledGraph, CompiledRoutingState
 __all__ = [
     "ArenaRef",
     "ShmArena",
+    "layout",
     "resolve_shm",
     "shm_available",
     "share_payload",
     "restore_payload",
     "stats",
     "reset_stats",
+    "view_of",
 ]
 
 _stats = {
@@ -93,10 +94,27 @@ def resolve_shm(mode=None) -> bool:
     return shm_available()
 
 
-def _format_of(buf) -> str:
-    if isinstance(buf, array):
-        return buf.typecode
-    return "B"  # bytes / bytearray
+def layout(buffers, start: int = 0) -> tuple[list[tuple], int]:
+    """Lay ``buffers`` out back to back from ``start``.
+
+    Returns one ``(format char, 8-byte-aligned offset, nbytes)`` entry
+    per buffer and the end offset.  Shared-memory arenas and shard files
+    both pack with this rule, so :func:`view_of` can cast every entry
+    back to its element format.
+    """
+    entries = []
+    end = start
+    for buf in buffers:
+        mv = memoryview(buf)
+        offset = (end + 7) & ~7
+        entries.append((mv.format, offset, mv.nbytes))
+        end = offset + mv.nbytes
+    return entries, end
+
+
+def view_of(buf, fmt: str, offset: int, nbytes: int) -> memoryview:
+    """The zero-copy view of one :func:`layout` entry inside ``buf``."""
+    return buf[offset : offset + nbytes].cast(fmt)
 
 
 # parent-side registry of live arenas, swept by atexit
@@ -114,30 +132,27 @@ atexit.register(_sweep_arenas)
 class ShmArena:
     """One shared-memory segment packing several named buffers.
 
-    ``buffers`` maps entry names to ``array``/``bytes``/``bytearray``
-    objects; offsets are 8-byte aligned so attached views can be
-    ``memoryview.cast`` to their element format.  Usable as a context
-    manager; :meth:`close` (idempotent) unmaps and unlinks.
+    ``buffers`` maps entry names to buffer-protocol objects (``array``,
+    ``bytes``, or ``memoryview`` casts such as a shard-backed state's
+    arrays), packed by :func:`layout` so attached views come back in
+    their element format.  Usable as a context manager; :meth:`close`
+    (idempotent) unmaps and unlinks.
     """
 
     def __init__(self, buffers: dict[str, Any]) -> None:
         from multiprocessing import shared_memory
 
-        entries = []
-        total = 0
-        for name, buf in buffers.items():
-            data = memoryview(buf).cast("B")
-            offset = (total + 7) & ~7
-            entries.append((name, _format_of(buf), offset, data.nbytes))
-            total = offset + data.nbytes
+        packed, total = layout(buffers.values())
         self._shm = shared_memory.SharedMemory(
             create=True, size=max(total, 1)
         )
         self.name = self._shm.name
-        self.entries = tuple(entries)
+        self.entries = tuple(
+            (name, *entry) for name, entry in zip(buffers, packed)
+        )
         self.payload_bytes = total
         mv = self._shm.buf
-        for (name, _, offset, nbytes), buf in zip(entries, buffers.values()):
+        for (_, offset, nbytes), buf in zip(packed, buffers.values()):
             if nbytes:
                 mv[offset : offset + nbytes] = memoryview(buf).cast("B")
         _stats["segments"] += 1
@@ -208,9 +223,8 @@ class ArenaRef:
         # creator's ``unlink`` performs the single removal — do NOT
         # unregister here, that would strip the creator's entry.
         views: dict[str, memoryview] = {}
-        for name, fmt, offset, nbytes in self.entries:
-            view = shm.buf[offset : offset + nbytes]
-            views[name] = view if fmt == "B" else view.cast(fmt)
+        for name, *entry in self.entries:
+            views[name] = view_of(shm.buf, *entry)
         _ATTACHED[self.name] = [shm, views, 1]
         _stats["attaches"] += 1
         return views

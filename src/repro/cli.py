@@ -445,6 +445,37 @@ def cmd_compact(args: argparse.Namespace) -> int:
     return status
 
 
+def cmd_verify(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from .bgpsim.shards import MANIFEST_NAME, ShardError, ShardStore
+
+    root = Path(args.corpus)
+    corpora = (
+        [root]
+        if (root / MANIFEST_NAME).exists()
+        else sorted(p.parent for p in root.glob(f"*/{MANIFEST_NAME}"))
+    )
+    if not corpora:
+        print(f"error: no shard corpus under {root}", file=sys.stderr)
+        return 1
+    for corpus in corpora:
+        try:
+            with ShardStore.open(corpus) as store:
+                counts = store.check()
+        except ShardError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(
+            f"{corpus}: "
+            + ", ".join(
+                f"{records} {kind} records in {files} file(s)"
+                for kind, (records, files) in counts.items()
+            )
+        )
+    return 0
+
+
 def cmd_timeline(args: argparse.Namespace) -> int:
     from .experiments.timeline import ScenarioRunner, parse_events
     from .topology import load_graph
@@ -753,6 +784,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="origins per merged shard file (default: the corpus's own)",
     )
     compact.set_defaults(func=cmd_compact)
+
+    verify = sub.add_parser(
+        "verify",
+        help="check the crc32 of every record in a shard corpus",
+    )
+    verify.add_argument(
+        "corpus",
+        help="corpus directory, or a root holding several (the -o passed "
+        "to repro precompute)",
+    )
+    verify.set_defaults(func=cmd_verify)
 
     serve = sub.add_parser(
         "serve",

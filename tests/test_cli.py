@@ -1,7 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import shutil
+
 import pytest
 
+from repro.bgpsim.shards import MetricShardReader
 from repro.cli import main
 
 
@@ -133,3 +136,36 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["leak", "--help"])
         assert "{compiled,reference}" in capsys.readouterr().out
+
+
+class TestVerify:
+    @pytest.fixture(scope="class")
+    def shard_root(self, generated, tmp_path_factory):
+        rel, _ = generated
+        root = tmp_path_factory.mktemp("verify") / "shards"
+        argv = ["precompute", str(rel), "-o", str(root), "--metrics", "-q"]
+        assert main([*argv, "--shard-size", "64"]) == 0
+        return root
+
+    def test_clean_corpus(self, shard_root, capsys):
+        capsys.readouterr()
+        assert main(["verify", str(shard_root)]) == 0
+        out = capsys.readouterr().out
+        assert "routing records in 3 file(s)" in out
+        assert "metric records in 3 file(s)" in out
+
+    def test_bit_flipped_copy(self, shard_root, tmp_path, capsys):
+        corpus = next(shard_root.glob("*/manifest.json")).parent
+        copy = tmp_path / "copy"
+        shutil.copytree(corpus, copy)
+        shard = copy / "metrics-00001.mshard"
+        with MetricShardReader(shard) as reader:
+            victim = reader.origins[7]
+            offset, nbytes, _crc = reader._index[victim]
+        data = bytearray(shard.read_bytes())
+        data[offset + nbytes - 1] ^= 0x80
+        shard.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["verify", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert str(shard) in err and f"AS{victim} " in err

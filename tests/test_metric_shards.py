@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from array import array
 
@@ -266,6 +267,32 @@ def test_torn_metric_shard_rejected(tmp_path):
             shard, expected_digest=graph_digest(netgen_graph("tiny", seed=7))
         )
     MetricShardReader(shard).close()  # restored bytes read fine again
+
+
+def test_flipped_bit_in_a_metric_record_is_rejected(tmp_path):
+    graph = netgen_graph("tiny")
+    root = tmp_path / "corpus"
+    precompute_metric_shards(graph, root, shard_size=1024)
+    target = root / graph_digest(graph)[:16]
+    shard = next(target.glob("*.mshard"))
+    with MetricShardReader(shard) as reader:
+        victim = reader.origins[5]
+        offset, nbytes, _crc = reader._index[victim]
+    data = bytearray(shard.read_bytes())
+    data[offset + nbytes // 2] ^= 0x01  # one bit inside the record body
+    shard.write_bytes(bytes(data))
+    names_it = rf"{re.escape(str(shard))}.*AS{victim}\b"
+    with ShardStore.open(target, graph=graph) as store:
+        metrics = store.metrics
+        with pytest.raises(ShardError, match=names_it):
+            metrics.reliance(victim, sorted(graph.nodes())[0])
+        with pytest.raises(ShardError, match=names_it):
+            metrics.record_for(victim)
+        for origin in metrics.origins():
+            if origin != victim:
+                assert metrics.record_for(origin).counts_exact
+        with pytest.raises(ShardError, match=names_it):
+            store.check()
 
 
 # ---------------------------------------------------------------------------

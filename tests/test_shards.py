@@ -9,15 +9,23 @@ a torn, truncated, or wrong-graph shard file.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import pickle
+import re
 import struct
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from .conftest import assert_states_equal, netgen_graph, sample_origins
+import repro
 from repro.bgpsim import (
     RoutingStateCache,
     Seed,
@@ -26,12 +34,15 @@ from repro.bgpsim import (
     propagate_batch,
     propagate_compiled,
 )
+from repro.bgpsim import shards
 from repro.bgpsim.shards import (
     MANIFEST_NAME,
+    MetricShardReader,
     ShardError,
     ShardReader,
     ShardStore,
     ShardWriter,
+    precompute_metric_shards,
 )
 
 
@@ -41,6 +52,34 @@ def write_shard(tmp_path, graph, origins, name="one.shard"):
         for origin, view in propagate_batch(graph, tuple(origins)).views():
             writer.add(origin, view)
     return path
+
+
+def flip_bit(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+def file_digests(directory):
+    """sha256 of every file under ``directory`` (leases excluded)."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in sorted(Path(directory).rglob("*"))
+        if path.is_file() and path.parent.name != "leases"
+    }
+
+
+def record_bytes(store):
+    """Every record's bytes in a store, keyed by kind and origin."""
+    metric = () if store.metrics is None else store.metrics._readers
+    return {
+        (kind, origin): bytes(reader.record_bytes(origin))
+        for kind, readers in (("routing", store._readers), ("metric", metric))
+        for reader in readers
+        for origin in reader.origins
+    }
 
 
 def assert_same_routing(disk, live, context=""):
@@ -214,6 +253,40 @@ def test_truncated_shard_rejected(tmp_path):
     path.write_bytes(whole[:40])  # not even a full header
     with pytest.raises(ShardError, match="truncated"):
         ShardReader(path)
+    path.write_bytes(whole)
+    with ShardReader(path) as reader:
+        offset, nbytes, _crc = reader._index[reader.origins[2]]
+    path.write_bytes(whole[: offset + nbytes // 2])  # cut inside a record
+    with pytest.raises(ShardError, match=r"truncated \("):
+        ShardReader(path)
+    # an index row whose record would run into the index
+    (index_off,) = struct.unpack_from("<Q", whole, 32)
+    bad_row = bytearray(whole)
+    struct.pack_into("<Q", bad_row, index_off + 8, index_off)
+    path.write_bytes(bytes(bad_row))
+    with pytest.raises(ShardError, match="points past the index"):
+        ShardReader(path)
+
+
+def test_flipped_bit_in_a_record_is_rejected(tmp_path):
+    graph = netgen_graph("tiny")
+    target = precompute_shards(graph, tmp_path, workers=1, shard_size=64)
+    shard = target / "shard-00001.shard"
+    with ShardReader(shard) as reader:
+        victim = reader.origins[3]
+        offset, nbytes, _crc = reader._index[victim]
+    flip_bit(shard, offset + nbytes - 3)
+    names_it = rf"{re.escape(str(shard))}.*AS{victim}\b"
+    with ShardStore.open(target, graph=graph) as store:
+        for _ in range(2):  # a failed check is not remembered as passed
+            with pytest.raises(ShardError, match=names_it):
+                store.state_for(victim)
+        for origin in store.origins():
+            if origin != victim:
+                live = propagate_compiled(graph, (Seed(asn=origin),))
+                assert_same_routing(store.state_for(origin), live, origin)
+        with pytest.raises(ShardError, match=names_it):
+            store.check()
 
 
 def test_corrupted_header_rejected(tmp_path):
@@ -229,6 +302,11 @@ def test_corrupted_header_rejected(tmp_path):
     struct.pack_into("<I", bad_version, 8, 99)
     path.write_bytes(bytes(bad_version))
     with pytest.raises(ShardError, match="version 99"):
+        ShardReader(path)
+    # a version-1 file is refused with the fix, not read
+    struct.pack_into("<I", bad_version, 8, 1)
+    path.write_bytes(bytes(bad_version))
+    with pytest.raises(ShardError, match="version 1;.*rebuild"):
         ShardReader(path)
 
 
@@ -475,6 +553,61 @@ def test_partial_corpus_streams_mixed_tiers(tmp_path):
             )
 
 
+def test_forced_rebuild_leaves_mapped_files_intact(tmp_path):
+    graph = netgen_graph("tiny")
+    every = sorted(graph.nodes())
+    target = precompute_shards(
+        graph, tmp_path, origins=every[::-1], workers=1, shard_size=4
+    )
+    with ShardStore.open(target, graph=graph, lease=True) as held:
+        early = held.state_for(every[0])
+        precompute_shards(
+            graph, tmp_path, workers=1, shard_size=4, force=True
+        )
+        for origin in every:
+            live = propagate_compiled(graph, (Seed(asn=origin),))
+            assert_same_routing(held.state_for(origin), live, origin)
+        live = propagate_compiled(graph, (Seed(asn=every[0]),))
+        assert_same_routing(early, live, "state handed out before")
+
+
+@pytest.mark.parametrize(
+    "first_file", ["shard-00000.shard", "metrics-00000.mshard"]
+)
+def test_sigkilled_precompute_resumes_byte_identical(tmp_path, first_file):
+    """SIGKILL ``repro precompute --metrics`` once its first routing (or
+    metric) shard exists; a rerun writes exactly the bytes of an
+    uninterrupted run."""
+    from repro.cli import main
+
+    topo = tmp_path / "topo.txt"
+    assert main(["generate", "tiny", "-o", str(topo)]) == 0
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    argv = [sys.executable, "-m", "repro.cli", "precompute", str(topo),
+            "--metrics", "-q", "--shard-size", "4", "-o"]
+    run = dict(env=env, stdout=subprocess.DEVNULL, timeout=300)
+    subprocess.run([*argv, str(tmp_path / "whole")], check=True, **run)
+
+    killed = tmp_path / "killed"
+    proc = subprocess.Popen(
+        [*argv, str(killed)], env=env, stdout=subprocess.DEVNULL
+    )
+    try:
+        deadline = time.monotonic() + 300
+        while not any(killed.glob(f"*/{first_file}")):
+            assert time.monotonic() < deadline, "precompute never started"
+            time.sleep(0.001)
+    finally:
+        proc.kill()  # SIGKILL
+        proc.wait(timeout=60)
+    subprocess.run([*argv, str(killed)], check=True, **run)
+    assert file_digests(killed) == file_digests(tmp_path / "whole")
+
+
 def test_precompute_force_rebuilds_partial(tmp_path):
     graph = netgen_graph("tiny")
     every = sorted(graph.nodes())
@@ -575,6 +708,52 @@ def test_compact_merges_rolling_files_bit_identical(tmp_path):
                 assert got_heg is None
             else:
                 assert float(got_heg).hex() == float(heg).hex()
+
+
+def test_compact_refuses_to_carry_a_corrupt_record(tmp_path):
+    graph = netgen_graph("tiny")
+    target = precompute_shards(graph, tmp_path, shard_size=16, workers=1)
+    precompute_metric_shards(graph, tmp_path, shard_size=16)
+    # the routing files merge first, so a finished merged file must go too
+    shard = sorted(target.glob("metrics-*.mshard"))[-1]
+    with MetricShardReader(shard) as reader:
+        victim = reader.origins[-1]
+        offset, nbytes, _crc = reader._index[victim]
+    flip_bit(shard, offset + nbytes // 2)
+    before = file_digests(target)
+    with ShardStore.open(target, graph=graph, lease=True) as store:
+        with pytest.raises(
+            ShardError, match=rf"{re.escape(str(shard))}.*AS{victim}\b"
+        ):
+            store.compact(shard_size=10_000)
+    assert file_digests(target) == before
+
+
+def test_compact_interrupted_before_manifest_replace(tmp_path, monkeypatch):
+    graph = netgen_graph("tiny")
+    target = precompute_shards(graph, tmp_path, shard_size=16, workers=1)
+    precompute_metric_shards(graph, tmp_path, shard_size=16)
+    before = file_digests(target)
+
+    def crash(directory, manifest):
+        raise OSError("simulated crash before the manifest is replaced")
+
+    with ShardStore.open(target, graph=graph, lease=True) as store:
+        records = record_bytes(store)
+        with monkeypatch.context() as patch:
+            patch.setattr(shards, "_write_manifest", crash)
+            with pytest.raises(OSError, match="simulated crash"):
+                store.compact(shard_size=10_000)
+        assert file_digests(target) == before
+        # the store still serves every record from the old manifest
+        assert record_bytes(store) == records
+        for origin in sample_origins(graph, 8, seed=41):
+            live = propagate_compiled(graph, (Seed(asn=origin),))
+            assert_states_equal(store.state_for(origin), live, origin)
+        # and a rerun merges byte-identical records
+        stats = store.compact(shard_size=10_000)
+        assert stats["routing_files_after"] == stats["metric_files_after"] == 1
+        assert record_bytes(store) == records
 
 
 def test_compact_refuses_while_other_store_is_live(tmp_path):

@@ -16,9 +16,16 @@ from array import array
 import pytest
 
 from .conftest import assert_states_equal, netgen_graph, sample_origins
-from repro.bgpsim import Seed, propagate_compiled, propagate_many
+from repro.bgpsim import (
+    RoutingStateCache,
+    Seed,
+    precompute_shards,
+    propagate_compiled,
+    propagate_many,
+)
 from repro.bgpsim import shm
 from repro.bgpsim.compiled import CompiledGraph, CompiledRoutingState
+from repro.bgpsim.shards import ShardReader, ShardStore, ShardWriter
 
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(),
@@ -121,19 +128,31 @@ class TestPayloadRoundTrip:
             for arena in arenas:
                 arena.close()
 
-    def test_state_round_trip_preserves_routes(self):
+    def test_state_round_trip_preserves_routes(self, tmp_path):
         graph, _, state = _graph_and_state()
-        arenas: list[shm.ShmArena] = []
-        try:
-            wrapped = shm.share_payload(state, arenas)
-            assert isinstance(wrapped, shm.SharedState)
-            restored = shm.restore_payload(wrapped)
-            assert isinstance(restored, CompiledRoutingState)
-            assert_states_equal(state, restored, "(shm round trip)")
-            wrapped.ref.detach()
-        finally:
-            for arena in arenas:
-                arena.close()
+
+        def formats(s):
+            return [memoryview(getattr(s, f)).format
+                    for f in shm._STATE_FIELDS]
+
+        origin = state.seeds[0].asn
+        with ShardWriter(tmp_path / "one.shard", graph) as writer:
+            writer.add(origin, state)
+        with ShardReader(tmp_path / "one.shard") as reader:
+            # a shard-backed state holds memoryview casts, not arrays
+            for source in (state, reader.state_for(origin)):
+                arenas: list[shm.ShmArena] = []
+                try:
+                    wrapped = shm.share_payload(source, arenas)
+                    assert isinstance(wrapped, shm.SharedState)
+                    restored = shm.restore_payload(wrapped)
+                    assert isinstance(restored, CompiledRoutingState)
+                    assert formats(restored) == formats(state)
+                    assert_states_equal(state, restored, "(shm round trip)")
+                    wrapped.ref.detach()
+                finally:
+                    for arena in arenas:
+                        arena.close()
 
     def test_dict_payloads_recurse_one_level(self):
         _, cg, state = _graph_and_state()
@@ -223,6 +242,25 @@ class TestParallelTransport:
         # the other counters are inherited from the parent, so only the
         # attach count is asserted
         assert all(s["attaches"] >= 1 for s in worker_stats)
+
+    def test_leak_sweep_over_shard_backed_baseline(self, tmp_path):
+        # the baseline comes off a shard, ships to the workers through an
+        # arena, and must arrive with its element formats intact
+        from repro.core.leaks import simulate_leaks
+
+        graph = netgen_graph("tiny")
+        target = precompute_shards(graph, tmp_path, workers=1)
+        origin, *others = sorted(graph.nodes())
+        leakers = others[:30]
+        with ShardStore.open(target, graph=graph) as store:
+            outcomes = {}
+            for workers in (1, 2):
+                cache = RoutingStateCache(graph, shards=store)
+                outcomes[workers] = simulate_leaks(
+                    graph, origin, leakers, workers=workers, cache=cache
+                )
+        assert any(outcomes[1])
+        assert outcomes[2] == outcomes[1]
 
     def test_no_segments_leak_after_sweep(self):
         graph = netgen_graph("tiny", 7)
