@@ -90,6 +90,7 @@ def _clear_metric_caches(states):
             state._materialized = None
             state._metric_dag = None
             state._metric_counts = None
+            state._metric_sweep = None
 
 
 def _metric_layer(states, use_kernel):

@@ -294,9 +294,10 @@ class CompiledRoutingState(RoutingState):
         self._origin_mask = origin_mask
         self._materialized: Optional[dict[int, NodeRoute]] = None
         # metric-kernel caches (see repro.bgpsim.metrics_kernel): the
-        # flattened best-path DAG and the tied-best-path counts
+        # big-int DAG, the tied-best-path counts and the width-1 sweep
         self._metric_dag = None
         self._metric_counts: Optional[list[int]] = None
+        self._metric_sweep = None
 
     def _idx(self, asn: int) -> Optional[int]:
         i = bisect_left(self._asns, asn)
@@ -429,6 +430,7 @@ class CompiledRoutingState(RoutingState):
         state["_materialized"] = None
         state["_metric_dag"] = None
         state["_metric_counts"] = None
+        state["_metric_sweep"] = None
         return _concrete_buffers(state)
 
 

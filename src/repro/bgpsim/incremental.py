@@ -92,6 +92,7 @@ class DeltaRoutingState(RoutingState):
         # metric-kernel caches (see repro.bgpsim.metrics_kernel)
         self._metric_dag = None
         self._metric_counts: Optional[list[int]] = None
+        self._metric_sweep = None
 
     # -- instrumentation ---------------------------------------------------
     def delta_stats(self) -> dict[str, int]:
@@ -230,6 +231,7 @@ class DeltaRoutingState(RoutingState):
         state["_materialized"] = None
         state["_metric_dag"] = None
         state["_metric_counts"] = None
+        state["_metric_sweep"] = None
         return state
 
 

@@ -12,35 +12,34 @@ analytics layer the dominant cost of a sweep once propagation itself is
 the compiled CSR kernel.
 
 This module computes the same metrics directly on the compiled state's
-flat arrays, without ever touching ``routes``:
+flat arrays, without ever touching ``routes``.  Each kernel is a width-1
+call of the batch metric kernel of :mod:`repro.bgpsim.vectorized`: the
+state's :func:`metric_sweep` (its parent pools walked once into a
+level-ordered edge list, with the tied-best-path counts, cached on the
+state) serves
 
-* :func:`dag_of` — a :class:`MetricDAG`: the best-path DAG flattened
-  into a counting-sorted topological order (path length ascending, node
-  index ascending within a length) plus CSR parent pools (each pool
-  sorted ascending).  Built once per state and cached on it.
-* :func:`path_counts_kernel` — tied-best-path counts as one forward
-  pass over the order (cached per state, since reliance and every
-  hegemony target reuse it).
-* :func:`reliance_kernel` — the §7 mass flow as one backward pass.
-* :func:`cross_fractions_kernel` — hegemony's per-receiver crossing
-  fractions as one forward pass, reusing the cached counts.
+* :func:`path_counts_kernel` — tied-best-path counts;
+* :func:`reliance_kernel` / :func:`reliance_mass_kernel` — the §7 mass
+  flow as one backward sweep;
+* :func:`cross_fractions_kernel` / :func:`cross_fractions_many_kernel` —
+  hegemony's per-receiver crossing fractions as one forward sweep;
 * :func:`length_histogram_kernel` — Fig. 13's weight-per-path-length
-  totals read straight off the length array.
+  totals read straight off the length order;
 * :func:`routed_count_kernel` — ``|reach|`` without building the
   ``reachable_ases`` frozenset.
+
+:class:`MetricDAG` (built by :func:`dag_of`) keeps the big-int array
+loops: they are the oracle of the numpy kernel, the ``exact=True``
+(``Fraction``) path, and the path for states whose tied-best-path counts
+pass 2**53, where float64 casts would round.
 
 :class:`~repro.bgpsim.incremental.DeltaRoutingState` is supported
 through its override maps, so leak-sweep consumers get the same kernels
 over the shared baseline arrays.  Equivalence with the dict reference
 implementations is proven by ``tests/test_metric_kernels.py`` (exact
 ``Fraction`` mode on seeded netgen scenarios); the float paths are
-bit-identical as well because both sides process nodes in the same
+bit-identical as well because every side processes nodes in the same
 canonical (length, ASN) order and parents in ascending order.
-
-Each kernel first runs its numpy twin in :mod:`repro.bgpsim.vectorized`.
-The array loops here serve the two inputs the float64 sweeps cannot:
-DAGs whose tied-best-path counts exceed 2**53 (Python ints stay exact
-where float64 casts would round) and ``exact=True`` reliance.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ __all__ = [
     "dag_of",
     "is_array_state",
     "length_histogram_kernel",
+    "metric_sweep",
     "path_counts_indexed",
     "path_counts_kernel",
     "reliance_kernel",
@@ -78,8 +78,17 @@ def is_array_state(state: RoutingState) -> bool:
     return isinstance(state, _ARRAY_STATES)
 
 
+def _require_array_state(state: RoutingState) -> None:
+    if not is_array_state(state):
+        raise TypeError(
+            "metric kernels require a CompiledRoutingState or "
+            f"DeltaRoutingState, not {type(state).__name__}"
+        )
+
+
 class MetricDAG:
-    """The best-path DAG of one routing state, flattened for array passes.
+    """The best-path DAG of one routing state, flattened for the big-int
+    array loops (the oracle of the numpy kernel, and its fallback).
 
     ``order`` lists the routed node indices in a topological order of the
     DAG — path length ascending, node index (equivalently ASN) ascending
@@ -102,9 +111,6 @@ class MetricDAG:
         "parents",
         "routed",
         "seed_idx",
-        # lazy numpy cache of the vectorized kernels (repro.bgpsim
-        # .vectorized._dag_np): None = not built, False = not servable
-        "_np",
     )
 
     def __init__(self, state: RoutingState) -> None:
@@ -239,7 +245,6 @@ class MetricDAG:
         self.parents = parents
         self.routed = routed
         self.seed_idx = seed_idx
-        self._np = None
 
     def idx(self, asn: int) -> Optional[int]:
         """Node index of ``asn`` (None when absent from the graph)."""
@@ -250,41 +255,47 @@ class MetricDAG:
 
 
 def dag_of(state: RoutingState) -> MetricDAG:
-    """The (cached) :class:`MetricDAG` of an array-backed state."""
+    """The (cached) big-int :class:`MetricDAG` of an array-backed state."""
     dag = getattr(state, "_metric_dag", None)
     if dag is None:
-        if not is_array_state(state):
-            raise TypeError(
-                "metric kernels require a CompiledRoutingState or "
-                f"DeltaRoutingState, not {type(state).__name__}"
-            )
-        dag = _vec.build_metric_dag_vector(state)
-        if dag is None:
-            dag = MetricDAG(state)
-        state._metric_dag = dag
+        _require_array_state(state)
+        dag = state._metric_dag = MetricDAG(state)
     return dag
+
+
+def metric_sweep(state: RoutingState) -> "_vec.MetricSweep":
+    """The (cached) width-1 :class:`~repro.bgpsim.vectorized.MetricSweep`
+    of an array-backed state.  ``sweep.bad[0]`` marks a state the float64
+    kernels cannot serve exactly; the kernels below then fall back to
+    the :class:`MetricDAG` loops."""
+    sweep = getattr(state, "_metric_sweep", None)
+    if sweep is None:
+        _require_array_state(state)
+        sweep = state._metric_sweep = _vec.state_sweep(state)
+    return sweep
 
 
 def path_counts_indexed(state: RoutingState) -> list[int]:
     """Tied-best-path counts per *node index* (0 for unrouted nodes).
 
-    Computed during the (cached) DAG build — the forward pass shares the
-    parent-pool walk — so reliance and every hegemony target reuse the
+    Computed by the sweep's forward pass (or the big-int DAG build past
+    2**53) and cached, so reliance and every hegemony target reuse the
     same counts for free.
     """
     counts = getattr(state, "_metric_counts", None)
     if counts is not None:
         return counts
-    counts = dag_of(state).counts
+    sweep = metric_sweep(state)
+    counts = dag_of(state).counts if sweep.bad[0] else sweep.cnt.tolist()
     state._metric_counts = counts
     return counts
 
 
 def path_counts_kernel(state: RoutingState) -> dict[int, int]:
     """ASN-keyed tied-best-path counts (kernel twin of ``path_counts``)."""
-    result = _vec.path_counts_vector(state)
-    if result is not None:
-        return result
+    sweep = metric_sweep(state)
+    if not sweep.bad[0]:
+        return dict(zip(sweep.keys, sweep.cnt[sweep._order].tolist()))
     dag = dag_of(state)
     counts = path_counts_indexed(state)
     asns = dag.asns
@@ -295,19 +306,22 @@ def reliance_mass_kernel(
     state: RoutingState,
     receivers: Optional[Collection[int]] = None,
     exact: bool = False,
-) -> tuple[MetricDAG, list]:
+) -> tuple:
     """The §7 mass flow as one backward pass; returns ``(dag, mass)``.
 
     ``mass`` is indexed by node index (seeds keep the mass routed
-    *through* them, which callers exclude).  Fused consumers — e.g. the
-    Fig. 6 summaries — aggregate straight off this list instead of
-    building an ASN-keyed dict first; :func:`reliance_kernel` is the
-    dict-shaped wrapper.
+    *through* them, which callers exclude).  ``dag`` is the DAG the pass
+    ran on — the state's :func:`metric_sweep`, or its :class:`MetricDAG`
+    on the big-int and ``exact`` paths; both expose ``asns``, ``n``,
+    ``order``, ``lengths``, ``routed``, ``seed_idx`` and ``idx()``.
+    Fused consumers — e.g. the Fig. 6 summaries — aggregate straight off
+    this list instead of building an ASN-keyed dict first;
+    :func:`reliance_kernel` is the dict-shaped wrapper.
     """
     if not exact:
-        result = _vec.reliance_mass_vector(state, receivers=receivers)
-        if result is not None:
-            return result
+        sweep = metric_sweep(state)
+        if not sweep.bad[0]:
+            return sweep, sweep.reliance(receivers).tolist()
     dag = dag_of(state)
     counts = path_counts_indexed(state)
     seed_idx = dag.seed_idx
@@ -362,10 +376,6 @@ def reliance_kernel(
     parents ascending) mirrors the canonical dict-path order, so results
     are bit-identical.
     """
-    if not exact:
-        result = _vec.reliance_vector(state, receivers=receivers)
-        if result is not None:
-            return result
     dag, mass = reliance_mass_kernel(state, receivers=receivers, exact=exact)
     asns, seed_idx = dag.asns, dag.seed_idx
     return {
@@ -375,13 +385,8 @@ def reliance_kernel(
     }
 
 
-def cross_fractions_kernel(
-    state: RoutingState, target: int
-) -> dict[int, float]:
-    """Hegemony's crossing fractions as one forward pass over the DAG."""
-    result = _vec.cross_fractions_vector(state, target)
-    if result is not None:
-        return result
+def _cross_fractions_loop(state: RoutingState, target: int) -> dict:
+    """The big-int loop behind :func:`cross_fractions_kernel`."""
     dag = dag_of(state)
     ti = dag.idx(target)
     if ti is None or not dag.routed[ti]:
@@ -414,23 +419,30 @@ def cross_fractions_kernel(
     return out
 
 
+def cross_fractions_kernel(
+    state: RoutingState, target: int
+) -> dict[int, float]:
+    """Hegemony's crossing fractions as one forward pass over the DAG."""
+    return cross_fractions_many_kernel(state, (target,))[0]
+
+
 def cross_fractions_many_kernel(
     state: RoutingState, targets: Collection[int]
 ) -> list[dict[int, float]]:
     """:func:`cross_fractions_kernel` for many targets against one
     state, in target order.
 
-    A hegemony sweep evaluates dozens of targets per origin; the
-    vectorized path serves the whole set in one ``(m, T)`` forward sweep
-    (every dict bit-identical to the per-target kernel), and the
-    big-count fallback simply loops — the DAG and tied-best-path counts
-    are cached on the state either way.
+    A hegemony sweep evaluates dozens of targets per origin; the sweep
+    serves the whole set in one forward pass over (target, node) columns
+    (every dict bit-identical to the per-target loop), and the big-count
+    fallback simply loops — the DAG and tied-best-path counts are cached
+    on the state either way.
     """
     targets = list(targets)
-    result = _vec.cross_fractions_many_vector(state, targets)
-    if result is not None:
-        return result
-    return [cross_fractions_kernel(state, target) for target in targets]
+    sweep = metric_sweep(state)
+    if not sweep.bad[0]:
+        return sweep.cross_fractions(targets)
+    return [_cross_fractions_loop(state, target) for target in targets]
 
 
 def length_histogram_kernel(
@@ -442,24 +454,19 @@ def length_histogram_kernel(
 
     Seeds are excluded (they are sources, not destinations); ``weights``
     maps ASN → weight (default 1 per AS) and ``restrict_to`` limits the
-    accounting to a subset.  Read straight off the length array — no
-    parent pools, no route objects.
+    accounting to a subset.  Read straight off the sweep's length order
+    — no parent pools, no route objects.
     """
-    result = _vec.length_histogram_vector(
-        state, weights=weights, restrict_to=restrict_to
-    )
-    if result is not None:
-        return result
-    dag = dag_of(state)
-    seed_idx = dag.seed_idx
-    asns, lengths = dag.asns, dag.lengths
+    sweep = metric_sweep(state)
+    seed_idx = sweep.seed_idx
+    asns, lengths = sweep.asns, sweep.lengths
     restrict = (
         restrict_to
         if restrict_to is None or isinstance(restrict_to, (set, frozenset))
         else set(restrict_to)
     )
     histogram: dict[int, float] = {}
-    for k, i in enumerate(dag.order):
+    for k, i in enumerate(sweep.order):
         if i in seed_idx:
             continue
         asn = asns[i]
@@ -484,10 +491,6 @@ def routed_count_kernel(state: RoutingState) -> int:
             count += int(now) - int(was)
         # both seeds (the legitimate origin and the leaker) always route
         return count - len(state.seed_asns)
-    if isinstance(state, CompiledRoutingState):
-        # seeds are always routed, so they are all in _routed
-        return len(state._routed) - len(state.seed_asns)
-    raise TypeError(
-        "metric kernels require a CompiledRoutingState or "
-        f"DeltaRoutingState, not {type(state).__name__}"
-    )
+    _require_array_state(state)
+    # seeds are always routed, so they are all in _routed
+    return len(state._routed) - len(state.seed_asns)

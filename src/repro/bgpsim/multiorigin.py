@@ -28,12 +28,12 @@ is level-synchronous —
 Each bucket entry names a node, a ``(class, level)`` pair and the mask
 of origin bits that first arrived there with it; every routed (node,
 bit) pair appears in exactly one entry, so a view's route class and path
-length columns are one vectorised read of its bit.  Parent pools are
-rebuilt on demand by one vectorised filter over the graph's
-(child, neighbour) edge arrays, keeping the edges whose relation carries
-the child's route class, whose neighbour may export that route, and
-whose neighbour is one hop shorter — sorted by (child, parent), the same
-canonical order the per-origin kernel and the metric kernels use.
+length columns are one vectorised read of its bit.  The sweep also
+records every tied parent edge, with the mask of the origins it is tied
+for, as rows sorted by (child, parent): a view's parent pools are the
+rows carrying its bit, and the batch metric kernel
+(:func:`~repro.bgpsim.vectorized.build_metric_dag_vector`) reads them
+for the whole batch without building any view.
 
 The result is a :class:`BatchRoutingState` whose per-origin
 :class:`BatchOriginView` objects subclass
@@ -42,7 +42,7 @@ The result is a :class:`BatchRoutingState` whose per-origin
 class and length columns, while the parent pools the per-AS ``route``
 and the metric kernels consume are built lazily on first touch, at the
 per-origin kernel's compact typecodes — so every existing consumer,
-including the kernels and the shard writer, runs unchanged.
+including the per-state kernels and the shard writer, runs unchanged.
 Equivalence with per-origin :func:`propagate_compiled` is proven by the
 differential harness in ``tests/test_multiorigin_engine.py``.
 
@@ -111,8 +111,14 @@ class BatchRoutingState:
     so these arrays are the whole routing state of all B origins —
     per-origin arrays are derived views (:meth:`view`), not storage.
 
-    The compiled graph is carried only as a reference for on-demand
-    parent reconstruction; pickling drops it (workers return batches to
+    The tied parent edges are rows of their own: row *r* says that
+    ``_tie_parent[r]`` is a tied parent of ``_tie_child[r]``, whose path
+    length is ``_tie_level[r]``, for the origins whose bits are set in
+    column *r* of ``_tie_masks`` (``(W, R)``, like ``_masks``).  Rows are
+    sorted by (child, parent, level).
+
+    The compiled graph is carried only as a reference for the views and
+    the metric kernel; pickling drops it (workers return batches to
     the parent, which re-binds its own copy via :meth:`bind_graph`).
     """
 
@@ -124,6 +130,10 @@ class BatchRoutingState:
         classes,
         levels,
         masks,
+        tie_child,
+        tie_parent,
+        tie_level,
+        tie_masks,
     ) -> None:
         self._graph: Optional[CompiledGraph] = cgraph
         self.origins = origins
@@ -131,6 +141,10 @@ class BatchRoutingState:
         self._classes = classes
         self._levels = levels
         self._masks = masks
+        self._tie_child = tie_child
+        self._tie_parent = tie_parent
+        self._tie_level = tie_level
+        self._tie_masks = tie_masks
         self._bit_of: dict[int, int] = {}
         for b, origin in enumerate(origins):
             self._bit_of.setdefault(origin, b)
@@ -195,11 +209,11 @@ class BatchOriginView(CompiledRoutingState):
     / ``reachable_ases``) read this bit's route-class and path-length
     columns, picked out of the batch's arrival buckets on first use.
     The rest of the parent class's arrays (the parent pools and
-    ``_routed``, consumed by ``route``, the metric kernels and
-    ``routes`` materialization) are built on first attribute access by
-    one vectorised filter over the graph's parent edges, after which the
-    view holds exactly the arrays — values and typecodes — that the
-    per-origin kernel would have produced.
+    ``_routed``, consumed by ``route``, the per-state metric kernels and
+    ``routes`` materialization) are built on first attribute access from
+    the batch's tie rows that carry this bit, after which the view holds
+    exactly the arrays — values and typecodes — that the per-origin
+    kernel would have produced.
 
     Pickling converts to a standalone ``CompiledRoutingState`` so a view
     never drags its whole batch across a process boundary.
@@ -229,6 +243,7 @@ class BatchOriginView(CompiledRoutingState):
         self._materialized = None
         self._metric_dag = None
         self._metric_counts = None
+        self._metric_sweep = None
 
     def __getattr__(self, name: str):
         # only the lazy array attributes are synthesized; anything else
@@ -296,7 +311,7 @@ class BatchOriginView(CompiledRoutingState):
 
         rc, ln = self._columns()
         head, pool_parent, pool_next, routed = batch_view_pool(
-            self._batch.graph, rc, ln
+            self._batch, self._bit, rc
         )
         d = self.__dict__
         d["_route_class"] = rc

@@ -1391,41 +1391,53 @@ def default_metric_targets(
     return tuple(sorted(ranked[: max(0, min(count, len(nodes)))]))
 
 
-def _metric_row(state, origin: int, targets: tuple[int, ...], trim: float):
-    """One origin's metric record payloads, via the live kernels.
+def _metric_batch_task(
+    graph, origins: tuple[int, ...], targets: tuple[int, ...], trim: float
+) -> list[tuple]:
+    """The metric records of one batch of origins, in input order: one
+    bit-parallel sweep, then one call of the batch metric kernel.
 
-    Every float comes out of the exact code path a live query runs —
-    :func:`~repro.bgpsim.metrics_kernel.reliance_mass_kernel` (seeds
-    then zeroed, matching the dict wrapper's exclusion) and the fused
-    ``_hegemony_values`` row — so serving a stored value is
-    bit-identical to kernel-per-request.  The reliance mass and the
-    float64 counts are taken straight from the DAG's numpy cache; only a
-    DAG without one (tied-best-path counts above 2**53) takes the
-    big-int route, the one case where the counts can be inexact.
+    A record is ``(reliance, counts, hegemony, routed_count,
+    counts_exact)``, every float bit-identical to the live per-state
+    kernels a query would run.  An origin whose tied-best-path counts
+    pass 2**53 takes the big-int loops on its batch view, the one case
+    where the float64 counts can be inexact.
     """
+    from .multiorigin import propagate_batch
+    from .vectorized import build_metric_dag_vector
+
+    batch = propagate_batch(graph, origins)
+    return [
+        _metric_row_exact(batch.view_at(bit), origin, targets, trim)
+        if row is None
+        else (*row, True)
+        for bit, (origin, row) in enumerate(
+            zip(origins, build_metric_dag_vector(batch, targets, trim))
+        )
+    ]
+
+
+def _metric_row_exact(state, origin: int, targets: tuple[int, ...], trim):
+    """One origin's metric record through the big-int loops (seeds
+    zeroed in the reliance vector, as the dict wrapper excludes them)."""
     from ..core.hegemony import _hegemony_values
     from .metrics_kernel import (
         path_counts_indexed,
         reliance_mass_kernel,
         routed_count_kernel,
     )
-    from .vectorized import metric_row_buffers
 
     dag, mass = reliance_mass_kernel(state)
-    buffers = metric_row_buffers(dag)
-    if buffers is not None:
-        reliance, counts_vec = buffers
-        counts_exact = True
-    else:
-        reliance = array("d", mass)
-        for i in dag.seed_idx:
-            reliance[i] = 0.0
-        counts = path_counts_indexed(state)
-        counts_exact = all(c < 2**53 for c in counts)
-        counts_vec = array("d", (float(c) for c in counts))
-    hegemony = _hegemony_values(state, origin, targets, trim)
-    return reliance, counts_vec, hegemony, routed_count_kernel(state), (
-        counts_exact
+    reliance = array("d", mass)
+    for i in dag.seed_idx:
+        reliance[i] = 0.0
+    counts = path_counts_indexed(state)
+    return (
+        reliance,
+        array("d", (float(c) for c in counts)),
+        _hegemony_values(state, origin, targets, trim),
+        routed_count_kernel(state),
+        all(c < 2**53 for c in counts),
     )
 
 
@@ -1443,14 +1455,16 @@ def precompute_metric_shards(
 ) -> Path:
     """Precompute metric shards for ``origins`` (default: every AS).
 
-    Streams per-origin compiled-engine states through
-    ``RoutingStateCache.states_for_many(stream=True)`` — O(batch) peak
-    memory at any corpus size, and served straight off the mmap disk
-    tier when the corpus already holds routing shards — and writes each
-    origin's reliance vector, tied-best-path counts, and fused hegemony
-    row toward ``targets`` (default:
-    :func:`default_metric_targets`) into metric shard files under the
-    same content-addressed directory ``<out_root>/<digest16>/``.
+    Maps :func:`_metric_batch_task` over ``batch``-wide chunks of the
+    origins with :func:`~repro.bgpsim.parallel.graph_map` (``workers``
+    processes), as the routing pass maps propagation: each task runs one
+    bit-parallel sweep and the batch metric kernel, and returns its
+    records in input order, so the files do not depend on ``workers``.
+    The pass never reads the routing shards.  Each origin's reliance
+    vector, tied-best-path counts, and hegemony row toward ``targets``
+    (default: :func:`default_metric_targets`) go into metric shard files
+    under the same content-addressed directory
+    ``<out_root>/<digest16>/``, one batch of records in memory at a time.
 
     Resume semantics match :func:`precompute_shards`: existing metric
     shards are kept byte-untouched, only missing origins are computed
@@ -1463,7 +1477,8 @@ def precompute_metric_shards(
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
     from ..core.hegemony import TRIM
-    from .cache import RoutingStateCache
+    from .multiorigin import resolve_batch
+    from .parallel import graph_map
 
     cg: CompiledGraph = graph.compile()
     digest = graph_digest(cg)
@@ -1524,14 +1539,32 @@ def precompute_metric_shards(
         trim_value = TRIM if trim is None else float(trim)
         target_dir.mkdir(parents=True, exist_ok=True)
 
-        cache = RoutingStateCache(
-            graph, engine="compiled", batch=batch, shards=routing_store
+        width = resolve_batch(batch)
+        chunks = [
+            tuple(origin_list[i : i + width])
+            for i in range(0, len(origin_list), width)
+        ]
+        rows = graph_map(
+            graph,
+            _metric_batch_task,
+            chunks,
+            workers=workers,
+            targets=target_tuple,
+            trim=trim_value,
         )
+
+        def records():
+            # one batch of rows alive at a time: each is dropped before
+            # the next batch is computed (a zip over ``rows`` would hold
+            # it in its reused result tuple)
+            chunk_iter = iter(chunks)
+            for chunk_rows in rows:
+                yield from zip(next(chunk_iter), chunk_rows)
+                del chunk_rows
+
         first = len(existing_infos)
         shard_infos = existing_infos + _write_rolling(
-            cache.states_for_many(
-                origin_list, workers=workers, batch=batch, stream=True
-            ),
+            records(),
             lambda k: MetricShardWriter(
                 target_dir / f"metrics-{first + k:05d}.mshard",
                 targets=target_tuple,
@@ -1540,9 +1573,7 @@ def precompute_metric_shards(
                 n_nodes=cg.n,
                 asns=cg.asns,
             ),
-            lambda writer, origin, state: writer.add(
-                origin, *_metric_row(state, origin, target_tuple, trim_value)
-            ),
+            lambda writer, origin, row: writer.add(origin, *row),
             shard_size,
             progress,
             len(origin_list),
@@ -1551,7 +1582,9 @@ def precompute_metric_shards(
         if routing_store is not None:
             routing_store.close()
 
-    manifest = manifest or _new_manifest(cg, digest, 1, batch, shard_size)
+    manifest = manifest or _new_manifest(
+        cg, digest, workers, batch, shard_size
+    )
     manifest["metric_shards"] = shard_infos
     manifest["metric_targets"] = list(target_tuple)
     manifest["metric_trim"] = trim_value

@@ -1,4 +1,4 @@
-"""Numpy kernels for compiled propagation and the metric DAG passes.
+"""Numpy kernels for compiled propagation and the metric passes.
 
 The compiled engine (:mod:`repro.bgpsim.compiled`), the bit-parallel
 multi-origin sweep (:mod:`repro.bgpsim.multiorigin`) and the metric
@@ -13,20 +13,33 @@ as level-synchronous numpy sweeps over the CSR arrays:
   route-equivalent to :func:`~repro.bgpsim.engine.propagate_reference`,
   with the parent pools in canonical ascending order.
 * :func:`propagate_batch_vector` — the multi-origin sweep on ``(n, W)``
-  uint64 mask matrices; the batch keeps its arrival buckets as numpy
-  arrays, and :func:`batch_view_column` / :func:`batch_view_pool`
-  rebuild one origin's compiled arrays from them.
-* :func:`build_metric_dag_vector` and the kernel twins
-  (:func:`reliance_mass_vector`, :func:`cross_fractions_vector`,
-  :func:`length_histogram_vector`) — the DAG passes as level-batched
-  forward/backward sweeps.  Float accumulation keeps the canonical order
-  of the array-loop kernels in :mod:`repro.bgpsim.metrics_kernel`
-  (``np.add.at`` adds sequentially, levels are processed in the same
-  direction, parents ascending within a node), so float results are
-  **bit-identical** to them and to the dict metrics of
-  :mod:`repro.core`.  When tied-best-path counts exceed 2**53 (where
-  int→float64 casts stop being exact) the builders return ``None`` and
-  callers fall back to the array loops, which keep exact big ints.
+  uint64 mask matrices.  The batch keeps its arrival buckets and its
+  tied parent edges as numpy arrays (each edge with the mask of the
+  origins it is tied for, recorded by the sweep itself), and
+  :func:`batch_view_column` / :func:`batch_view_pool` rebuild one
+  origin's compiled arrays from them.
+* :func:`build_metric_dag_vector` — the metric kernel over a whole batch:
+  tied-best-path counts, the §7 reliance mass and AS-hegemony rows for
+  up to 64 origins per sub-chunk, level by level over (origin, node)
+  cells (:class:`MetricSweep`).  For hegemony a descendant-bitmask sweep
+  gives every (origin, target) column its exact nonzero count, and the
+  float crossing-fraction recurrence runs only on the columns whose
+  trimmed slice reaches past its zeros.  One routing state is a width-1
+  sweep (:func:`state_sweep`), which serves the per-state kernels of
+  :mod:`repro.bgpsim.metrics_kernel`.
+
+Every float is **bit-identical** to the big-int array loops of
+:class:`~repro.bgpsim.metrics_kernel.MetricDAG` and to the dict metrics
+of :mod:`repro.core`, because sums add in the same order: ``np.add.at``
+and ``np.bincount`` add repeated indices one at a time, in index order
+(``np.add.reduce``, ``reduceat``, ``sum`` and ``dot`` switch to pairwise
+summation, so float sums never use them).  Reliance visits each level's
+edges in reverse, so a parent collects its children in descending node
+order; crossing-fraction numerators add a node's parents in ascending
+order; a hegemony value is builtin ``sum`` over its sorted kept slice.
+An origin whose tied-best-path counts pass 2**53 (where int→float64
+casts stop being exact) is flagged and served by the big-int loops,
+which keep exact Python ints; the rest of its batch stays batched.
 
 numpy is a required dependency, imported on the first kernel call rather
 than at ``import repro``, so commands that never run a kernel (``repro
@@ -34,15 +47,15 @@ serve`` answering from precomputed shards, ``--help``) do not pay for it.
 
 Equivalence with the reference engine and the dict metrics is proven by
 the differential harnesses in ``tests/test_vectorized_engine.py``,
-``tests/test_compiled_engine.py`` and ``tests/test_metric_kernels.py``.
+``tests/test_compiled_engine.py``, ``tests/test_metric_kernels.py`` and
+``tests/test_batch_metric_kernel.py``.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
-from collections.abc import Collection, Mapping
-from itertools import compress
+from bisect import bisect_left
+from collections.abc import Collection
 from typing import Optional
 
 from .compiled import (
@@ -55,24 +68,18 @@ from .compiled import (
 from .routes import Seed
 
 __all__ = [
+    "MetricSweep",
     "propagate_compiled_vector",
     "propagate_batch_vector",
     "batch_view_column",
     "batch_view_pool",
     "build_metric_dag_vector",
-    "path_counts_vector",
-    "metric_row_buffers",
-    "reliance_mass_vector",
-    "reliance_vector",
-    "cross_fractions_vector",
-    "cross_fractions_many_vector",
-    "hegemony_values_vector",
-    "length_histogram_vector",
+    "state_sweep",
 ]
 
 #: largest integer exactly representable as a float64; tied-best-path
-#: counts beyond this make the int→float casts inexact, so the
-#: vectorized kernels hand back to the big-int array loops
+#: counts beyond this make the int→float casts inexact, so the metric
+#: kernel hands those origins to the big-int array loops
 _EXACT_FLOAT_MAX = 1 << 53
 
 _np = None
@@ -111,6 +118,7 @@ _DTYPES = {
     "l": "i8",
     "Q": "u8",
     "q": "i8",
+    "d": "f8",
 }
 
 
@@ -481,6 +489,12 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
     :class:`~repro.bgpsim.multiorigin.BatchRoutingState` stores them
     concatenated as flat arrays (node, class, level, and a ``(W, E)``
     word-major mask matrix), from which each view reads its own bit.
+
+    The sweep also records every tied parent edge.  An expanded edge
+    carries its sender's mask; ANDed with the bits first arriving at its
+    receiver at that level, it is exactly the set of origins for which
+    the sender is a tied parent of the receiver.  Those ``(child,
+    parent, level, mask)`` rows are kept sorted by (child, parent, level).
     """
     from .multiorigin import BatchRoutingState
 
@@ -496,6 +510,7 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
     peer = np.zeros((n, words), dtype=np.uint64)
     prov = np.zeros((n, words), dtype=np.uint64)
     buckets: dict[tuple[int, int], tuple] = {}
+    ties: list[tuple] = []
 
     poff, pnbr = g["poff"], g["pnbr"]
     coff, cnbr = g["coff"], g["cnbr"]
@@ -510,17 +525,31 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
 
     def _expand(off, nbr, nodes, masks):
         """Push ``masks`` across one CSR relation, dropping excluded
-        receivers; returns per-edge (recv, mask-rows)."""
+        receivers; returns per-edge (recv, send, mask-rows)."""
         starts = off[nodes]
         counts = off[nodes + 1] - starts
         if not int(counts.sum()):
             return None
         recv = nbr[_seg_arange(starts, counts)]
-        rmask = np.repeat(masks, counts, axis=0)
         keep = ~exm[recv]
         if not keep.any():
             return None
-        return recv[keep], rmask[keep]
+        send = np.repeat(nodes, counts)[keep]
+        return recv[keep], send, np.repeat(masks, counts, axis=0)[keep]
+
+    def _any(masks):
+        """``masks.any(axis=1)``, as an OR across the W words (several
+        times faster than the reduction)."""
+        acc = masks[:, 0].copy()
+        for w in range(1, words):
+            acc |= masks[:, w]
+        return acc != 0
+
+    def _tie(level, recv, send, tie):
+        """Record the edges whose ``tie`` bits arrive first at ``recv``."""
+        alive = _any(tie)
+        if alive.any():
+            ties.append((level, recv[alive], send[alive], tie[alive]))
 
     # -- phase 1: BFS up provider edges, all origin bits at once ---------
     bit_ids = np.arange(width, dtype=np.uint64)
@@ -538,7 +567,7 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
     cust_levels: list[tuple[int, "object", "object"]] = []
     while nodes.size:
         newm = masks & ~cust[nodes]
-        any_new = newm.any(axis=1)
+        any_new = _any(newm)
         nodes, newm = nodes[any_new], newm[any_new]
         if not nodes.size:
             break
@@ -549,9 +578,11 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
         if edges is None:
             nodes = np.empty(0, dtype=np.int64)
         else:
-            uq, acc = _aggregate(*edges)
+            recv, send, rmask = edges
+            _tie(level + 1, recv, send, rmask & ~cust[recv])
+            uq, acc = _aggregate(recv, rmask)
             rem = acc & ~cust[uq]
-            alive = rem.any(axis=1)
+            alive = _any(rem)
             nodes, masks = uq[alive], rem[alive]
         level += 1
 
@@ -561,9 +592,10 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
         edges = _expand(qoff, qnbr, lnodes, lmasks)
         if edges is None:
             continue
-        recv, rmask = edges
+        recv, send, rmask = edges
         bits = rmask & ~cust[recv] & ~peer[recv]
-        alive = bits.any(axis=1)
+        _tie(src_level + 1, recv, send, bits)
+        alive = _any(bits)
         recv, bits = recv[alive], bits[alive]
         if not recv.size:
             continue
@@ -588,10 +620,13 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
         depth = min(pending)
         parts = pending.pop(depth)
         recv = np.concatenate([p[0] for p in parts])
-        rmask = np.concatenate([p[1] for p in parts])
+        send = np.concatenate([p[1] for p in parts])
+        rmask = np.concatenate([p[2] for p in parts])
+        routed = cust[recv] | peer[recv] | prov[recv]
+        _tie(depth, recv, send, rmask & ~routed)
         uq, acc = _aggregate(recv, rmask)
         new = acc & ~cust[uq] & ~peer[uq] & ~prov[uq]
-        alive = new.any(axis=1)
+        alive = _any(new)
         uq, new = uq[alive], new[alive]
         if uq.size:
             prov[uq] |= new
@@ -611,38 +646,39 @@ def propagate_batch_vector(cg: CompiledGraph, origins: tuple[int, ...], ex):
         np.ascontiguousarray(
             np.concatenate([buckets[key][1] for key in keys]).T
         ),
+        *_tie_rows(ties, words, n),
     )
 
 
-def _parent_edges(cg: CompiledGraph) -> tuple:
-    """Every candidate parent edge of a compiled graph, sorted by
-    (child, parent) and cached with the CSR views (built on the first
-    batch view, never by ``compile()``).
-
-    Returns ``(child, parent, cls, widest)``: edge *e* can carry
-    ``child[e]``'s best route only when that route has class ``cls[e]``
-    — 0 when ``parent[e]`` is a customer of the child, 1 a peer, 2 a
-    provider — and the parent's own route class is at most
-    ``widest[e]`` (customers and peers export only customer routes,
-    providers export every route).
-    """
-    g = _graph_arrays(cg)
-    edges = g.get("parent_edges")
-    if edges is None:
-        np = _numpy()
-        rows = ((g["coff"], g["cnbr"]), (g["qoff"], g["qnbr"]),
-                (g["poff"], g["pnbr"]))
-        nodes = np.arange(cg.n, dtype=np.int64)
-        child = np.concatenate([np.repeat(nodes, np.diff(off))
-                                for off, _ in rows])
-        parent = np.concatenate([nbr for _, nbr in rows])
-        cls = np.repeat(np.arange(3, dtype=np.uint8),
-                        [nbr.size for _, nbr in rows])
-        o = np.lexsort((parent, child))
-        child, parent, cls = child[o], parent[o], cls[o]
-        widest = np.where(cls == 2, 2, 0).astype(np.uint8)
-        edges = g["parent_edges"] = (child, parent, cls, widest)
-    return edges
+def _tie_rows(ties: list, words: int, n: int) -> tuple:
+    """``(child, parent, level, (W, R) masks)`` of the recorded tie edges,
+    sorted by (child, parent, level).  A sender that holds routes of
+    several classes at one level is expanded once per class: its rows
+    for the same (level, child, parent) carry disjoint bits and are
+    merged into one."""
+    np = _numpy()
+    if not ties:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty.astype(np.uint16), np.zeros(
+            (words, 0), dtype=np.uint64
+        )
+    span = max(t[0] for t in ties) + 1
+    key = np.concatenate(
+        [(t[1] * n + t[2]) * span + t[0] for t in ties]
+    )
+    o = np.argsort(key)
+    key, masks = key[o], np.concatenate([t[3] for t in ties])[o]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    if not first.all():
+        starts = np.flatnonzero(first)
+        masks = np.bitwise_or.reduceat(masks, starts, axis=0)
+        key = key[starts]
+    edge, level = np.divmod(key, span)
+    child, parent = np.divmod(edge, n)
+    return child, parent, level.astype(np.uint16), np.ascontiguousarray(
+        masks.T
+    )
 
 
 def batch_view_column(batch, bit: int, n: int) -> tuple[bytearray, array]:
@@ -652,7 +688,7 @@ def batch_view_column(batch, bit: int, n: int) -> tuple[bytearray, array]:
     unrouted."""
     np = _numpy()
     hit = np.flatnonzero(
-        batch._masks[bit >> 6] & np.uint64(1 << (bit & 63))
+        batch._masks[bit >> 6] & np.uint64(1 << (bit & 63)) != 0
     )
     nodes = batch._nodes[hit]
     levels = batch._levels[hit]
@@ -664,46 +700,410 @@ def batch_view_column(batch, bit: int, n: int) -> tuple[bytearray, array]:
     return bytearray(rc.tobytes()), _to_array(_unsigned_typecode(max_len), ln)
 
 
-def batch_view_pool(cg: CompiledGraph, rc, ln) -> tuple:
+def batch_view_pool(batch, bit: int, rc) -> tuple:
     """``(parent_head, pool_parent, pool_next, routed)`` of one batch
-    view, from its class/length columns.
-
-    A node's tied parents are the neighbours on the edges that can carry
-    its route class whose route is exportable to it and one hop shorter
-    (first-arrival levels make that exactly the tie set), so one
-    vectorised filter over :func:`_parent_edges` picks every parent edge
-    at once, already in the (child, parent) order of
-    :func:`propagate_compiled_vector`'s pools.  Seeds keep no parents:
-    nothing routes at length -1.
-    """
+    view: the tie rows carrying its bit, already in the (child, parent)
+    order of :func:`propagate_compiled_vector`'s pools.  Seeds keep no
+    parents."""
     np = _numpy()
-    child, parent, cls, widest = _parent_edges(cg)
-    rcn = _as_np(rc)
-    lnn = _as_np(ln).astype(np.int64)
-    k = np.flatnonzero(rcn[child] == cls)
-    c, p = child[k], parent[k]
-    keep = (rcn[p] <= widest[k]) & (lnn[p] + 1 == lnn[c])
+    hit = np.flatnonzero(
+        batch._tie_masks[bit >> 6] & np.uint64(1 << (bit & 63)) != 0
+    )
     return _linked_pool(
-        cg.n, c[keep], p[keep], np.flatnonzero(rcn != _NO_ROUTE)
+        len(rc),
+        batch._tie_child[hit],
+        batch._tie_parent[hit],
+        np.flatnonzero(_as_np(rc) != _NO_ROUTE),
     )
 
 
 # ---------------------------------------------------------------------------
-# metric DAG build (the MetricDAG constructor's twin)
+# metric kernel: counts, reliance and hegemony for many origins at once
 # ---------------------------------------------------------------------------
 
+#: (origin, node) cells one sub-chunk of the metric kernel may hold: the
+#: sub-chunk is 64 origins wide at ``mid`` scale (1,990 ASes) and 7 at
+#: ``full`` (70k ASes); crossing-fraction columns are chunked the same way
+_CELL_BUDGET = 1 << 19
 
-def build_metric_dag_vector(state):
-    """Vectorized :class:`~repro.bgpsim.metrics_kernel.MetricDAG` build.
+#: tied-best-path counts past 2**53 are clamped here (their origin goes
+#: to the big-int loops), so level sums over pools of under 1024 parents
+#: cannot wrap int64
+_COUNT_CAP = _EXACT_FLOAT_MAX + 1
 
-    Produces a genuine ``MetricDAG`` (plain-list fields, identical to the
-    pure constructor's output) so every existing consumer — including the
-    exact-``Fraction`` reference paths — works unchanged.  Returns
-    ``None`` when tied-best-path counts overflow the exact-float range,
-    in which case the caller builds the DAG with the pure big-int loop.
+
+_BYTE_BITS = None
+
+
+def _byte_bits() -> tuple:
+    """Tables of the 256 byte values: ``(count, first, where, bits)`` —
+    set-bit count, offset of the value's run in ``where``, the set-bit
+    positions of every value in turn, and the ``(256, 8)`` bit matrix."""
+    global _BYTE_BITS
+    if _BYTE_BITS is None:
+        np = _numpy()
+        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        count = bits.sum(axis=1)
+        first = np.concatenate(([0], np.cumsum(count)[:-1]))
+        _BYTE_BITS = count, first, np.nonzero(bits)[1], bits
+    return _BYTE_BITS
+
+
+def _set_bits(words):
+    """``(row, bit)`` of every set bit of the uint64 ``words``, row-major
+    with bits ascending.  Reads bytes, not bits: each nonzero byte
+    expands through a table of the bit positions of all 256 values."""
+    np = _numpy()
+    count, first, where, _ = _byte_bits()
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    # (numpy's nonzero scan is several times faster on booleans)
+    at = np.flatnonzero(octets != 0)
+    value = octets[at]
+    k = count[value]
+    pos = where[_seg_arange(first[value], k)]
+    at = np.repeat(at, k)
+    return at >> 3, (at & 7) * 8 + pos
+
+
+class MetricSweep:
+    """The best-path DAGs of ``width`` origins (slots) over one graph of
+    ``n`` nodes, as one edge list in (slot, node) cell space: cell
+    ``k * n + i`` is node *i* in slot *k*'s DAG.
+
+    ``lvl`` is every cell's path length (-1: unrouted) and ``seeds`` the
+    seed cells.  Edge *e* of slot ``slot[e]`` joins child cell ``cp[e]``
+    to its tied parent ``pp[e]``; the edges run in (child level, slot,
+    child, parent) order, level group *g* spanning
+    ``bounds[g]:bounds[g + 1]`` with its children at path length
+    ``glevel[g]``.
+
+    Construction runs the forward count pass: ``cnt`` holds the
+    tied-best-path counts (seeds 1), ``denf`` each cell's parent-count
+    sum (the float kernels' denominator), ``single`` the cells with one
+    tied parent, and ``bad`` the slots the float64 kernels cannot serve
+    exactly — counts beyond 2**53, or a zero denominator under a
+    nonempty pool — which the big-int loops of
+    :class:`~repro.bgpsim.metrics_kernel.MetricDAG` serve instead.  The
+    other kernels are methods; every float they return is bit-identical
+    to those loops (see the module notes).
+
+    A width-1 sweep of one routing state (:func:`state_sweep`) also
+    carries the navigation fields of a ``MetricDAG``: ``asns``,
+    ``order`` (routed nodes by path length, then index), ``lengths``,
+    ``routed``, ``seed_idx`` and :meth:`idx`.
+    """
+
+    def __init__(self, n, width, lvl, seeds, slot, cp, pp, glevel, bounds):
+        np = _numpy()
+        self.n, self.width = n, width
+        self.lvl, self.seeds = lvl, seeds
+        self.slot, self.cp, self.pp = slot, cp, pp
+        self.glevel, self.bounds = glevel, bounds
+        cells = width * n
+        groups = glevel.size
+        pool = np.bincount(cp, minlength=cells)
+        self.single = pool == 1
+
+        cnt = np.zeros(cells, dtype=np.int64)
+        cnt[seeds] = 1
+        den = np.zeros(cells, dtype=np.int64)
+        bad = np.zeros(width, dtype=bool)
+        # past 1023 parents even clamped counts could wrap int64: a float
+        # shadow sum then flags the overflow
+        wide = bool(cp.size) and int(pool.max()) >= 1024
+        reseed = bool(pool[seeds].any())
+        for g in range(groups):
+            edges = slice(bounds[g], bounds[g + 1])
+            c, p = cp[edges], pp[edges]
+            vals = cnt[p]
+            np.add.at(den, c, vals)
+            s = den[c]
+            over = s > _EXACT_FLOAT_MAX
+            if wide:
+                shadow = np.zeros(cells)
+                np.add.at(shadow, c, vals.astype(np.float64))
+                over |= shadow[c] > _EXACT_FLOAT_MAX
+            if over.any():
+                bad[slot[edges][over]] = True
+                s = np.minimum(s, _COUNT_CAP)
+            cnt[c] = s
+            if reseed:
+                cnt[seeds] = 1  # a seed counts one path, parents or not
+        bad[slot[den[cp] == 0]] = True
+        self.cnt, self.bad = cnt, bad
+        self.cntf = cnt.astype(np.float64)
+        self.denf = den.astype(np.float64)
+        self._mass = None
+
+    # -- §7 reliance -------------------------------------------------------
+    def mass(self, mass):
+        """The §7 backward sweep, in place over ``mass`` (each cell's
+        starting mass, float64) — which it returns.
+
+        Level groups run descending, and each group's edges reversed, so
+        every parent collects its children's shares in descending node
+        order, one ``np.add.at`` step at a time: the accumulation order
+        of the big-int loop.  A share is ``counts[p] / denom`` (exactly
+        1.0 for a single parent, where the loop adds the mass as is).
+        """
+        np = _numpy()
+        cp, pp, b = self.cp, self.pp, self.bounds
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = self.cntf[pp] / self.denf[cp]
+        for g in range(self.glevel.size - 1, -1, -1):
+            lo, hi = b[g], b[g + 1]
+            c = cp[lo:hi][::-1]
+            np.add.at(mass, pp[lo:hi][::-1], mass[c] * share[lo:hi][::-1])
+        return mass
+
+    # -- hegemony crossing fractions ----------------------------------------
+    def _descendants(self, targets, live):
+        """``(ceil(T / 64), width * n)`` uint64: bit *j* of a cell is set
+        when the cell is ``targets[j]`` or one of its descendants in the
+        slot's DAG, for the ``live`` (slot, target) pairs."""
+        np = _numpy()
+        n = self.n
+        words = (targets.size + 63) >> 6
+        desc = np.zeros((words, self.width * n), dtype=np.uint64)
+        kk, jj = np.nonzero(live)
+        np.bitwise_or.at(
+            desc,
+            (jj >> 6, kk * n + targets[jj]),
+            np.uint64(1) << (jj & 63).astype(np.uint64),
+        )
+        cp, pp, b = self.cp, self.pp, self.bounds
+        for g in range(self.glevel.size):
+            c, p = cp[b[g] : b[g + 1]], pp[b[g] : b[g + 1]]
+            for w in range(words):
+                np.bitwise_or.at(desc[w], c, desc[w][p])
+        return desc
+
+    def _slot_counts(self, desc, count: int):
+        """``(width, count)``: per slot, the cells with bit *j* set.
+        Histograms each byte position's values per slot, then counts the
+        bits of the 256 byte values (integer counts, exact)."""
+        np = _numpy()
+        table = _byte_bits()[3]
+        width = self.width
+        base = np.arange(width, dtype=np.int64)[:, None] * 256
+        out = []
+        for row in desc:
+            octets = row.astype("<u8", copy=False).view(np.uint8)
+            octets = octets.reshape(width, self.n, 8)
+            for b in range(8):
+                hist = np.bincount(
+                    (octets[:, :, b] + base).ravel(), minlength=width * 256
+                )
+                out.append(hist.reshape(width, 256) @ table)
+        return np.concatenate(out, axis=1)[:, :count]
+
+    def fractions(self, ck, tn, cj, desc):
+        """``(C, n)`` crossing fractions of C columns: column *c* holds,
+        for every node of slot ``ck[c]``'s DAG, the fraction of its
+        tied-best paths that cross node ``tn[c]`` (1.0 at that target),
+        whose descendant cells carry bit ``cj[c]`` of ``desc``.
+
+        Only descendants are computed: every other cell's fraction is
+        0.0, so dropping a parent that is not a descendant drops an
+        exact ``+ 0.0`` term.  Per level, each edge's parent bits ANDed
+        with its slot's column bits name the columns it feeds; a child
+        accumulates ``fraction * count`` over those parents with
+        ``np.add.at``, in ascending parent order as the big-int loop
+        adds them, and then takes ``numer / denom`` — or, with a single
+        parent, inherits that parent's fraction as is.
+        """
+        np = _numpy()
+        n, width = self.n, self.width
+        cp, pp, b = self.cp, self.pp, self.bounds
+        cols = ck.size
+        words = desc.shape[0]
+        frac = np.zeros(cols * n)
+        frac[np.arange(cols) * n + tn] = 1.0
+        # column (k, j) holds cell k * n + i at frac[c * n + i]: ``shift``
+        # maps slot * 64 * words + j to that c * n - k * n
+        shift = np.zeros(width * 64 * words, dtype=np.int64)
+        shift[ck * (64 * words) + cj] = (np.arange(cols) - ck) * n
+        wanted = np.zeros((words, width), dtype=np.uint64)
+        np.bitwise_or.at(
+            wanted,
+            (cj >> 6, ck),
+            np.uint64(1) << (cj & 63).astype(np.uint64),
+        )
+        slot = self.slot
+        ebase = slot * (64 * words)
+        for g in range(self.glevel.size):
+            lo, hi = b[g], b[g + 1]
+            for w in range(words):
+                hits = desc[w][pp[lo:hi]] & wanted[w][slot[lo:hi]]
+                e = np.flatnonzero(hits != 0)
+                if not e.size:
+                    continue
+                r, j = _set_bits(hits[e])
+                e = e[r] + lo
+                sc = shift[ebase[e] + (64 * w + j)]
+                p, c = pp[e], cp[e]
+                at, src = c + sc, p + sc
+                one = self.single[c]
+                frac[at[one]] = frac[src[one]]
+                many = ~one
+                at, p, c = at[many], p[many], c[many]
+                np.add.at(frac, at, frac[src[many]] * self.cntf[p])
+                frac[at] = frac[at] / self.denf[c]
+        return frac.reshape(cols, n)
+
+    def hegemony(self, origins, targets, same, trim: float):
+        """``(width, T)`` float64 local-hegemony rows: slot *k* toward
+        node ``targets[j]`` (-1: not in the graph; 0.0), NaN where
+        ``same[k, j]`` (the target is the row's origin).  ``origins[k]``
+        is the node whose cell is no sample (-1: none).
+
+        A value is the trimmed mean of the crossing fractions of every
+        routed node but the origin and the target.  Fractions are
+        ``>= 0``, so sorted samples start with their zeros, and adding
+        ``+0.0`` changes neither the running sum nor the compensation of
+        builtin ``sum``: a value is the ``sum`` of the *nonzero* part of
+        its kept slice over the kept width.  The descendant bitmasks give
+        every column's exact nonzero count, so the float recurrence runs
+        only on the columns whose kept slice reaches past its zeros; the
+        trim cuts every nonzero cell of the rest, which are ``0.0``.
+        """
+        np = _numpy()
+        width, n = self.width, self.n
+        t = np.asarray(targets, dtype=np.int64)
+        org = np.asarray(origins, dtype=np.int64)
+        routed = (self.lvl >= 0).reshape(width, n)
+        slots = np.arange(width)
+        live = (t >= 0)[None, :] & routed[:, np.maximum(t, 0)] & ~same
+        sample_origin = (org >= 0) & routed[slots, np.maximum(org, 0)]
+        nsmp = routed.sum(axis=1) - 1 - sample_origin
+        rows = np.where(same, np.nan, 0.0)
+        if not live.any():
+            return rows
+        desc = self._descendants(t, live)
+        # strict descendants (an origin cell among them only selects one
+        # column too many: each kept slice is cut from its column's own
+        # nonzero cells below)
+        nz = self._slot_counts(desc, t.size) - live
+        lo = np.zeros(width, dtype=np.int64)
+        hi = np.zeros(width, dtype=np.int64)
+        for k in np.flatnonzero(live.any(axis=1)).tolist():
+            count = int(nsmp[k])
+            cut = int(count * trim)
+            a, b, _ = slice(cut, count - cut).indices(count)
+            if b <= a:
+                a, b = 0, count  # an empty kept slice keeps every sample
+            lo[k], hi[k] = a, b
+        zeros = nsmp[:, None] - nz
+        first = np.maximum(lo[:, None] - zeros, 0)
+        last = np.maximum(hi[:, None] - zeros, 0)
+        ck, cj = np.nonzero(live & (first < last))
+        step = max(1, _CELL_BUDGET // n)
+        for s in range(0, ck.size, step):
+            k, j = ck[s : s + step], cj[s : s + step]
+            frac = self.fractions(k, t[j], j, desc)
+            own = sample_origin[k]
+            frac[np.flatnonzero(own), org[k[own]]] = 0.0
+            # every column's nonzero cells, column after column: the
+            # target's own 1.0 sorts last, past every kept slice
+            nonzero = frac != 0.0
+            values = frac[nonzero]
+            ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+            begin = 0
+            for end, kc, jc in zip(ends, k.tolist(), j.tolist()):
+                samples = values[begin:end]
+                samples.sort()
+                gap = int(nsmp[kc]) - (end - begin - 1)  # its zero samples
+                kept = samples[max(lo[kc] - gap, 0) : max(hi[kc] - gap, 0)]
+                rows[kc, jc] = sum(kept.tolist()) / int(hi[kc] - lo[kc])
+                begin = end
+        return rows
+
+    # -- width-1 conveniences (state_sweep) ----------------------------------
+    def idx(self, asn: int) -> Optional[int]:
+        """Node index of ``asn`` (None when absent from the graph)."""
+        i = bisect_left(self.asns, asn)
+        if i < len(self.asns) and self.asns[i] == asn:
+            return i
+        return None
+
+    @property
+    def keys(self) -> list:
+        """ASNs in ``order`` sequence (the kernels' output-dict keys)."""
+        keys = self.__dict__.get("_keys")
+        if keys is None:
+            asns = self.asns
+            keys = self._keys = [asns[i] for i in self.order]
+        return keys
+
+    def reliance(self, receivers: Optional[Collection[int]] = None):
+        """Node-indexed reliance mass toward ``receivers`` (default: every
+        routed non-seed node, cached; callers must not mutate it)."""
+        if receivers is None and self._mass is not None:
+            return self._mass
+        np = _numpy()
+        if receivers is None:
+            mass = (self.lvl >= 0).astype(np.float64)
+            mass[self.seeds] = 0.0
+        else:
+            mass = np.zeros(self.n)
+            for asn in receivers:
+                i = self.idx(asn)
+                if i is not None and self.routed[i] and i not in self.seed_idx:
+                    mass[i] = 1.0
+        self.mass(mass)
+        if receivers is None:
+            self._mass = mass
+        return mass
+
+    def cross_fractions(self, targets) -> list[dict[int, float]]:
+        """ASN-keyed crossing fractions (in ``order``) toward each target;
+        ``{}`` for a target that is unrouted or not in the graph."""
+        np = _numpy()
+        results: list[dict[int, float]] = [{} for _ in targets]
+        live = [
+            (j, i)
+            for j, i in enumerate(self.idx(t) for t in targets)
+            if i is not None and self.routed[i]
+        ]
+        if not live:
+            return results
+        keys, order = self.keys, self._order
+        tn = np.array([i for _, i in live], dtype=np.int64)
+        desc = self._descendants(tn, np.ones((1, tn.size), dtype=bool))
+        step = max(1, _CELL_BUDGET // self.n)
+        for s in range(0, tn.size, step):
+            cols = np.arange(s, min(s + step, tn.size))
+            frac = self.fractions(
+                np.zeros(cols.size, np.int64), tn[cols], cols, desc
+            )
+            for c, col in enumerate(cols.tolist()):
+                values = frac[c, order].tolist()
+                results[live[col][0]] = dict(zip(keys, values))
+        return results
+
+    def hegemony_row(self, origin: int, targets, trim: float) -> array:
+        """One origin's local hegemony toward every target, as a compact
+        float array (NaN where target == origin)."""
+        np = _numpy()
+        o, *t = (self.idx(a) for a in (origin, *targets))
+        row = self.hegemony(
+            [-1 if o is None else o],
+            [-1 if i is None else i for i in t],
+            np.array([[a == origin for a in targets]], dtype=bool),
+            trim,
+        )
+        return _to_array("d", row[0])
+
+
+def state_sweep(state) -> MetricSweep:
+    """The width-1 :class:`MetricSweep` of one array routing state.
+
+    A :class:`CompiledRoutingState` (or a batch view) supplies its linked
+    parent pools, walked for every node in parallel (one gather per
+    list depth); a :class:`~repro.bgpsim.incremental.DeltaRoutingState`
+    replaces its overridden nodes' routes and pools by the overrides.
     """
     from .incremental import DeltaRoutingState
-    from .metrics_kernel import MetricDAG
 
     np = _numpy()
     if isinstance(state, DeltaRoutingState):
@@ -720,661 +1120,178 @@ def build_metric_dag_vector(state):
             rc[i] = override[0]
             if override[0] != _NO_ROUTE:
                 ln[i] = override[1]
-    routed_mask = rc != _NO_ROUTE
-    idxs = np.nonzero(routed_mask)[0].astype(np.int64)
-    m = idxs.size
-    # stable sort by length == the pure counting sort: length ascending,
-    # node index ascending within a length
-    order = idxs[np.argsort(ln[idxs], kind="stable")]
-    lengths = ln[order]
-    positions = np.arange(m, dtype=np.int64)
+    routed = rc != _NO_ROUTE
+    lvl = np.where(routed, ln, -1)
 
-    # parent edges: walk every linked pool in parallel (one gather per
-    # linked-list depth), overridden nodes replaced by their override sets
-    head = _as_np(base._parent_head).astype(np.int64)[order]
+    # parent edges: walk every linked pool in parallel, overridden nodes
+    # replaced by their override sets
+    head = _as_np(base._parent_head).astype(np.int64)
     if overrides:
-        ov_nodes = np.fromiter(overrides.keys(), np.int64, len(overrides))
-        head[np.isin(order, ov_nodes)] = -1
+        head = head.copy()
+        head[np.fromiter(overrides.keys(), np.int64, len(overrides))] = -1
     pool_parent = _as_np(base._pool_parent).astype(np.int64)
     pool_next = _as_np(base._pool_next).astype(np.int64)
-    pos_parts: list = []
-    par_parts: list = []
-    apos, acur = positions, head
-    alive = acur >= 0
-    apos, acur = apos[alive], acur[alive]
-    while apos.size:
-        pos_parts.append(apos)
-        par_parts.append(pool_parent[acur])
-        acur = pool_next[acur]
-        alive = acur >= 0
-        apos, acur = apos[alive], acur[alive]
+    child_parts: list = []
+    parent_parts: list = []
+    node = np.flatnonzero(routed & (head >= 0))
+    cur = head[node]
+    while node.size:
+        child_parts.append(node)
+        parent_parts.append(pool_parent[cur])
+        cur = pool_next[cur]
+        alive = cur >= 0
+        node, cur = node[alive], cur[alive]
     if overrides:
-        pos_lookup = np.full(n, -1, dtype=np.int64)
-        pos_lookup[order] = positions
-        extra_pos: list[int] = []
-        extra_par: list[int] = []
-        for i, override in overrides.items():
-            if override[0] == _NO_ROUTE:
-                continue
-            k = int(pos_lookup[i])
-            for p in override[2]:
-                extra_pos.append(k)
-                extra_par.append(p)
-        if extra_pos:
-            pos_parts.append(np.asarray(extra_pos, np.int64))
-            par_parts.append(np.asarray(extra_par, np.int64))
-    if pos_parts:
-        epos = np.concatenate(pos_parts)
-        epar = np.concatenate(par_parts)
-        o = np.lexsort((epar, epos))
-        epos, epar = epos[o], epar[o]
+        extra = [
+            (i, p)
+            for i, override in overrides.items()
+            if override[0] != _NO_ROUTE
+            for p in override[2]
+        ]
+        if extra:
+            pairs = np.asarray(extra, dtype=np.int64)
+            child_parts.append(pairs[:, 0])
+            parent_parts.append(pairs[:, 1])
+    if child_parts:
+        child = np.concatenate(child_parts)
+        parent = np.concatenate(parent_parts)
+        o = np.lexsort((parent, child))
+        child, parent = child[o], parent[o]
+        o = np.argsort(lvl[child], kind="stable")
+        child, parent = child[o], parent[o]
     else:
-        epos = epar = np.empty(0, dtype=np.int64)
-    edge_counts = np.bincount(epos, minlength=m).astype(np.int64)
-    par_off = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(edge_counts, out=par_off[1:])
+        child = parent = np.empty(0, dtype=np.int64)
+    elvl = lvl[child]
+    glevel, starts = np.unique(elvl, return_index=True)
+    bounds = np.append(starts, elvl.size).astype(np.int64)
 
-    # tied-best-path counts, level-batched; parents are strictly shorter
-    # so each level reads only finalized values
     seed_idx = frozenset(
-        i
-        for i in (base._idx(asn) for asn in state.seed_asns)
-        if i is not None
+        i for i in (base._idx(asn) for asn in state.seed_asns) if i is not None
     )
-    seed_arr = np.fromiter(seed_idx, np.int64, len(seed_idx))
-    seed_arr.sort()
-    is_seed = np.zeros(n, dtype=bool)
-    is_seed[seed_arr] = True
-    nonseed_pos = ~is_seed[order]
-    counts = np.zeros(n, dtype=np.int64)
-    counts[seed_arr] = 1
-    if m:
-        bounds = np.nonzero(np.diff(lengths))[0] + 1
-        level_lo = np.concatenate((np.zeros(1, dtype=np.int64), bounds))
-        level_hi = np.concatenate((bounds, [m]))
-    else:
-        level_lo = level_hi = np.empty(0, dtype=np.int64)
-    # with pools of at most 1024 parents, a level sum of ≤2**53 counts
-    # cannot wrap int64, so the cheap post-check suffices; wider pools
-    # keep the per-level conservative pre-check
-    global_pool_max = int(edge_counts.max()) if m else 0
-    narrow_pools = global_pool_max <= 1024
-    # which levels contain a seed (only those need the scatter mask)
-    seed_in_level = np.zeros(level_lo.size, dtype=bool)
-    if seed_arr.size and m:
-        spos = np.nonzero(~nonseed_pos)[0]
-        seed_in_level[
-            np.searchsorted(level_lo, spos, side="right") - 1
-        ] = True
-    denom_pos = np.zeros(m, dtype=np.int64)
-    for li, (a, b) in enumerate(zip(level_lo.tolist(), level_hi.tolist())):
-        ea, eb = int(par_off[a]), int(par_off[b])
-        node_sum = np.zeros(b - a, dtype=np.int64)
-        if eb > ea:
-            vals = counts[epar[ea:eb]]
-            if not narrow_pools:
-                prev_max = int(vals.max())
-                # bail out before int64 accumulation can wrap
-                if prev_max and global_pool_max > (1 << 62) // prev_max:
-                    return None
-            np.add.at(node_sum, epos[ea:eb] - a, vals)
-            # counts beyond 2**53 leave the exactly-float range
-            if int(node_sum.max()) > _EXACT_FLOAT_MAX:
-                return None
-        denom_pos[a:b] = node_sum
-        tgt = order[a:b]
-        if seed_in_level[li]:
-            ns = nonseed_pos[a:b]
-            counts[tgt[ns]] = node_sum[ns]
-        else:
-            counts[tgt] = node_sum
-
-    dag = MetricDAG.__new__(MetricDAG)
-    dag.asns = asns
-    dag.counts = counts.tolist()
-    dag.n = n
-    dag.order = order.tolist()
-    dag.lengths = lengths.tolist()
-    dag.par_off = par_off.tolist()
-    dag.parents = epar.tolist()
-    dag.routed = bytearray(routed_mask.astype(np.uint8).tobytes())
-    dag.seed_idx = seed_idx
-    # the builder already has every kernel-cache array in hand, so the
-    # numpy cache is preset instead of rebuilt from the lists on demand
-    _finish_npc(
-        dag,
-        order=order,
-        lengths=lengths,
-        par_off=par_off,
-        parents=epar,
-        counts=counts,
-        denom=denom_pos,
-        seed_arr=seed_arr,
-        levels=(level_lo, level_hi),
-        nonseed=nonseed_pos,
+    seeds = np.array(sorted(seed_idx), dtype=np.int64)
+    sweep = MetricSweep(
+        n, 1, lvl, seeds, np.zeros(child.size, dtype=np.int64), child,
+        parent, glevel, bounds,
     )
-    return dag
+    # routed nodes by path length, node index ascending within a length
+    idxs = np.flatnonzero(routed)
+    order = idxs[np.argsort(ln[idxs], kind="stable")]
+    sweep.asns = asns
+    sweep._order = order
+    sweep.order = order.tolist()
+    sweep.lengths = ln[order].tolist()
+    sweep.routed = bytearray(routed.astype(np.uint8).tobytes())
+    sweep.seed_idx = seed_idx
+    return sweep
 
 
-def _finish_npc(
-    dag, *, order, lengths, par_off, parents, counts, denom, seed_arr,
-    levels, nonseed
-):
-    """Assemble and attach a :class:`MetricDAG`'s numpy kernel cache."""
-    np = _numpy()
-    pools = np.diff(par_off)
-    npc = {
-        "order": order,
-        "lengths": lengths,
-        "par_off": par_off,
-        "parents": parents,
-        "counts": counts,
-        "countsf": counts.astype(np.float64),
-        "denomf": denom.astype(np.float64),
-        "seed_arr": seed_arr,
-        "levels": levels,
-        "nonseed": nonseed,
-        # a zero denominator under a nonempty pool would make the pure
-        # kernels raise; hand those (pathological) DAGs back to them
-        "zero_denom": bool(np.any((denom == 0) & (pools > 0))),
-        # lazy per-DAG caches: node->position lookup, ASN keys in order
-        # sequence, the per-level sweep plans the kernels replay, and the
-        # node-indexed reliance mass toward every receiver
-        "pos": None,
-        "keys": None,
-        "rel_plan": None,
-        "cf_plan": None,
-        "mass": None,
-    }
-    dag._np = npc
-    return npc
+def build_metric_dag_vector(batch, targets, trim: float) -> list:
+    """The metric kernel over a whole
+    :class:`~repro.bgpsim.multiorigin.BatchRoutingState`.
 
+    Returns one entry per batch bit: ``(reliance, counts, hegemony,
+    routed)`` — the node-indexed float64 reliance mass toward every
+    routed AS (seeds zeroed) and tied-best-path counts, the hegemony row
+    toward ``targets`` (NaN at the origin) as a float array, and the
+    routed count — or ``None`` for an origin whose counts pass 2**53,
+    which the caller serves through the big-int loops.  The rest of the
+    batch stays batched.
 
-def _dag_np(dag):
-    """The numpy kernel cache of a :class:`MetricDAG` (lazy, cached on
-    the DAG).  ``None`` when the DAG cannot be served exactly by float64
-    kernels (counts or denominators beyond 2**53)."""
-    npc = getattr(dag, "_np", None)
-    if npc is False:
-        return None
-    if npc is not None:
-        return npc
-    np = _numpy()
-    try:
-        counts = np.asarray(dag.counts, dtype=np.int64)
-    except OverflowError:
-        dag._np = False
-        return None
-    if counts.size and int(counts.max()) > _EXACT_FLOAT_MAX:
-        dag._np = False
-        return None
-    order = np.asarray(dag.order, dtype=np.int64)
-    m = order.size
-    lengths = np.asarray(dag.lengths, dtype=np.int64)
-    par_off = np.asarray(dag.par_off, dtype=np.int64)
-    parents = np.asarray(dag.parents, dtype=np.int64)
-    pools = np.diff(par_off)
-    # guard the denominator accumulation the same way the builder guards
-    # the counts: no int64 wrap, and exact as float64
-    prev_max = int(counts.max()) if counts.size else 0
-    pool_max = int(pools.max()) if pools.size else 0
-    if prev_max and pool_max > (1 << 62) // prev_max:
-        dag._np = False
-        return None
-    edge_pos = np.repeat(np.arange(m, dtype=np.int64), pools)
-    seed_arr = np.fromiter(dag.seed_idx, np.int64, len(dag.seed_idx))
-    seed_arr.sort()
-    if m:
-        bounds = np.nonzero(np.diff(lengths))[0] + 1
-        level_lo = np.concatenate((np.zeros(1, dtype=np.int64), bounds))
-        level_hi = np.concatenate((bounds, [m]))
-    else:
-        level_lo = level_hi = np.empty(0, dtype=np.int64)
-    denom = np.zeros(m, dtype=np.int64)
-    np.add.at(denom, edge_pos, counts[parents])
-    if denom.size and int(denom.max()) > _EXACT_FLOAT_MAX:
-        dag._np = False
-        return None
-    is_seed = np.zeros(dag.n, dtype=bool)
-    is_seed[seed_arr] = True
-    return _finish_npc(
-        dag,
-        order=order,
-        lengths=lengths,
-        par_off=par_off,
-        parents=parents,
-        counts=counts,
-        denom=denom,
-        seed_arr=seed_arr,
-        levels=(level_lo, level_hi),
-        nonseed=~is_seed[order],
-    )
-
-
-def _pos_of(dag, npc):
-    """Node-index -> DAG-position lookup array (lazy, cached)."""
-    pos = npc["pos"]
-    if pos is None:
-        np = _numpy()
-        pos = np.full(dag.n, -1, dtype=np.int64)
-        pos[npc["order"]] = np.arange(npc["order"].size, dtype=np.int64)
-        npc["pos"] = pos
-    return pos
-
-
-def _keys_of(dag, npc):
-    """ASNs in DAG-order sequence (the kernels' output-dict keys)."""
-    keys = npc["keys"]
-    if keys is None:
-        asns = dag.asns
-        keys = [asns[i] for i in dag.order]
-        npc["keys"] = keys
-    return keys
-
-
-def _rel_plan(dag, npc):
-    """Per-level backward-sweep plan for the reliance kernel: for each
-    length level (descending) the child nodes (descending), their pool
-    sizes, the flattened parent indices (ascending within a child) and
-    each edge's precomputed share ``counts[p] / denom`` — everything
-    that does not depend on the receiver set."""
-    plan = npc["rel_plan"]
-    if plan is None:
-        np = _numpy()
-        order, par_off = npc["order"], npc["par_off"]
-        parents = npc["parents"]
-        countsf, denomf = npc["countsf"], npc["denomf"]
-        level_lo, level_hi = npc["levels"]
-        plan = []
-        for li in range(level_lo.size - 1, -1, -1):
-            a, b = int(level_lo[li]), int(level_hi[li])
-            if int(par_off[b]) == int(par_off[a]):
-                continue
-            ks = np.arange(b - 1, a - 1, -1, dtype=np.int64)
-            ct = par_off[ks + 1] - par_off[ks]
-            nz = ct > 0
-            ks, ct = ks[nz], ct[nz]
-            pa = parents[_seg_arange(par_off[ks], ct)]
-            # a single parent's share is exactly 1.0, so the multiply
-            # matches the pure kernel's add-without-multiply bitwise
-            share = countsf[pa] / np.repeat(denomf[ks], ct)
-            plan.append((order[ks], ct, pa, share))
-        npc["rel_plan"] = plan
-    return plan
-
-
-def _cf_plan(dag, npc):
-    """Per-level forward-sweep plan for the cross-fraction kernels, in
-    DAG *position* space.
-
-    Per level: the multi-parent rows as *global* positions plus their
-    denominators and a list of accumulation steps — step ``j`` holds the
-    ``j``-th parent (position + float count) of every row with more than
-    ``j`` parents, so replaying the steps left-to-right accumulates each
-    row's numerator in exactly the pure kernel's order (parents
-    ascending) with plain vector adds instead of a buffered ``ufunc.at``
-    — and the single-parent rows with their one parent's position."""
-    plan = npc["cf_plan"]
-    if plan is None:
-        np = _numpy()
-        par_off, parents = npc["par_off"], npc["parents"]
-        countsf, denomf = npc["countsf"], npc["denomf"]
-        level_lo, level_hi = npc["levels"]
-        pos = _pos_of(dag, npc)
-        empty = np.empty(0, dtype=np.int64)
-        plan = []
-        for li in range(level_lo.size):
-            a, b = int(level_lo[li]), int(level_hi[li])
-            ks = np.arange(a, b, dtype=np.int64)
-            ct = par_off[ks + 1] - par_off[ks]
-            lm = np.nonzero(ct > 1)[0]
-            steps: list = []
-            denom_m = empty
-            if lm.size:
-                moff = par_off[ks[lm]]
-                mct = ct[lm]
-                denom_m = denomf[ks[lm]]
-                for j in range(int(mct.max())):
-                    rows = np.nonzero(mct > j)[0]
-                    par_j = parents[moff[rows] + j]
-                    pa_pos = pos[par_j]
-                    w_pa = countsf[par_j]
-                    # step 0 covers every row (all pools have >= 2
-                    # parents), recorded as None for the assign fast path
-                    steps.append(
-                        (None if rows.size == lm.size else rows,
-                         pa_pos, w_pa)
-                    )
-            ls = np.nonzero(ct == 1)[0]
-            sp_pos = pos[parents[par_off[ks[ls]]]] if ls.size else empty
-            plan.append((a, b, a + lm, steps, denom_m, a + ls, sp_pos))
-        npc["cf_plan"] = plan
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# metric kernels (bit-identical float twins)
-# ---------------------------------------------------------------------------
-
-
-def _reliance_mass(state, receivers: Optional[Collection[int]]):
-    """The §7 backward mass sweep; ``(dag, npc, mass ndarray)`` or
-    ``None`` when the pure fallback must serve.  The mass toward every
-    receiver is cached as ``npc["mass"]``; callers must not mutate it."""
-    from .metrics_kernel import dag_of
-
-    dag = dag_of(state)
-    npc = _dag_np(dag)
-    if npc is None or npc["zero_denom"]:
-        return None
-    if receivers is None and npc["mass"] is not None:
-        return dag, npc, npc["mass"]
-    np = _numpy()
-    mass = np.zeros(dag.n)
-    if receivers is None:
-        mass[npc["order"]] = 1.0
-        mass[npc["seed_arr"]] = 0.0
-    else:
-        seed_idx = dag.seed_idx
-        routed = dag.routed
-        for asn in receivers:
-            i = dag.idx(asn)
-            if i is not None and routed[i] and i not in seed_idx:
-                mass[i] = 1.0
-    # children whose mass is still zero contribute exact +0.0 terms,
-    # which leave every (non-negative) accumulator bit-identical — so no
-    # per-call filtering is needed beyond skipping all-zero levels
-    for child_nodes, ct, pa, share in _rel_plan(dag, npc):
-        cm_k = mass[child_nodes]
-        if not cm_k.any():
-            continue
-        np.add.at(mass, pa, np.repeat(cm_k, ct) * share)
-    if receivers is None:
-        npc["mass"] = mass
-    return dag, npc, mass
-
-
-def metric_row_buffers(dag):
-    """``(reliance, counts)`` float64 node-indexed buffers for a metric
-    record, straight from the DAG's numpy cache: the cached all-receiver
-    reliance mass with the seeds zeroed (a copy) and the float64
-    tied-best-path counts.  ``None`` when the cache holds no mass (no
-    numpy cache, or the pure kernels served the reliance)."""
-    npc = dag._np
-    if not npc or npc["mass"] is None:
-        return None
-    reliance = npc["mass"].copy()
-    reliance[npc["seed_arr"]] = 0.0
-    return reliance, npc["countsf"]
-
-
-def reliance_mass_vector(state, receivers: Optional[Collection[int]] = None):
-    """Vectorized float twin of
-    :func:`~repro.bgpsim.metrics_kernel.reliance_mass_kernel`.
-
-    One backward sweep per length level, edges ordered (child descending,
-    parent ascending) and accumulated with ``np.add.at`` — the exact
-    order of the pure kernel, so the masses are bit-identical.  Returns
-    ``None`` to request the pure fallback.
+    The batch runs in sub-chunks of at most 64 origins (one mask word),
+    fewer where ``64 * n`` cells would pass the cell budget: the tie rows
+    are unpacked one mask word at a time into a :class:`MetricSweep`.
+    Each origin's edges keep the canonical order a width-1 sweep gives
+    it, so its row does not depend on the batch it rides in.
     """
-    result = _reliance_mass(state, receivers)
-    if result is None:
-        return None
-    dag, _, mass = result
-    return dag, mass.tolist()
+    np = _numpy()
+    n = batch.graph.n
+    by_level = np.argsort(batch._tie_level, kind="stable")
+    step = max(1, min(64, _CELL_BUDGET // max(n, 1)))
+    out: list = []
+    lo = 0
+    while lo < batch.width:
+        width = min(step, batch.width - lo, 64 - (lo & 63))
+        out += _sub_chunk_rows(batch, lo, width, by_level, targets, trim)
+        lo += width
+    return out
 
 
-def reliance_vector(state, receivers: Optional[Collection[int]] = None):
-    """Dict-shaped vectorized reliance — the whole of
-    :func:`~repro.bgpsim.metrics_kernel.reliance_kernel`, including the
-    zero-mass/seed filter and the ASN-keyed assembly (the pure wrapper's
-    per-node filter loop costs more than the sweep itself).  Returns
-    ``None`` to request the pure fallback."""
-    result = _reliance_mass(state, receivers)
-    if result is None:
-        return None
-    dag, npc, mass = result
-    mass_ord = mass[npc["order"]]
-    keep = npc["nonseed"] & (mass_ord != 0.0)
-    keys = _keys_of(dag, npc)
-    if bool(keep.all()):
-        return dict(zip(keys, mass_ord.tolist()))
-    kl = keep.tolist()
-    return dict(
-        zip(compress(keys, kl), compress(mass_ord.tolist(), kl))
+def _sub_chunk_rows(batch, lo: int, width: int, by_level, targets, trim):
+    """The :func:`build_metric_dag_vector` entries of one sub-chunk (its
+    sweep is dropped on return; the rows keep only their own arrays)."""
+    np = _numpy()
+    n, index = batch.graph.n, batch.graph.index
+    origins = batch.origins[lo : lo + width]
+    sweep = _batch_sweep(batch, lo, width, by_level)
+    routed = sweep.lvl >= 0
+    mass = routed.astype(np.float64)
+    mass[sweep.seeds] = 0.0
+    sweep.mass(mass)
+    mass[sweep.seeds] = 0.0
+    rows = sweep.hegemony(
+        [index[o] for o in origins],
+        [index.get(t, -1) for t in targets],
+        np.array([[t == o for t in targets] for o in origins], bool),
+        trim,
+    )
+    counts = np.count_nonzero(routed.reshape(width, n), axis=1)
+    return [
+        None
+        if sweep.bad[k]
+        else (
+            mass[k * n : (k + 1) * n],
+            sweep.cntf[k * n : (k + 1) * n],
+            _to_array("d", rows[k]),
+            int(counts[k]) - 1,
+        )
+        for k in range(width)
+    ]
+
+
+def _batch_sweep(batch, lo: int, width: int, by_level) -> MetricSweep:
+    """The :class:`MetricSweep` of batch bits ``lo`` to ``lo + width - 1``
+    (all in one mask word).  ``by_level`` orders the tie rows by level,
+    stably, so each level keeps its (child, parent) order."""
+    np = _numpy()
+    n = batch.graph.n
+    word = lo >> 6
+    shift = np.uint64(lo & 63)
+    keep = np.uint64((1 << width) - 1)
+
+    index = batch.graph.index
+    seeds = np.arange(width, dtype=np.int64) * n + np.fromiter(
+        (index[o] for o in batch.origins[lo : lo + width]), np.int64, width
     )
 
-
-def path_counts_vector(state):
-    """ASN-keyed tied-best-path counts — the dict of
-    :func:`~repro.bgpsim.metrics_kernel.path_counts_kernel` assembled
-    without the per-node Python loop.  Returns ``None`` to request the
-    pure fallback (counts beyond 2**53 never reach here — the numpy
-    cache refuses to build for them)."""
-    from .metrics_kernel import dag_of
-
-    dag = dag_of(state)
-    npc = _dag_np(dag)
-    if npc is None:
-        return None
-    counts_ord = npc["counts"][npc["order"]]
-    return dict(zip(_keys_of(dag, npc), counts_ord.tolist()))
-
-
-def cross_fractions_vector(state, target: int):
-    """Vectorized float twin of
-    :func:`~repro.bgpsim.metrics_kernel.cross_fractions_kernel`
-    (forward sweep, single-parent inheritance special-cased to match the
-    pure shortcut bitwise).  Returns ``None`` to request the fallback."""
-    from .metrics_kernel import dag_of
-
-    dag = dag_of(state)
-    npc = _dag_np(dag)
-    if npc is None or npc["zero_denom"]:
-        return None
-    ti = dag.idx(target)
-    if ti is None or not dag.routed[ti]:
-        return {}
-    np = _numpy()
-    m = npc["order"].size
-    tk = int(_pos_of(dag, npc)[ti])
-    fracp = np.zeros(m)
-    # positions are written exactly once, at their own level, so results
-    # land directly in fracp; zero-parent rows (seeds) keep the 0.0 the
-    # pure sweep assigns them
-    for a, b, lm_g, steps, denom_m, ls_g, sp_pos in _cf_plan(dag, npc):
-        if b <= tk:
-            # every fraction strictly before the target's level is an
-            # exact 0.0, the same value the pure sweep computes
-            continue
-        if steps:
-            # replaying the steps adds each row's parents left-to-right
-            # (ascending), the pure kernel's accumulation order
-            rows0, pa0, w0 = steps[0]
-            numer = fracp[pa0] * w0
-            for rows, pa_pos, w_pa in steps[1:]:
-                numer[rows] += fracp[pa_pos] * w_pa
-            fracp[lm_g] = numer / denom_m
-        if ls_g.size:
-            fracp[ls_g] = fracp[sp_pos]
-        if a <= tk < b:
-            fracp[tk] = 1.0
-    return dict(zip(_keys_of(dag, npc), fracp.tolist()))
-
-
-def cross_fractions_many_vector(state, targets):
-    """Crossing fractions of *many* targets against one state in a
-    single forward sweep (one ``(m, T)`` matrix instead of T vector
-    passes — the shape of a hegemony target sweep).  Each returned dict
-    is bit-identical to :func:`cross_fractions_vector` of that target;
-    unrouted targets yield ``{}``.  Returns ``None`` to request the
-    per-target fallback."""
-    from .metrics_kernel import dag_of
-
-    dag = dag_of(state)
-    npc = _dag_np(dag)
-    if npc is None or npc["zero_denom"]:
-        return None
-    targets = list(targets)
-    np = _numpy()
-    pos = _pos_of(dag, npc)
-    tks = np.full(len(targets), -1, dtype=np.int64)
-    for j, target in enumerate(targets):
-        ti = dag.idx(target)
-        if ti is not None and dag.routed[ti]:
-            tks[j] = pos[ti]
-    live = np.nonzero(tks >= 0)[0]
-    results: list[dict] = [{} for _ in targets]
-    if not live.size:
-        return results
-    keys = _keys_of(dag, npc)
-    columns = np.ascontiguousarray(_cf_matrix(dag, npc, tks[live]).T)
-    for col, j in enumerate(live.tolist()):
-        results[j] = dict(zip(keys, columns[col].tolist()))
-    return results
-
-
-def _cf_matrix(dag, npc, lt):
-    """The ``(m, len(lt))`` crossing-fraction matrix, one column per
-    (routed) target position in ``lt`` — the shared core of the
-    many-target sweeps."""
-    np = _numpy()
-    m = npc["order"].size
-    fracp = np.zeros((m, lt.size))
-    mintk = int(lt.min())
-    for a, b, lm_g, steps, denom_m, ls_g, sp_pos in _cf_plan(dag, npc):
-        if b <= mintk:
-            continue
-        if steps:
-            # same stepped replay as the 1-D kernel, one row vector per
-            # target column — every column stays bit-identical
-            rows0, pa0, w0 = steps[0]
-            numer = fracp[pa0] * w0[:, None]
-            for rows, pa_pos, w_pa in steps[1:]:
-                numer[rows] += fracp[pa_pos] * w_pa[:, None]
-            fracp[lm_g] = numer / denom_m[:, None]
-        if ls_g.size:
-            fracp[ls_g] = fracp[sp_pos]
-        hit = (lt >= a) & (lt < b)
-        if hit.any():
-            fracp[lt[hit], np.nonzero(hit)[0]] = 1.0
-    return fracp
-
-
-def hegemony_values_vector(state, origin: int, targets, trim: float):
-    """One origin's local hegemony toward every target, fused: the
-    crossing-fraction matrix feeds the trimmed means directly, with no
-    intermediate per-target dicts (which dominate the many-dict sweep's
-    cost).  Returns ``None`` to request the dict-based fallback.
-
-    Bit-identical to the dict path, which sorts each target's samples
-    (the fractions of every routed AS except the origin and the target)
-    and ``sum``-s the kept slice.  Fractions are ``>= 0``, so the zeros
-    sort first, and adding ``+0.0`` changes neither the running sum nor
-    the compensation term of builtin ``sum`` (plain on Python <= 3.11,
-    Neumaier-compensated on 3.12+).  A target's value is therefore the
-    ``sum`` of the *nonzero* part of its kept slice over the kept width:
-    only a column whose kept slice reaches past its zeros has its
-    nonzero cells (a few percent of the matrix) sorted and boxed, and on
-    most targets the trim cuts every nonzero cell, leaving ``0.0``.
-    """
-    from .metrics_kernel import dag_of
-
-    dag = dag_of(state)
-    npc = _dag_np(dag)
-    if npc is None or npc["zero_denom"]:
-        return None
-    np = _numpy()
-    targets = tuple(targets)
-    pos = _pos_of(dag, npc)
-    oi = dag.idx(origin)
-    opos = int(pos[oi]) if oi is not None else -1
-    others = [target for target in targets if target != origin]
-    tks = np.full(len(others), -1, dtype=np.int64)
-    for j, target in enumerate(others):
-        ti = dag.idx(target)
-        if ti is not None:
-            tks[j] = pos[ti]
-    live = np.flatnonzero(tks >= 0)
-    col_of = {j: c for c, j in enumerate(live.tolist())}
-    if live.size:
-        lt = tks[live]
-        frac = _cf_matrix(dag, npc, lt)
-        # the origin's and each target's own cells are not samples
-        if opos >= 0:
-            frac[opos] = 0.0
-        frac[lt, np.arange(lt.size)] = 0.0
-        nonzero = frac != 0.0
-        counts = np.count_nonzero(nonzero, axis=0).tolist()
-        # every live target has the same sample count: each routed AS
-        # but the origin and the target itself
-        nsmp = npc["order"].size - 1 - (opos >= 0)
-        cut = int(nsmp * trim)
-        lo, hi, _ = slice(cut, nsmp - cut).indices(nsmp)
-        if hi <= lo:
-            lo, hi = 0, nsmp  # an empty kept slice keeps every sample
-    values = array("d")
-    j = 0
-    for target in targets:
-        if target == origin:
-            values.append(math.nan)
-            continue
-        c = col_of.get(j)
-        j += 1
-        if c is None or hi <= lo:
-            # unrouted target (the dict path sees no fractions at all),
-            # or no samples
-            values.append(0.0)
-            continue
-        # the kept slice of the sorted samples, minus its zero prefix
-        zeros = nsmp - counts[c]
-        a, b = max(lo - zeros, 0), max(hi - zeros, 0)
-        kept = (
-            np.sort(frac[nonzero[:, c], c])[a:b].tolist() if a < b else ()
-        )
-        values.append(sum(kept) / (hi - lo))
-    return values
-
-
-def length_histogram_vector(
-    state,
-    weights: Optional[Mapping[int, float]] = None,
-    restrict_to: Optional[Collection[int]] = None,
-):
-    """Vectorized float twin of
-    :func:`~repro.bgpsim.metrics_kernel.length_histogram_kernel`.
-    Returns ``None`` to request the pure fallback."""
-    from .metrics_kernel import dag_of
-
-    dag = dag_of(state)
-    npc = _dag_np(dag)
-    if npc is None:
-        return None
-    np = _numpy()
-    lengths = npc["lengths"]
-    m = npc["order"].size
-    if not m:
-        return {}
-    keep = npc["nonseed"].copy()
-    keys = _keys_of(dag, npc)
-    if restrict_to is not None:
-        restrict = (
-            restrict_to
-            if isinstance(restrict_to, (set, frozenset))
-            else set(restrict_to)
-        )
-        keep &= np.fromiter((a in restrict for a in keys), np.bool_, m)
-    if weights is None:
-        w = np.ones(m)
-    else:
-        get = weights.get
-        w = np.fromiter((float(get(a, 0)) for a in keys), np.float64, m)
-    keep &= w != 0.0
-    if not keep.any():
-        return {}
-    ls, ws = lengths[keep], w[keep]
-    acc = np.zeros(int(ls.max()) + 1)
-    # ls is ascending (order is length-sorted), so per-length adds run in
-    # the same sequence as the pure dict accumulation — bit-identical
-    np.add.at(acc, ls, ws)
-    return {int(length): float(acc[length]) for length in np.unique(ls)}
+    tied = (batch._tie_masks[word][by_level] >> shift) & keep
+    hit = np.flatnonzero(tied != 0)
+    r, k = _set_bits(tied[hit])
+    rows = by_level[hit[r]]
+    # rows run (level, child, parent); a stable sort on (level group,
+    # slot) makes the edge order (level, slot, child, parent)
+    level = batch._tie_level[rows]
+    group = np.zeros(level.size, dtype=np.int64)
+    group[1:] = level[1:] != level[:-1]
+    np.cumsum(group, out=group)
+    glevel = level[np.flatnonzero(np.diff(group, prepend=-1) != 0)]
+    o = np.argsort((group * width + k).astype(np.uint16), kind="stable")
+    rows, k = rows[o], k[o]
+    bounds = np.zeros(glevel.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=glevel.size), out=bounds[1:])
+    base = k * n
+    child = base + batch._tie_child[rows]
+    # every routed cell but the seed has a tied parent, one level up
+    lvl = np.full(width * n, -1, dtype=np.int64)
+    lvl[child] = batch._tie_level[rows]
+    lvl[seeds] = 0
+    return MetricSweep(
+        n,
+        width,
+        lvl,
+        seeds,
+        k,
+        child,
+        base + batch._tie_parent[rows],
+        glevel.astype(np.int64),
+        bounds,
+    )

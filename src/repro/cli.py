@@ -720,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_parse_workers,
         default=None,
-        help="propagation worker processes (int, or 'auto' for all CPUs)",
+        help="worker processes for the routing and metric passes (int, "
+        "or 'auto' for all CPUs)",
     )
     precompute.add_argument(
         "--batch",

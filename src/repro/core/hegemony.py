@@ -29,13 +29,13 @@ from array import array
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from typing import Optional
 
-from ..bgpsim import vectorized as _vec
 from ..bgpsim.cache import RoutingStateCache
 from ..bgpsim.engine import propagate
 from ..bgpsim.metrics_kernel import (
     cross_fractions_kernel,
     cross_fractions_many_kernel,
     is_array_state,
+    metric_sweep,
 )
 from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState, Seed
@@ -123,12 +123,14 @@ def _hegemony_values(
     trim: float = TRIM,
 ) -> array:
     """One origin's local hegemony toward every target, as a compact
-    float array (NaN where target == origin).  Array-backed states get
-    all targets' crossing fractions from one many-target sweep."""
+    float array (NaN where target == origin).  Array-backed states run
+    the width-1 metric kernel, which computes crossing fractions only
+    for the targets whose trimmed slice reaches past its zeros; states
+    past its exact-float range take the big-int many-target loop."""
     if is_array_state(state):
-        fused = _vec.hegemony_values_vector(state, origin, targets, trim)
-        if fused is not None:
-            return fused
+        sweep = metric_sweep(state)
+        if not sweep.bad[0]:
+            return sweep.hegemony_row(origin, targets, trim)
         values = array("d")
         others = [target for target in targets if target != origin]
         by_target = dict(
@@ -169,12 +171,14 @@ def local_hegemony(
     """``H(origin, target)`` on the tied-best-path DAG.
 
     ``counts`` (optional) are ``path_counts`` of the origin's state,
-    reused across targets on the dict path; array-backed states cache
-    them internally.
+    reused across targets on the dict path; array-backed states run the
+    width-1 metric kernel, which caches them internally.
     """
     if cache is None:
         cache = RoutingStateCache(graph, engine=engine)
     state = cache.state_for(origin)
+    if target != origin and is_array_state(state):
+        return _hegemony_values(state, origin, (target,), trim)[0]
     return _hegemony_of_state(state, origin, target, trim, counts=counts)
 
 
@@ -199,15 +203,20 @@ def _hegemony_batch_task(
     engine: Optional[str] = None,
 ) -> list[array]:
     """:func:`_hegemony_task` rows for a whole batch of origins, served
-    by one bit-parallel sweep (the per-origin views feed the same metric
-    kernels, so every float is bit-identical to the per-origin path)."""
+    by one bit-parallel sweep and one call of the batch metric kernel
+    (every float bit-identical to the per-origin path); an origin past
+    the kernel's exact-float range takes the per-state path."""
     from ..bgpsim.multiorigin import propagate_batch
+    from ..bgpsim.vectorized import build_metric_dag_vector
 
     del engine  # the batch kernel is the compiled engine
     batch_state = propagate_batch(graph, origins)
+    rows = build_metric_dag_vector(batch_state, targets, trim)
     return [
-        _hegemony_values(state, origin, targets, trim)
-        for origin, state in batch_state.views()
+        _hegemony_values(batch_state.view_at(bit), origin, targets, trim)
+        if row is None
+        else row[2]
+        for bit, (origin, row) in enumerate(zip(origins, rows))
     ]
 
 

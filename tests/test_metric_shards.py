@@ -10,6 +10,7 @@ those kernels instead of failing or drifting.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -51,6 +52,14 @@ def corpus(tmp_path_factory):
 
 def hexed(value):
     return float(value).hex()
+
+
+def _file_digests(directory, pattern):
+    """``{file name: sha256}`` of a corpus's files matching ``pattern``."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.glob(pattern))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +188,58 @@ def test_metric_precompute_resumes_untouched(tmp_path):
             assert hexed(got) == hexed(live_mass.get(every[-1], 0.0))
 
 
-def test_metric_precompute_rides_routing_corpus(tmp_path):
-    """With routing shards present, the metric pass streams states off
-    the mmap disk tier instead of re-propagating."""
+def test_metric_precompute_reads_no_routing_records(tmp_path):
+    """The metric pass propagates its own batches: with routing shards
+    present it reads none of their records, and writes the same files
+    as into an empty corpus."""
     graph = netgen_graph("tiny")
     root = tmp_path / "corpus"
     precompute_shards(graph, root, workers=1)
-    import repro.bgpsim.cache as cache_mod
+    import repro.bgpsim.shards as shards_mod
 
     calls = []
-    original = cache_mod.RoutingStateCache._from_disk
+    original = shards_mod.ShardReader.state_for
 
-    def spy(self, origin, insert=True):
-        state = original(self, origin, insert)
-        if state is not None:
-            calls.append(origin)
-        return state
+    def spy(self, origin):
+        calls.append(origin)
+        return original(self, origin)
 
-    cache_mod.RoutingStateCache._from_disk = spy
+    shards_mod.ShardReader.state_for = spy
     try:
-        precompute_metric_shards(graph, root)
+        corpus = precompute_metric_shards(graph, root)
     finally:
-        cache_mod.RoutingStateCache._from_disk = original
-    assert len(calls) == len(graph)
+        shards_mod.ShardReader.state_for = original
+    assert calls == []
+    bare = precompute_metric_shards(graph, tmp_path / "bare")
+    assert _file_digests(corpus, "*.mshard") == _file_digests(
+        bare, "*.mshard"
+    )
+
+
+def test_metric_precompute_worker_count_changes_no_byte(tmp_path):
+    """Metric records are built in the workers and come back in input
+    order: a corpus built by two processes equals a serial one."""
+    graph = netgen_graph("small")
+    corpora = [
+        precompute_metric_shards(
+            graph, tmp_path / f"w{workers}", workers=workers, batch=64,
+            shard_size=200,
+        )
+        for workers in (1, 2)
+    ]
+    serial, parallel = (_file_digests(c, "*.mshard") for c in corpora)
+    assert len(serial) > 1
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_metric_precompute_stamps_its_workers(tmp_path, workers):
+    """A metric pass that creates the manifest records the worker count
+    it ran with."""
+    graph = netgen_graph("tiny")
+    corpus = precompute_metric_shards(graph, tmp_path, workers=workers)
+    manifest = json.loads((corpus / MANIFEST_NAME).read_text())
+    assert manifest["workers"] == workers
 
 
 def test_metric_target_and_trim_changes_require_force(tmp_path):

@@ -173,7 +173,9 @@ class TestExactFloatFallback:
         seed = Seed(asn=origin)
         state = propagate_compiled(graph, seed)
         ref = propagate_reference(graph, seed)
-        assert vec.build_metric_dag_vector(state) is None
+        assert vec.state_sweep(state).bad[0]
+        batch = propagate_batch(graph, (origin,))
+        assert vec.build_metric_dag_vector(batch, (), 0.1) == [None]
         assert max(mk.path_counts_kernel(state).values()) == 1 << 55
 
         assert mk.path_counts_kernel(state) == _path_counts_routes(ref)
@@ -215,8 +217,9 @@ class TestHegemonyRows:
         fast = propagate_compiled(graph, seeds, excluded=excluded)
         ref = propagate_reference(graph, seeds, excluded=excluded)
         for trim in self.TRIMS:
-            row = vec.hegemony_values_vector(fast, origin, targets, trim)
-            assert row is not None  # the numpy path, not a fallback
+            sweep = vec.state_sweep(fast)
+            assert not sweep.bad[0]  # the numpy path, not a fallback
+            row = sweep.hegemony_row(origin, targets, trim)
             want = _hegemony_values(ref, origin, targets, trim).tobytes()
             assert row.tobytes() == want, (origin, trim)
             got = _hegemony_values(fast, origin, targets, trim).tobytes()
