@@ -5,7 +5,7 @@ PROFILE ?= small
 # Let the targets work from a fresh checkout without `make install`.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-engine bench-leaks bench-events bench-metrics-kernel bench-multiorigin bench-scale bench-serve experiments csv examples all
+.PHONY: install test test-fast bench bench-engine bench-metrics-kernel bench-multiorigin bench-scale bench-serve experiments csv examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -25,18 +25,6 @@ bench:
 # compiled-parallel); writes benchmarks/bench_compiled_engine.json.
 bench-engine:
 	pytest benchmarks/test_bench_engine_ablation.py --benchmark-only
-
-# Leak-sweep delta path vs per-leaker full recompute (Fig. 7/8 shape);
-# asserts identical curves and the >=3x speedup, writes
-# benchmarks/bench_leak_incremental.json.
-bench-leaks:
-	pytest benchmarks/test_bench_leak_incremental.py --benchmark-only
-
-# Event-delta timeline replay vs full recompute (failures, depeering,
-# leak, hijack); asserts identical metric rows and the >=2x speedup,
-# writes benchmarks/bench_events.json.
-bench-events:
-	pytest benchmarks/test_bench_events.py --benchmark-only
 
 # Array-native metric kernels vs the dict metric path on the Fig. 6/
 # Table 2 reliance sweep; asserts identical summaries, zero routes

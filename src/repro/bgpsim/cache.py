@@ -240,44 +240,6 @@ class RoutingStateCache:
         self._insert(origin, state)
         return state
 
-    def baseline_for(
-        self,
-        seed: Seed,
-        peer_locked: frozenset[int] = frozenset(),
-        locked_origin: Optional[int] = None,
-    ) -> RoutingState:
-        """Memoized single-seed propagation for a leak-sweep baseline.
-
-        Keyed by the full ``(seed, peer_locked, locked_origin)``
-        configuration, sharing the same LRU (tuple keys cannot collide
-        with :meth:`state_for`'s origin ints).  A plain origin seed with
-        no locks is delegated to :meth:`state_for`, so baselines warmed
-        through :meth:`prefetch` are reused directly.
-        """
-        peer_locked = frozenset(peer_locked)
-        if (
-            not peer_locked
-            and seed == Seed(asn=seed.asn)
-            and locked_origin in (None, seed.asn)
-        ):
-            return self.state_for(seed.asn)
-        key = (seed, peer_locked, locked_origin)
-        state = self._states.get(key)
-        if state is not None:
-            self._hits += 1
-            self._states.move_to_end(key)
-            return state
-        self._misses += 1
-        state = propagate(
-            self.graph,
-            seed,
-            peer_locked=peer_locked,
-            locked_origin=locked_origin,
-            engine=self.engine,
-        )
-        self._insert(key, state)
-        return state
-
     def _insert(self, origin: int, state: RoutingState) -> None:
         self._states[origin] = state
         self._states.move_to_end(origin)
@@ -627,7 +589,7 @@ class RoutingStateCache:
     def install(self, origin: int, state: RoutingState) -> None:
         """Insert a externally-computed state for ``origin``.
 
-        Timelines use this to seed post-event delta states as the next
+        Timelines use this to seed post-event states as the next
         events' baselines after :meth:`invalidate`; the normal LRU
         bookkeeping (bound, evictions) applies.
         """

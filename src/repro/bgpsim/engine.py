@@ -37,12 +37,10 @@ from .routes import NodeRoute, RouteClass, RoutingState, Seed
 
 #: engines selectable through ``propagate(engine=...)`` / ``REPRO_ENGINE``:
 #: the fast path and its oracle.  ``"compiled"`` runs the numpy sweeps of
-#: ``repro.bgpsim.vectorized`` over the CSR graph, and its leak sweeps and
-#: event timelines derive each perturbed state as a delta from a shared
-#: baseline (``repro.bgpsim.incremental`` / ``repro.bgpsim.events``),
-#: falling back to a full recompute where the delta pass cannot serve.
-#: ``"reference"`` is the dict-of-objects engine every fast path is
-#: checked against, and always recomputes in full.
+#: ``repro.bgpsim.vectorized`` over the CSR graph; ``"reference"`` is the
+#: dict-of-objects engine every fast path is checked against.  Leak
+#: sweeps and event timelines compute every perturbed state with one
+#: full propagation on either engine.
 ENGINES = ("compiled", "reference")
 
 

@@ -33,9 +33,7 @@ loops: they are the oracle of the numpy kernel, the ``exact=True``
 (``Fraction``) path, and the path for states whose tied-best-path counts
 pass 2**53, where float64 casts would round.
 
-:class:`~repro.bgpsim.incremental.DeltaRoutingState` is supported
-through its override maps, so leak-sweep consumers get the same kernels
-over the shared baseline arrays.  Equivalence with the dict reference
+Equivalence with the dict reference
 implementations is proven by ``tests/test_metric_kernels.py`` (exact
 ``Fraction`` mode on seeded netgen scenarios); the float paths are
 bit-identical as well because every side processes nodes in the same
@@ -51,7 +49,6 @@ from typing import Optional
 
 from . import vectorized as _vec
 from .compiled import _NO_ROUTE, CompiledRoutingState
-from .incremental import DeltaRoutingState
 from .routes import RoutingState
 
 __all__ = [
@@ -69,20 +66,16 @@ __all__ = [
     "routed_count_kernel",
 ]
 
-#: the state types whose arrays the kernels can consume directly
-_ARRAY_STATES = (CompiledRoutingState, DeltaRoutingState)
-
-
 def is_array_state(state: RoutingState) -> bool:
     """True when ``state`` carries the flat arrays the kernels consume."""
-    return isinstance(state, _ARRAY_STATES)
+    return isinstance(state, CompiledRoutingState)
 
 
 def _require_array_state(state: RoutingState) -> None:
     if not is_array_state(state):
         raise TypeError(
-            "metric kernels require a CompiledRoutingState or "
-            f"DeltaRoutingState, not {type(state).__name__}"
+            "metric kernels require a CompiledRoutingState, not "
+            f"{type(state).__name__}"
         )
 
 
@@ -114,47 +107,24 @@ class MetricDAG:
     )
 
     def __init__(self, state: RoutingState) -> None:
-        if isinstance(state, DeltaRoutingState):
-            base = state._baseline
-            overrides = state._overrides
-        else:
-            base = state
-            overrides = None
-        asns = base._asns
+        asns = state._asns
         n = len(asns)
-        rc, ln = base._route_class, base._length
-        head = base._parent_head
-        pool_parent, pool_next = base._pool_parent, base._pool_next
+        rc, ln = state._route_class, state._length
+        head = state._parent_head
+        pool_parent, pool_next = state._pool_parent, state._pool_next
 
         # counting sort by path length; scanning node indices in ascending
         # order keeps every bucket ASN-sorted for free
         buckets: list[list[int]] = []
         routed = bytearray(n)
-        if overrides is None:
-            for i in range(n):
-                if rc[i] == _NO_ROUTE:
-                    continue
-                routed[i] = 1
-                li = ln[i]
-                while len(buckets) <= li:
-                    buckets.append([])
-                buckets[li].append(i)
-        else:
-            get_override = overrides.get
-            for i in range(n):
-                override = get_override(i)
-                if override is None:
-                    if rc[i] == _NO_ROUTE:
-                        continue
-                    li = ln[i]
-                elif override[0] == _NO_ROUTE:
-                    continue
-                else:
-                    li = override[1]
-                routed[i] = 1
-                while len(buckets) <= li:
-                    buckets.append([])
-                buckets[li].append(i)
+        for i in range(n):
+            if rc[i] == _NO_ROUTE:
+                continue
+            routed[i] = 1
+            li = ln[i]
+            while len(buckets) <= li:
+                buckets.append([])
+            buckets[li].append(i)
         order: list[int] = []
         for bucket in buckets:
             order.extend(bucket)
@@ -166,7 +136,7 @@ class MetricDAG:
         # children read it — and cached here for reliance and hegemony.
         seed_idx = frozenset(
             i
-            for i in (base._idx(asn) for asn in state.seed_asns)
+            for i in (state._idx(asn) for asn in state.seed_asns)
             if i is not None
         )
         counts = [0] * n
@@ -177,64 +147,37 @@ class MetricDAG:
         parents_extend = parents.extend
         lengths_append = lengths.append
         off_append = par_off.append
-        if overrides is None:
-            # hot loop: most nodes have zero (seed) or one parent, which
-            # need neither a pool list nor a sort
-            for i in order:
-                lengths_append(ln[i])
-                h = head[i]
-                if h < 0:
-                    counts[i] = 1 if i in seed_idx else 0
-                    off_append(len(parents))
-                    continue
-                nxt = pool_next[h]
-                if nxt < 0:
-                    p = pool_parent[h]
-                    parents_append(p)
-                    counts[i] = 1 if i in seed_idx else counts[p]
-                    off_append(len(parents))
-                    continue
-                pool = [pool_parent[h]]
-                h = nxt
-                while h >= 0:
-                    pool.append(pool_parent[h])
-                    h = pool_next[h]
-                pool.sort()
-                if i in seed_idx:
-                    counts[i] = 1
-                else:
-                    total = 0
-                    for p in pool:
-                        total += counts[p]
-                    counts[i] = total
-                parents_extend(pool)
+        # hot loop: most nodes have zero (seed) or one parent, which
+        # need neither a pool list nor a sort
+        for i in order:
+            lengths_append(ln[i])
+            h = head[i]
+            if h < 0:
+                counts[i] = 1 if i in seed_idx else 0
                 off_append(len(parents))
-        else:
-            get_override = overrides.get
-            for i in order:
-                override = get_override(i)
-                if override is not None:
-                    lengths_append(override[1])
-                    pool = sorted(override[2])
-                else:
-                    lengths_append(ln[i])
-                    h = head[i]
-                    pool = []
-                    while h >= 0:
-                        pool.append(pool_parent[h])
-                        h = pool_next[h]
-                    pool.sort()
-                if i in seed_idx:
-                    counts[i] = 1
-                elif len(pool) == 1:
-                    counts[i] = counts[pool[0]]
-                else:
-                    total = 0
-                    for p in pool:
-                        total += counts[p]
-                    counts[i] = total
-                parents_extend(pool)
+                continue
+            nxt = pool_next[h]
+            if nxt < 0:
+                p = pool_parent[h]
+                parents_append(p)
+                counts[i] = 1 if i in seed_idx else counts[p]
                 off_append(len(parents))
+                continue
+            pool = [pool_parent[h]]
+            h = nxt
+            while h >= 0:
+                pool.append(pool_parent[h])
+                h = pool_next[h]
+            pool.sort()
+            if i in seed_idx:
+                counts[i] = 1
+            else:
+                total = 0
+                for p in pool:
+                    total += counts[p]
+                counts[i] = total
+            parents_extend(pool)
+            off_append(len(parents))
 
         self.counts = counts
         self.asns = asns
@@ -481,16 +424,6 @@ def length_histogram_kernel(
 
 def routed_count_kernel(state: RoutingState) -> int:
     """``len(state.reachable_ases())`` without building the frozenset."""
-    if isinstance(state, DeltaRoutingState):
-        base = state._baseline
-        base_rc = base._route_class
-        count = len(base._routed)
-        for i, (rc, _, _) in state._overrides.items():
-            was = base_rc[i] != _NO_ROUTE
-            now = rc != _NO_ROUTE
-            count += int(now) - int(was)
-        # both seeds (the legitimate origin and the leaker) always route
-        return count - len(state.seed_asns)
     _require_array_state(state)
     # seeds are always routed, so they are all in _routed
     return len(state._routed) - len(state.seed_asns)

@@ -1,7 +1,7 @@
 """Zero-copy shared-memory payloads for the parallel sweeps.
 
 :func:`~repro.bgpsim.parallel.graph_map` installs the compiled graph and
-the per-sweep constant kwargs (leak baselines, weight tables) in every
+the per-sweep constant kwargs (timeline baselines, weight tables) in every
 worker through the pool initializer.  Without this module those payloads
 are *pickled once per worker* (and byte-copied even under ``fork``, as
 soon as the interpreter touches the refcounts of the inherited arrays).
@@ -284,8 +284,8 @@ class SharedGraph:
 
 
 class SharedState:
-    """A single-seed :class:`CompiledRoutingState` (a leak/delta
-    baseline) in a shared-memory arena."""
+    """A single-seed :class:`CompiledRoutingState` (a timeline's
+    pre-event baseline) in a shared-memory arena."""
 
     __slots__ = ("ref", "seeds")
 

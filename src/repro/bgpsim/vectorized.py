@@ -1100,37 +1100,20 @@ def state_sweep(state) -> MetricSweep:
 
     A :class:`CompiledRoutingState` (or a batch view) supplies its linked
     parent pools, walked for every node in parallel (one gather per
-    list depth); a :class:`~repro.bgpsim.incremental.DeltaRoutingState`
-    replaces its overridden nodes' routes and pools by the overrides.
+    list depth).
     """
-    from .incremental import DeltaRoutingState
-
     np = _numpy()
-    if isinstance(state, DeltaRoutingState):
-        base, overrides = state._baseline, state._overrides
-    else:
-        base, overrides = state, None
-    asns = base._asns
+    asns = state._asns
     n = len(asns)
-    rc = _as_np(base._route_class)
-    ln = _as_np(base._length).astype(np.int64)
-    if overrides:
-        rc = rc.copy()
-        for i, override in overrides.items():
-            rc[i] = override[0]
-            if override[0] != _NO_ROUTE:
-                ln[i] = override[1]
+    rc = _as_np(state._route_class)
+    ln = _as_np(state._length).astype(np.int64)
     routed = rc != _NO_ROUTE
     lvl = np.where(routed, ln, -1)
 
-    # parent edges: walk every linked pool in parallel, overridden nodes
-    # replaced by their override sets
-    head = _as_np(base._parent_head).astype(np.int64)
-    if overrides:
-        head = head.copy()
-        head[np.fromiter(overrides.keys(), np.int64, len(overrides))] = -1
-    pool_parent = _as_np(base._pool_parent).astype(np.int64)
-    pool_next = _as_np(base._pool_next).astype(np.int64)
+    # parent edges: walk every linked pool in parallel
+    head = _as_np(state._parent_head).astype(np.int64)
+    pool_parent = _as_np(state._pool_parent).astype(np.int64)
+    pool_next = _as_np(state._pool_next).astype(np.int64)
     child_parts: list = []
     parent_parts: list = []
     node = np.flatnonzero(routed & (head >= 0))
@@ -1141,17 +1124,6 @@ def state_sweep(state) -> MetricSweep:
         cur = pool_next[cur]
         alive = cur >= 0
         node, cur = node[alive], cur[alive]
-    if overrides:
-        extra = [
-            (i, p)
-            for i, override in overrides.items()
-            if override[0] != _NO_ROUTE
-            for p in override[2]
-        ]
-        if extra:
-            pairs = np.asarray(extra, dtype=np.int64)
-            child_parts.append(pairs[:, 0])
-            parent_parts.append(pairs[:, 1])
     if child_parts:
         child = np.concatenate(child_parts)
         parent = np.concatenate(parent_parts)
@@ -1166,7 +1138,9 @@ def state_sweep(state) -> MetricSweep:
     bounds = np.append(starts, elvl.size).astype(np.int64)
 
     seed_idx = frozenset(
-        i for i in (base._idx(asn) for asn in state.seed_asns) if i is not None
+        i
+        for i in (state._idx(asn) for asn in state.seed_asns)
+        if i is not None
     )
     seeds = np.array(sorted(seed_idx), dtype=np.int64)
     sweep = MetricSweep(

@@ -505,26 +505,27 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         graph,
         origins=[args.origin],
         targets=targets,
-        engine=args.engine,
         workers=args.workers,
         batch=args.batch,
-        threshold=args.threshold,
         shards=shards,
     )
-    result = runner.run(events)
+    try:
+        result = runner.run(events)
+    except (KeyError, ValueError) as exc:
+        # an event the topology refuses (a missing or an existing link)
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 1
+    finally:
+        if shards is not None:
+            shards.close()
     print(
         f"timeline for AS{args.origin} "
-        f"({len(graph)} ASes, {len(events)} events, "
-        f"engine={runner.engine}):"
+        f"({len(graph)} ASes, {len(events)} events):"
     )
     for record in result.series(args.origin):
         extra = ""
         if record.captured is not None:
             extra += f"  captured={record.captured}"
-        if record.step > 0:
-            extra += f"  visited={record.visited_fraction:.1%}"
-        if record.fallback:
-            extra += "  [fallback]"
         print(
             f"  step {record.step:2d}  {record.event:28s} "
             f"reachable={record.reachable}{extra}"
@@ -541,8 +542,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         f"  cache: {stats.hits} hits / {stats.misses} misses{disk}, "
         f"{stats.baseline_invalidations} baseline invalidations"
     )
-    if shards is not None:
-        shards.close()
     return 0
 
 
@@ -673,26 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="propagation worker processes (int, or 'auto' for all CPUs)",
     )
     timeline.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="propagation engine (default: compiled, or $REPRO_ENGINE); "
-        "'compiled' derives each post-event state from the cached "
-        "baseline, 'reference' recomputes it",
-    )
-    timeline.add_argument(
         "--batch",
         type=int,
         default=None,
         help="bit-parallel batch width for the baseline prefetch",
-    )
-    timeline.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="max withdrawal-region fraction before the delta pass "
-        "falls back to a full recompute (default: "
-        "$REPRO_EVENT_THRESHOLD or 0.5)",
     )
     timeline.add_argument(
         "--shards",

@@ -15,16 +15,18 @@ from __future__ import annotations
 import enum
 import random
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..bgpsim.cache import RoutingStateCache
-from ..bgpsim.compiled import CompiledRoutingState
-from ..bgpsim.engine import propagate, resolve_engine, resolve_stream
-from ..bgpsim.incremental import propagate_delta
+from ..bgpsim.engine import propagate
 from ..bgpsim.parallel import graph_map
-from ..bgpsim.policies import LeakMode, hierarchy_only_seed, peer_lock_set
-from ..bgpsim.routes import RoutingState, Seed
+from ..bgpsim.policies import (
+    LeakMode,
+    hierarchy_only_seed,
+    leak_seed,
+    peer_lock_set,
+)
+from ..bgpsim.routes import Seed
 from ..topology.asgraph import ASGraph
 from ..topology.tiers import TierAssignment
 
@@ -46,10 +48,6 @@ class LeakOutcome:
     leaker: int
     detoured: frozenset[int]
     total_ases: int
-    #: fraction of ASes the incremental delta pass examined (``None`` for
-    #: a full recompute); instrumentation only, excluded from equality so
-    #: differential tests can compare outcomes across engines directly
-    visited_fraction: Optional[float] = field(default=None, compare=False)
 
     @property
     def eligible(self) -> int:
@@ -73,10 +71,16 @@ class LeakOutcome:
         return detoured_users / total
 
 
+def _origin_seed(origin: int | Seed) -> Seed:
+    if isinstance(origin, Seed):
+        return origin
+    return Seed(asn=origin, key="origin")
+
+
 def simulate_leak(
     graph: ASGraph,
     origin: int | Seed,
-    leaker: int,
+    leaker: int | Seed,
     peer_locked: Collection[int] = frozenset(),
     mode: LeakMode = LeakMode.REANNOUNCE,
     semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
@@ -86,28 +90,35 @@ def simulate_leak(
 
     ``origin`` may be a :class:`Seed` to carry an announcement restriction
     (the "announce to Tier-1, Tier-2, and providers" configuration).
+    ``leaker`` may be the leak's seed, as
+    :func:`~repro.bgpsim.policies.leak_seed` builds it: its
+    ``initial_length`` then replaces the baseline propagation that reads
+    the leaker's path length (only ``asn`` and ``initial_length`` are
+    read).  :func:`simulate_leaks` hands over such seeds from one shared
+    baseline.
     Returns ``None`` when the leaker holds no route to the origin under the
     given configuration (there is nothing to re-announce); a hijack-mode
     leaker never needs a route.  ``engine`` selects the propagation
     engine (see :func:`repro.bgpsim.engine.propagate`).
     """
-    legit = origin if isinstance(origin, Seed) else Seed(asn=origin, key="origin")
-    if leaker == legit.asn or leaker not in graph:
-        raise ValueError(f"invalid leaker AS{leaker}")
+    legit = _origin_seed(origin)
+    asn = leaker.asn if isinstance(leaker, Seed) else leaker
+    if asn == legit.asn or asn not in graph:
+        raise ValueError(f"invalid leaker AS{asn}")
 
-    peer_locked = frozenset(peer_locked) - {legit.asn, leaker}
+    peer_locked = frozenset(peer_locked) - {legit.asn, asn}
 
     if mode is LeakMode.SUBPREFIX:
         # a more-specific prefix wins everywhere it propagates; only the
         # filtering (peer locking) limits it, so the legitimate route is
         # irrelevant and the leak is simulated alone
         if semantics is PeerLockSemantics.ORIGINAL and peer_locked:
-            export_to = frozenset(graph.neighbors(leaker) - peer_locked)
-            seed = Seed(asn=leaker, key="leak", initial_length=0,
+            export_to = frozenset(graph.neighbors(asn) - peer_locked)
+            seed = Seed(asn=asn, key="leak", initial_length=0,
                         export_to=export_to)
             state = propagate(graph, seed, engine=engine)
         else:
-            seed = Seed(asn=leaker, key="leak", initial_length=0)
+            seed = Seed(asn=asn, key="leak", initial_length=0)
             state = propagate(
                 graph, seed,
                 peer_locked=peer_locked, locked_origin=legit.asn,
@@ -116,31 +127,32 @@ def simulate_leak(
         detoured = state.reachable_ases() - {legit.asn}
         return LeakOutcome(
             origin=legit.asn,
-            leaker=leaker,
+            leaker=asn,
             detoured=frozenset(detoured),
             total_ases=len(graph),
         )
 
-    baseline = propagate(graph, legit, peer_locked=peer_locked,
-                         locked_origin=legit.asn, engine=engine)
-    if mode is LeakMode.HIJACK:
+    if isinstance(leaker, Seed):
+        initial = leaker.initial_length
+    elif mode is LeakMode.HIJACK:
         initial = 0
     else:
-        legit_length = baseline.path_length(leaker)
-        if legit_length is None:
+        baseline = propagate(graph, legit, peer_locked=peer_locked,
+                             locked_origin=legit.asn, engine=engine)
+        initial = baseline.path_length(asn)
+        if initial is None:
             return None
-        initial = legit_length
 
     if semantics is PeerLockSemantics.ORIGINAL and peer_locked:
         # Original (pre-erratum) behaviour: the leak is only filtered on
         # direct announcement to a locking AS; emulate by removing locking
         # ASes from the leaker's export set and disabling path filtering.
-        export_to = frozenset(graph.neighbors(leaker) - peer_locked)
-        leak = Seed(asn=leaker, key="leak", initial_length=initial,
+        export_to = frozenset(graph.neighbors(asn) - peer_locked)
+        leak = Seed(asn=asn, key="leak", initial_length=initial,
                     export_to=export_to)
         state = propagate(graph, (legit, leak), engine=engine)
     else:
-        leak = Seed(asn=leaker, key="leak", initial_length=initial)
+        leak = Seed(asn=asn, key="leak", initial_length=initial)
         state = propagate(
             graph,
             (legit, leak),
@@ -153,93 +165,56 @@ def simulate_leak(
     detoured = state.ases_with_origin("leak") - state.seed_asns
     return LeakOutcome(
         origin=legit.asn,
-        leaker=leaker,
+        leaker=asn,
         detoured=detoured,
         total_ases=len(graph),
     )
+
+
+def _reannounce_seeds(
+    graph: ASGraph,
+    legit: Seed,
+    leakers: Sequence[int],
+    peer_locked: frozenset[int],
+    engine: Optional[str],
+) -> list[int | Seed | None]:
+    """Each leaker's re-announce leak seed, read off one shared baseline.
+
+    The baseline is ``legit`` propagated under ``peer_locked`` minus the
+    origin, the baseline :func:`simulate_leak` would propagate for every
+    leaker outside the lock set.  Such a leaker becomes its leak seed, or
+    ``None`` when it holds no route.  A leaker inside the lock set stays
+    a plain ASN (its own baseline has it unlocked), and so does an
+    invalid one, which :func:`simulate_leak` rejects.
+    """
+    baseline = propagate(graph, legit, peer_locked=peer_locked - {legit.asn},
+                         locked_origin=legit.asn, engine=engine)
+    items: list[int | Seed | None] = []
+    for leaker in leakers:
+        if leaker in peer_locked or leaker == legit.asn or leaker not in graph:
+            items.append(leaker)
+            continue
+        length = baseline.path_length(leaker)
+        items.append(
+            None if length is None
+            else leak_seed(graph, legit.asn, leaker, legit_path_length=length)
+        )
+    return items
 
 
 def _leak_task(
     graph: ASGraph,
-    leaker: int,
+    leaker: int | Seed | None,
     origin: int | Seed = 0,
     peer_locked: Collection[int] = frozenset(),
     mode: LeakMode = LeakMode.REANNOUNCE,
     semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
     engine: Optional[str] = None,
 ) -> Optional[LeakOutcome]:
+    if leaker is None:
+        return None
     return simulate_leak(
         graph, origin, leaker, peer_locked=peer_locked, mode=mode,
-        semantics=semantics, engine=engine,
-    )
-
-
-def _delta_outcome(
-    graph: ASGraph,
-    baseline: RoutingState,
-    legit: Seed,
-    leaker: int,
-    peer_locked: frozenset[int],
-    mode: LeakMode,
-) -> Optional[LeakOutcome]:
-    """Combined-state outcome derived from a shared baseline, or ``None``
-    when the leaker has nothing to re-announce.  Raises ``ValueError``
-    for configurations the delta pass cannot serve (callers fall back)."""
-    if mode is LeakMode.HIJACK:
-        initial = 0
-    else:
-        legit_length = baseline.path_length(leaker)
-        if legit_length is None:
-            return None
-        initial = legit_length
-    leak = Seed(asn=leaker, key="leak", initial_length=initial)
-    state = propagate_delta(
-        graph,
-        baseline,
-        leak,
-        peer_locked=peer_locked,
-        locked_origin=legit.asn,
-    )
-    detoured = state.ases_with_origin("leak") - state.seed_asns
-    return LeakOutcome(
-        origin=legit.asn,
-        leaker=leaker,
-        detoured=detoured,
-        total_ases=len(graph),
-        visited_fraction=state.visited_count / max(len(graph), 1),
-    )
-
-
-def _incremental_leak_task(
-    graph: ASGraph,
-    leaker: int,
-    baseline: Optional[RoutingState] = None,
-    origin: int | Seed = 0,
-    peer_locked: Collection[int] = frozenset(),
-    mode: LeakMode = LeakMode.REANNOUNCE,
-    semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
-    engine: Optional[str] = None,
-) -> Optional[LeakOutcome]:
-    """One leaker against a shared precomputed baseline.
-
-    Leakers the delta pass cannot serve — peer-locked leakers (whose
-    baseline uses a different lock set) chiefly — fall back to the full
-    two-propagation :func:`simulate_leak`, so the sweep's results never
-    depend on which path each leaker took.
-    """
-    legit = origin if isinstance(origin, Seed) else Seed(asn=origin, key="origin")
-    if leaker == legit.asn or leaker not in graph:
-        raise ValueError(f"invalid leaker AS{leaker}")
-    peer_locked = frozenset(peer_locked)
-    if baseline is not None and leaker not in peer_locked:
-        try:
-            return _delta_outcome(
-                graph, baseline, legit, leaker, peer_locked, mode
-            )
-        except ValueError:
-            pass
-    return simulate_leak(
-        graph, legit, leaker, peer_locked=peer_locked, mode=mode,
         semantics=semantics, engine=engine,
     )
 
@@ -253,7 +228,6 @@ def simulate_leaks(
     semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    cache: Optional[RoutingStateCache] = None,
 ) -> list[Optional[LeakOutcome]]:
     """:func:`simulate_leak` for every leaker, optionally across processes.
 
@@ -262,52 +236,23 @@ def simulate_leaks(
     ``workers=None`` the simulations run serially in-process, producing the
     same list.
 
-    Under the compiled engine the whole sweep shares one baseline
-    propagation for its ``(origin, locks, mode, semantics)`` group — taken
-    from ``cache`` when given, computed once otherwise — and each leaker
-    runs only the frontier-limited delta pass of
-    :func:`repro.bgpsim.incremental.propagate_delta`; the baseline's
-    compact arrays ship to each pool worker once, next to the CSR graph.
-    Subprefix leaks, the pre-erratum ``ORIGINAL`` semantics and
-    peer-locked leakers fall back to the full recompute transparently.
+    Re-announce leaks share one baseline: the origin is propagated once
+    here, and each leaker receives its re-announce length as a leak seed,
+    so it costs one two-seed propagation.  Only the seeds ship to the
+    workers, never the baseline.  A leaker inside the lock set runs the
+    whole of :func:`simulate_leak`; hijack and subprefix leaks need no
+    baseline.
     """
-    legit = origin if isinstance(origin, Seed) else Seed(asn=origin, key="origin")
+    legit = _origin_seed(origin)
     peer_locked = frozenset(peer_locked)
-    baseline: Optional[RoutingState] = None
-    if (
-        resolve_engine(engine) == "compiled"
-        and mode is not LeakMode.SUBPREFIX
-        and semantics is PeerLockSemantics.ERRATUM
-    ):
-        locks = peer_locked - {legit.asn}
-        if cache is not None:
-            baseline = cache.baseline_for(legit, locks, legit.asn)
-        if baseline is None or not isinstance(baseline, CompiledRoutingState):
-            # the delta pass needs the baseline's compact arrays; a cache
-            # running the reference engine cannot supply them
-            baseline = propagate(
-                graph, legit, peer_locked=locks,
-                locked_origin=legit.asn, engine=engine,
-            )
-        return list(
-            graph_map(
-                graph,
-                _incremental_leak_task,
-                leakers,
-                workers=workers,
-                baseline=baseline,
-                origin=legit,
-                peer_locked=peer_locked,
-                mode=mode,
-                semantics=semantics,
-                engine=engine,
-            )
-        )
+    items: Sequence[int | Seed | None] = leakers
+    if mode is LeakMode.REANNOUNCE:
+        items = _reannounce_seeds(graph, legit, leakers, peer_locked, engine)
     return list(
         graph_map(
             graph,
             _leak_task,
-            leakers,
+            items,
             workers=workers,
             origin=legit,
             peer_locked=peer_locked,
@@ -320,32 +265,13 @@ def simulate_leaks(
 
 def _pair_leak_task(
     graph: ASGraph,
-    pair: tuple[int, int],
+    pair: tuple[int, int | Seed | None],
     mode: LeakMode = LeakMode.REANNOUNCE,
     engine: Optional[str] = None,
 ) -> Optional[LeakOutcome]:
     origin, leaker = pair
-    return simulate_leak(graph, origin, leaker, mode=mode, engine=engine)
-
-
-def _pair_delta_task(
-    graph: ASGraph,
-    pair: tuple[int, int],
-    baselines: Optional[Mapping[int, RoutingState]] = None,
-    mode: LeakMode = LeakMode.REANNOUNCE,
-    engine: Optional[str] = None,
-) -> Optional[LeakOutcome]:
-    """One (origin, leaker) pair against a shared per-origin baseline map."""
-    origin, leaker = pair
-    baseline = (baselines or {}).get(origin)
-    if isinstance(baseline, CompiledRoutingState):
-        legit = Seed(asn=origin, key="origin")
-        try:
-            return _delta_outcome(
-                graph, baseline, legit, leaker, frozenset(), mode
-            )
-        except ValueError:
-            pass
+    if leaker is None:
+        return None
     return simulate_leak(graph, origin, leaker, mode=mode, engine=engine)
 
 
@@ -395,15 +321,13 @@ def resilience_curve(
     semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    cache: Optional[RoutingStateCache] = None,
 ) -> list[float]:
     """Detoured-AS fractions over ``leakers`` for one configuration.
 
     Leakers with no route to the origin under the configuration are skipped
-    (they cannot re-announce anything).  Each call is one baseline group:
-    under the compiled engine the configuration's ``(seed, locks)``
-    baseline is propagated once (memoized in ``cache`` when given) and
-    every leaker reuses it through the delta pass.
+    (they cannot re-announce anything).  Each call is one
+    :func:`simulate_leaks` sweep, so the configuration's ``(seed, locks)``
+    baseline is propagated once.
     """
     seed, locks = configuration_seed_and_locks(graph, origin, tiers, configuration)
     outcomes = simulate_leaks(
@@ -415,7 +339,6 @@ def resilience_curve(
         semantics=semantics,
         workers=workers,
         engine=engine,
-        cache=cache,
     )
     return sorted(
         outcome.fraction_detoured
@@ -432,34 +355,16 @@ def average_resilience_curve(
     mode: LeakMode = LeakMode.REANNOUNCE,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    cache: Optional[RoutingStateCache] = None,
-    batch: Optional[int] = None,
-    stream: bool | str | None = None,
 ) -> list[float]:
     """The paper's *average resilience* baseline: random legitimate origins
     against random misconfigured ASes, announce-to-all, no locking.
 
     The (origin, leaker) pairs are drawn up front — in exactly the order the
     historical serial loop drew them, so the RNG stream is unchanged — and
-    then simulated, optionally in parallel.
-
-    Under the compiled engine each distinct origin's baseline is
-    propagated exactly once (in parallel and — per ``batch`` — in
-    bit-parallel multi-origin sweeps, through a
-    :class:`~repro.bgpsim.cache.RoutingStateCache` prefetch) and the
-    per-origin baseline map ships to the pool workers alongside the CSR
-    graph, so the historical ``origins × leakers`` full propagations
-    collapse to ``origins`` baselines plus one delta pass per pair.
-
-    ``stream`` (``REPRO_STREAM``; auto-on at paper scale) bounds the
-    baseline footprint: instead of prefetching and holding *every*
-    distinct origin's baseline for the whole sweep, origins are consumed
-    in batch-width windows — one
-    :meth:`~repro.bgpsim.cache.RoutingStateCache.states_for_many`
-    streaming window of baselines lives at a time, its pairs run their
-    delta passes, and the window is dropped before the next is computed.
-    The curve is bit-identical (it is sorted, so per-window reordering
-    of pairs cannot change it).
+    then simulated, optionally in parallel.  Re-announce leaks propagate
+    each distinct origin's baseline once and keep only its leakers'
+    re-announce lengths, so one baseline is alive at a time and each pair
+    costs one two-seed propagation.
     """
     nodes = sorted(graph.nodes())
     pairs: list[tuple[int, int]] = []
@@ -469,55 +374,22 @@ def average_resilience_curve(
             leaker = rng.choice(nodes)
             if leaker != origin:
                 pairs.append((origin, leaker))
-    if (
-        resolve_engine(engine) == "compiled"
-        and mode is not LeakMode.SUBPREFIX
-    ):
-        unique_origins = list(dict.fromkeys(origin for origin, _ in pairs))
-        if resolve_stream(stream, len(graph)):
-            if cache is None:
-                cache = RoutingStateCache(graph, engine=engine, batch=batch)
-            width = cache._batch_width(batch, cap=False)
-            by_origin: dict[int, list[tuple[int, int]]] = {}
-            for pair in pairs:
-                by_origin.setdefault(pair[0], []).append(pair)
-            fractions: list[float] = []
-            for i in range(0, len(unique_origins), width):
-                window = unique_origins[i : i + width]
-                baselines = dict(
-                    cache.states_for_many(
-                        window, workers=workers, batch=batch, stream=True
-                    )
-                )
-                window_pairs = [
-                    pair for origin in window for pair in by_origin[origin]
-                ]
-                for outcome in graph_map(
-                    graph, _pair_delta_task, window_pairs, workers=workers,
-                    baselines=baselines, mode=mode, engine=engine,
-                ):
-                    if outcome is not None:
-                        fractions.append(outcome.fraction_detoured)
-                # drop this window's baselines before the next window
-                baselines.clear()
-            return sorted(fractions)
-        if cache is None or (
-            cache.maxsize is not None and cache.maxsize < len(unique_origins)
-        ):
-            cache = RoutingStateCache(graph, engine=engine)
-        cache.prefetch(unique_origins, workers=workers, batch=batch)
-        baselines = {
-            origin: cache.state_for(origin) for origin in unique_origins
-        }
-        outcomes = graph_map(
-            graph, _pair_delta_task, pairs, workers=workers,
-            baselines=baselines, mode=mode, engine=engine,
-        )
-    else:
-        outcomes = graph_map(
-            graph, _pair_leak_task, pairs, workers=workers, mode=mode,
-            engine=engine,
-        )
+    items: list[tuple[int, int | Seed | None]] = list(pairs)
+    if mode is LeakMode.REANNOUNCE:
+        by_origin: dict[int, list[int]] = {}
+        for origin, leaker in pairs:
+            by_origin.setdefault(origin, []).append(leaker)
+        seeds: dict[tuple[int, int], int | Seed | None] = {}
+        for origin, leakers in by_origin.items():
+            found = _reannounce_seeds(
+                graph, _origin_seed(origin), leakers, frozenset(), engine
+            )
+            seeds.update(zip(((origin, leaker) for leaker in leakers), found))
+        items = [(origin, seeds[origin, leaker]) for origin, leaker in pairs]
+    outcomes = graph_map(
+        graph, _pair_leak_task, items, workers=workers, mode=mode,
+        engine=engine,
+    )
     return sorted(
         outcome.fraction_detoured
         for outcome in outcomes
@@ -534,7 +406,6 @@ def lock_coverage_sweep(
     mode: LeakMode = LeakMode.REANNOUNCE,
     engine: Optional[str] = None,
     workers: int | str | None = None,
-    cache: Optional[RoutingStateCache] = None,
 ) -> dict[float, float]:
     """Mean detoured fraction vs. peer-lock deployment coverage.
 
@@ -543,9 +414,8 @@ def lock_coverage_sweep(
     neighbors deploys peer locking (biggest neighbors first would be the
     T1/T2 scenarios; random deployment is the pessimistic counterpart),
     and the same leakers are replayed.  Each coverage level is one
-    :func:`simulate_leaks` sweep, so the ``workers``, ``engine`` and
-    ``cache`` knobs (shared baseline per lock set under
-    the compiled engine) all apply.
+    :func:`simulate_leaks` sweep (one baseline per lock set), so the
+    ``workers`` and ``engine`` knobs apply.
     """
     rng = rng or random.Random(0)
     neighbors = sorted(graph.neighbors(origin))
@@ -556,7 +426,7 @@ def lock_coverage_sweep(
         locked = frozenset(rng.sample(neighbors, k=count)) if count else frozenset()
         outcomes = simulate_leaks(
             graph, origin, eligible, peer_locked=locked, mode=mode,
-            workers=workers, engine=engine, cache=cache,
+            workers=workers, engine=engine,
         )
         fractions = [
             outcome.fraction_detoured

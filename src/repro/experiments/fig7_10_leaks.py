@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..bgpsim.cache import RoutingStateCache
 from ..core.leaks import (
     LEAK_CONFIGURATIONS,
     average_resilience_curve,
@@ -83,7 +82,6 @@ def leak_curves_for_origin(
     with_users: bool = False,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    cache: Optional[RoutingStateCache] = None,
 ) -> LeakCurves:
     graph, tiers = ctx.graph, ctx.tiers
     result = LeakCurves(name=name, asn=asn)
@@ -96,7 +94,6 @@ def leak_curves_for_origin(
             peer_locked=locks,
             workers=workers,
             engine=engine,
-            cache=cache,
         )
         fractions: list[float] = []
         user_fractions: list[float] = []
@@ -128,23 +125,20 @@ def run(
     include_facebook: bool = True,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    stream: bool | str | None = None,
 ) -> LeakResult:
     """Figs. 7 and 8 for every cloud (and Facebook).
 
-    Under the compiled engine every ``(origin, configuration)`` group
-    computes its baseline once through a shared
-    :class:`~repro.bgpsim.cache.RoutingStateCache`.
+    Every ``(origin, configuration)`` group propagates its baseline once
+    and each leaker then costs one two-seed propagation (see
+    :func:`~repro.core.leaks.simulate_leaks`).
     """
     leakers = sample_leakers(ctx, leaks_per_config)
     origins = list(ctx.clouds.items())
     if include_facebook and ctx.scenario.facebook_asn is not None:
         origins.append(("Facebook", ctx.scenario.facebook_asn))
-    cache = RoutingStateCache(ctx.graph, engine=engine)
     curves = [
         leak_curves_for_origin(
             ctx, name, asn, leakers, workers=workers, engine=engine,
-            cache=cache,
         )
         for name, asn in origins
     ]
@@ -155,8 +149,6 @@ def run(
         leakers_per_origin=baseline_leakers,
         workers=workers,
         engine=engine,
-        cache=cache,
-        stream=stream,
     )
     return LeakResult(origins=curves, average_resilience=baseline)
 

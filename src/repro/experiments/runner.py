@@ -46,9 +46,9 @@ def run_all(
     leaks) across processes; ``batch`` selects the bit-parallel
     multi-origin batch width for the all-AS sweeps (default: the
     ``REPRO_BATCH`` environment variable).  ``stream`` folds the sweep
-    aggregations (Fig. 6, Fig. 13, hegemony, the leak baseline) view by
-    view at O(batch) memory instead of retaining eager state windows
-    (default: ``REPRO_STREAM``; ``auto`` streams at paper scale).  Every
+    aggregations (Fig. 6, Fig. 13, hegemony) view by view at O(batch)
+    memory instead of retaining eager state windows (default:
+    ``REPRO_STREAM``; ``auto`` streams at paper scale).  Every
     experiment's output is identical for any worker count, batch width
     or stream mode (see ``tests/test_parallel_engine.py`` /
     ``tests/test_multiorigin_engine.py`` /
@@ -64,8 +64,7 @@ def run_all(
         ctx_2020, workers=workers, batch=batch, stream=stream
     )
     results["fig7_8"] = fig7_10_leaks.run(
-        ctx_2020, leaks_per_config=leaks_per_config, workers=workers,
-        stream=stream,
+        ctx_2020, leaks_per_config=leaks_per_config, workers=workers
     )
     results["fig9"] = fig7_10_leaks.run_fig9(
         ctx_2020, leaks_per_config=leaks_per_config, workers=workers

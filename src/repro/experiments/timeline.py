@@ -10,17 +10,12 @@ in a :class:`~repro.bgpsim.cache.RoutingStateCache`, emitting one
 each chosen target, local hegemony toward each target, and — for seed
 events — the number of ASes captured by the hijacker/leaker.
 
-Engine semantics: the ``engine`` knob (``REPRO_ENGINE``) selects *how*
-each post-event state is derived — ``"compiled"`` (the default) applies
-the event's delta to the cached baseline via
-:func:`~repro.bgpsim.events.propagate_delta_event`, which itself falls
-back to a full recompute past its withdrawal threshold; ``"reference"``
-always recomputes in full on the mutated graph via
-:func:`~repro.bgpsim.events.full_event_outcome`.  Both paths produce
-bit-identical metric floats (``tests/test_event_engine.py``).  Baselines
-are always compiled array states (the delta pass requires them and the
-metric kernels are fastest on them), so a runner-created cache uses the
-compiled kernel regardless of the engine knob.
+Every post-event state comes from
+:func:`~repro.bgpsim.events.propagate_event`: one compiled propagation
+per (event, origin) on the mutated graph (a hijack merges the hijacker's
+propagation over the baseline).  Baselines are compiled array states,
+so a runner-created cache uses the compiled kernel regardless of
+``REPRO_ENGINE``.
 
 Cache discipline: baselines are read *before* ``event.apply`` mutates the
 graph; a topology-mutating event then drops every cached state
@@ -42,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..bgpsim.cache import RoutingStateCache
-from ..bgpsim.engine import resolve_engine
 from ..bgpsim.events import (
     ASFailure,
     Depeer,
@@ -51,8 +45,7 @@ from ..bgpsim.events import (
     LinkDown,
     LinkUp,
     RouteLeak,
-    full_event_outcome,
-    propagate_delta_event,
+    propagate_event,
 )
 from ..bgpsim.metrics_kernel import reliance_kernel, routed_count_kernel
 from ..bgpsim.parallel import graph_map
@@ -75,9 +68,7 @@ class EventMetrics:
     ``step`` 0 is the pre-timeline baseline (``event == "baseline"``);
     steps 1..n follow the event sequence.  ``captured`` counts the ASes
     routing on the hijacker's/leaker's announcement (``None`` for
-    topology events); ``visited_fraction``/``fallback`` expose the delta
-    pass's instrumentation (0.0/False on the full-recompute path for
-    topology and leak events, which do not track a frontier).
+    topology events).
     """
 
     step: int
@@ -87,8 +78,6 @@ class EventMetrics:
     reliance: dict[int, float]
     hegemony: dict[int, float]
     captured: Optional[int] = None
-    visited_fraction: float = 0.0
-    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -139,10 +128,8 @@ def _event_task(
     applied=None,
     baselines=None,
     targets: tuple[int, ...] = (),
-    delta: bool = True,
-    threshold: Optional[float] = None,
 ):
-    """One origin's post-event outcome + metric row (module-level so
+    """One origin's post-event state + metric row (module-level so
     ``graph_map`` can ship it to worker processes; ``applied``/
     ``baselines`` ride along as per-worker shared state)."""
     baseline = baselines[origin]
@@ -163,14 +150,8 @@ def _event_task(
         # per-prefix no-ops: an AS "hijacking"/"leaking" the prefix it
         # legitimately originates, or re-announcing a route it never had
         row = _metric_row(baseline, origin, targets)
-        return (origin, None, row, 0, 0.0, False)
-    if delta:
-        outcome = propagate_delta_event(
-            graph, baseline, applied, threshold=threshold
-        )
-    else:
-        outcome = full_event_outcome(graph, baseline, applied)
-    state = outcome.state
+        return (origin, None, row, 0)
+    state = propagate_event(graph, baseline, applied)
     captured = None
     if isinstance(event, (Hijack, RouteLeak)):
         captured = len(state.ases_with_origin(event.key))
@@ -182,8 +163,6 @@ def _event_task(
         state if applied.mutates_topology else None,
         row,
         captured,
-        outcome.visited_fraction,
-        outcome.fallback,
     )
 
 
@@ -192,12 +171,9 @@ class ScenarioRunner:
 
     ``cache`` defaults to a fresh compiled-engine
     :class:`RoutingStateCache` over ``graph``; a caller-provided cache
-    must hold compiled array states (the delta pass and seed-event
-    merges require them).  ``engine`` picks delta vs full recompute (see
-    the module docstring), ``workers`` fans per-origin work across
-    processes, ``batch`` sets the bit-parallel prefetch width, and
-    ``threshold`` caps the delta pass's withdrawal region
-    (:func:`~repro.bgpsim.events.resolve_event_threshold`).
+    must hold compiled array states (the hijack merge requires them).
+    ``workers`` fans per-origin work across processes and ``batch`` sets
+    the bit-parallel prefetch width.
 
     ``shards`` attaches a precomputed
     :class:`~repro.bgpsim.shards.ShardStore` as the cache's disk tier:
@@ -212,10 +188,8 @@ class ScenarioRunner:
         origins: Iterable[int],
         targets: Iterable[int] = (),
         cache: Optional[RoutingStateCache] = None,
-        engine: Optional[str] = None,
         workers: int | str | None = None,
         batch: Optional[int] = None,
-        threshold: Optional[float] = None,
         shards=None,
     ) -> None:
         self.graph = graph
@@ -223,10 +197,8 @@ class ScenarioRunner:
         if not self.origins:
             raise ValueError("at least one origin required")
         self.targets = tuple(targets)
-        self.engine = resolve_engine(engine)
         self.workers = workers
         self.batch = batch
-        self.threshold = threshold
         if cache is None:
             cache = RoutingStateCache(graph, engine="compiled", batch=batch)
         if shards is not None:
@@ -237,7 +209,6 @@ class ScenarioRunner:
         """Apply ``events`` in order to the runner's graph (mutating it)
         and return the full metric series, baseline step included."""
         events = tuple(events)
-        delta = self.engine == "compiled"
         records: list[EventMetrics] = []
         self.cache.prefetch(
             self.origins, workers=self.workers, batch=self.batch
@@ -263,13 +234,11 @@ class ScenarioRunner:
                     applied=applied,
                     baselines=baselines,
                     targets=self.targets,
-                    delta=delta,
-                    threshold=self.threshold,
                 )
             )
             if applied.mutates_topology:
                 self.cache.invalidate()
-            for origin, state, row, captured, visited_fraction, fallback in rows:
+            for origin, state, row, captured in rows:
                 if state is not None:
                     self.cache.install(origin, state)
                 reachable, reliance, hegemony = row
@@ -282,8 +251,6 @@ class ScenarioRunner:
                         reliance,
                         hegemony,
                         captured=captured,
-                        visited_fraction=visited_fraction,
-                        fallback=fallback,
                     )
                 )
         return TimelineResult(

@@ -92,6 +92,54 @@ class TestLeak:
         assert "t1t2_lock" not in out
 
 
+@pytest.fixture(scope="module")
+def tiny_default(tmp_path_factory):
+    """The ``tiny`` topology at its default seed, as ``repro generate tiny
+    -o tiny.txt`` writes it (the EXPERIMENTS.md worked examples)."""
+    rel = tmp_path_factory.mktemp("cli-tiny") / "tiny.txt"
+    assert main(["generate", "tiny", "-o", str(rel)]) == 0
+    return rel
+
+
+class TestTimeline:
+    def test_worked_example(self, tiny_default, capsys):
+        assert main(
+            [
+                "timeline", str(tiny_default), "30009", "--events",
+                "depeer:30009-1299,down:22356-30009,up:22356-30009:p2c",
+                "--targets", "22356",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        reachable = [
+            int(line.split("reachable=")[1].split()[0])
+            for line in out.splitlines()
+            if "reachable=" in line
+        ]
+        assert reachable == [132, 132, 88, 132]
+        step2 = out.split("link-down AS22356—AS30009")[1].splitlines()[1]
+        assert "reliance=17.0000 hegemony=0.1127" in step2
+        assert "3 baseline invalidations" in out
+
+    def test_existing_link_up_is_refused(self, tiny_default, capsys):
+        # AS30009 already peers with AS1299: the inverse of raising that
+        # link again would delete it
+        code = main(
+            ["timeline", str(tiny_default), "30009", "--events",
+             "up:30009-1299"]
+        )
+        assert code == 1
+        assert "already linked" in capsys.readouterr().err
+
+    def test_missing_link_down_is_refused(self, tiny_default, capsys):
+        code = main(
+            ["timeline", str(tiny_default), "30009", "--events",
+             "down:30009-15169"]
+        )
+        assert code == 1
+        assert "no edge between AS30009 and AS15169" in capsys.readouterr().err
+
+
 class TestInfer:
     def test_infer_with_truth_and_output(self, generated, tmp_path, capsys):
         rel, mrt = generated

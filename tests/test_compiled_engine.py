@@ -31,6 +31,7 @@ from .conftest import (
     sample_origins,
 )
 from repro.bgpsim import (
+    ENGINES,
     CompiledRoutingState,
     RoutingStateCache,
     Seed,
@@ -56,6 +57,13 @@ SCENARIOS = [
 
 
 class TestEngineDispatch:
+    def test_engines_are_the_fast_path_and_the_oracle(self, monkeypatch):
+        assert ENGINES == ("compiled", "reference")
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine(None) == "compiled"
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine("sideways")
+
     def test_resolve_engine_explicit(self):
         assert resolve_engine("compiled") == "compiled"
         assert resolve_engine("reference") == "reference"

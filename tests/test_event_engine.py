@@ -1,30 +1,33 @@
-"""Differential event-conformance harness: event deltas ≡ full recompute.
+"""Differential event-conformance harness: the one event path ≡ the oracle.
 
-The dynamic-topology engine (``repro.bgpsim.events``) derives each
-post-event routing state from a cached baseline instead of recomputing
-the mutated graph from scratch.  It is only safe to use if every outcome
-is *identical* to the full recompute, so this module proves, for every
-event type (``LinkDown``, ``LinkUp``, ``Depeer``, ``ASFailure``,
-``ASRecover``, ``Hijack``, ``RouteLeak``) on 3 netgen seeds × 2 sizes:
+:func:`repro.bgpsim.events.propagate_event` derives each post-event
+routing state with one compiled propagation on the mutated graph (a
+hijack merges the hijacker's propagation over the baseline).  This module
+checks it against the reference engine, ``propagate_reference`` on the
+same mutated graph, for every event type (``LinkDown``, ``LinkUp``,
+``Depeer``, ``ASFailure``, ``ASRecover``, ``Hijack``, ``RouteLeak``) on
+3 netgen seeds × 2 sizes.  The graph's compiled CSR arrays are patched
+from its dirty-row log after each mutation, so the comparison covers
+the patching too:
 
-* **state level** — the delta state equals ``propagate_compiled`` on the
-  mutated graph (full tied-best equivalence class: route class, length,
-  parent sets, origins);
-* **metric level** — the PR-4 metric kernels produce bit-identical
-  floats on the delta state and on the full recompute;
+* **state level** — the post-event state equals the oracle's (full
+  tied-best equivalence class: route class, length, parent sets,
+  origins);
+* **metric level** — the metric kernels on the post-event state produce
+  the same floats as the dict metrics on the oracle's state;
 * **regression level** — hand-computed minimal graphs where a
   ``LinkDown`` severing a provider must withdraw exactly the
   customer-cone routes that transited it (and re-converge the survivors
-  through peers), including both sides of the fallback-threshold
-  boundary;
-* **timeline level** — ``ScenarioRunner`` emits identical metric rows on
-  every engine and worker count, and drops cached baselines on every
-  topology-mutating event (``baseline_invalidations``).
+  through peers);
+* **timeline level** — ``ScenarioRunner`` emits the metric rows of a
+  replay on the reference engine and the dict metrics, at every worker
+  count, and drops cached baselines on every topology-mutating event
+  (``baseline_invalidations``).
 
-Hijacks are checked against an *independent* reference — a test-side
-merge of two full propagations — rather than the engine's own merge.
-Set ``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs
-the harness at 2).
+Hijacks are checked against an *independent* merge of two reference
+propagations rather than the engine's own merge.  Set
+``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs the
+harness at 2).
 """
 
 from __future__ import annotations
@@ -51,13 +54,17 @@ from repro.bgpsim import (
     RoutingStateCache,
     Seed,
     cross_fractions_kernel,
-    full_event_outcome,
     length_histogram_kernel,
     propagate_compiled,
-    propagate_delta_event,
+    propagate_event,
+    propagate_reference,
     reliance_kernel,
     routed_count_kernel,
 )
+from repro.bgpsim.routes import RoutingState
+from repro.core.hegemony import TRIM, path_cross_fractions, trimmed_mean
+from repro.core.pathlen import path_length_histogram
+from repro.core.reliance import _reliance_from_routes
 from repro.experiments.timeline import ScenarioRunner, parse_events
 from repro.topology import ASGraph
 
@@ -74,41 +81,63 @@ SCENARIOS = [
 ]
 
 
-def _check_topology_event(graph, origins, event, context):
-    """Apply ``event``; assert delta ≡ full recompute for every origin.
+def _oracle(graph, origin, event):
+    """``origin``'s post-event state from the reference engine alone.
 
-    ``threshold=1.0`` forces the frontier-limited pass (no silent
-    fallbacks); the graph is left in its post-event form.  Returns the
-    outcomes so callers can inspect instrumentation.
-    """
+    ``graph`` is already mutated.  A hijack is the independent merge of
+    two reference propagations: the hijacker's route wins at every AS it
+    reaches except the legitimate origin."""
+    legit = Seed(asn=origin)
+    if isinstance(event, Hijack):
+        hseed = Seed(asn=event.hijacker, key=event.key)
+        base = propagate_reference(graph, legit)
+        hijack = propagate_reference(graph, hseed)
+        merged = RoutingState((legit, hseed))
+        merged.routes = dict(base.routes)
+        merged.routes.update(
+            (asn, route) for asn, route in hijack.routes.items()
+            if asn != origin
+        )
+        return merged
+    if isinstance(event, RouteLeak):
+        length = event.initial_length
+        if length is None:
+            length = propagate_reference(graph, legit).path_length(
+                event.leaker
+            )
+        leak = Seed(asn=event.leaker, key=event.key, initial_length=length)
+        return propagate_reference(graph, (legit, leak))
+    return propagate_reference(graph, legit)
+
+
+def _check_topology_event(graph, origins, event, context):
+    """Apply ``event``; assert the post-event state ≡ the oracle for
+    every origin.  The graph is left in its post-event form."""
     baselines = {
         origin: propagate_compiled(graph, Seed(asn=origin))
         for origin in origins
     }
     applied = event.apply(graph)
-    outcomes = {}
     for origin, baseline in baselines.items():
-        out = propagate_delta_event(graph, baseline, applied, threshold=1.0)
-        assert not out.fallback, f"unexpected fallback: {out.reason}"
-        full = propagate_compiled(graph, baseline.seeds)
         assert_states_equal(
-            out.state, full, f"{context}, {event.describe()}, AS{origin}"
+            propagate_event(graph, baseline, applied),
+            _oracle(graph, origin, event),
+            f"{context}, {event.describe()}, AS{origin}",
         )
-        outcomes[origin] = (out, full)
-    return applied, outcomes
+    return applied
 
 
-def _assert_metrics_identical(state_a, state_b, targets, context):
-    """The metric kernels must produce bit-identical floats (``==`` on
-    dicts, no tolerance) on the delta state and the full recompute."""
-    assert routed_count_kernel(state_a) == routed_count_kernel(state_b)
-    assert reliance_kernel(state_a) == reliance_kernel(state_b), context
-    assert length_histogram_kernel(state_a) == length_histogram_kernel(
-        state_b
+def _assert_metrics_identical(state, oracle, targets, context):
+    """The metric kernels on ``state`` must produce the dict metrics'
+    floats on the oracle (``==`` on dicts, no tolerance)."""
+    assert routed_count_kernel(state) == len(oracle.reachable_ases())
+    assert reliance_kernel(state) == _reliance_from_routes(oracle), context
+    assert length_histogram_kernel(state) == path_length_histogram(
+        oracle
     ), context
     for target in targets:
-        assert cross_fractions_kernel(state_a, target) == (
-            cross_fractions_kernel(state_b, target)
+        assert cross_fractions_kernel(state, target) == (
+            path_cross_fractions(oracle, target)
         ), f"{context}, target AS{target}"
 
 
@@ -130,7 +159,7 @@ class TestEventDifferential:
                 if a < b or b in graph.customers(a)
             )
             a, b = edges[rng.randrange(len(edges))]
-            applied, _ = _check_topology_event(
+            applied = _check_topology_event(
                 graph, origins, LinkDown(a, b), f"{profile}/{seed} t{trial}"
             )
             applied.inverse.apply(graph)  # restore for the next trial
@@ -147,7 +176,7 @@ class TestEventDifferential:
             if graph.relationship_between(a, b) is not None:
                 continue
             rel = "p2p" if added % 2 else "p2c"
-            applied, _ = _check_topology_event(
+            applied = _check_topology_event(
                 graph,
                 origins,
                 LinkUp(a, b, relationship=rel),
@@ -166,7 +195,7 @@ class TestEventDifferential:
         origins = sample_origins(graph, 3, seed=seed)
         for trial in range(4):
             a, b = peerings[rng.randrange(len(peerings))]
-            applied, _ = _check_topology_event(
+            applied = _check_topology_event(
                 graph, origins, Depeer(a, b), f"{profile}/{seed} t{trial}"
             )
             applied.inverse.apply(graph)
@@ -184,13 +213,13 @@ class TestEventDifferential:
         for victim in picks:
             if victim in origins:
                 continue
-            applied, _ = _check_topology_event(
+            applied = _check_topology_event(
                 graph, origins, ASFailure(victim), f"{profile}/{seed}"
             )
             recover = applied.inverse
             assert isinstance(recover, ASRecover)
             # the recovery (pure addition of every incident edge) must
-            # also hold differentially, and restore the graph
+            # also match the oracle, and restore the graph
             _check_topology_event(
                 graph, origins, recover, f"{profile}/{seed} recover"
             )
@@ -203,31 +232,19 @@ class TestEventDifferential:
         for trial in range(4):
             origin, hijacker = rng.sample(nodes, 2)
             baseline = propagate_compiled(graph, Seed(asn=origin))
-            applied = Hijack(hijacker).apply(graph)
-            out = propagate_delta_event(graph, baseline, applied)
-            # independent reference: merge two full propagations
-            hstate = propagate_compiled(
+            event = Hijack(hijacker)
+            applied = event.apply(graph)
+            state = propagate_event(graph, baseline, applied)
+            hijack = propagate_reference(
                 graph, Seed(asn=hijacker, key="hijack")
             )
-            stolen = frozenset(hstate.routes) - {origin}
-            merged = out.state
-            assert merged.ases_with_origin("hijack") == stolen
-            for asn in set(baseline.routes) | set(hstate.routes):
-                expect = (
-                    hstate.routes[asn]
-                    if asn in stolen
-                    else baseline.routes.get(asn)
-                )
-                got = merged.routes.get(asn)
-                if expect is None:
-                    assert got is None, f"AS{asn} routed unexpectedly"
-                    continue
-                assert got is not None, f"AS{asn} lost its route"
-                assert (
-                    got.route_class == expect.route_class
-                    and got.length == expect.length
-                    and got.parents == expect.parents
-                ), f"{profile}/{seed} t{trial}, AS{asn}"
+            stolen = frozenset(hijack.routes) - {origin}
+            assert state.ases_with_origin("hijack") == stolen
+            assert_states_equal(
+                state,
+                _oracle(graph, origin, event),
+                f"{profile}/{seed} t{trial}",
+            )
 
     @pytest.mark.parametrize("profile,seed", SCENARIOS)
     def test_routeleak(self, profile, seed):
@@ -242,10 +259,10 @@ class TestEventDifferential:
                 leaker, initial_length=0
             )
             applied = event.apply(graph)
-            out = propagate_delta_event(graph, baseline, applied)
-            full = full_event_outcome(graph, baseline, applied)
             assert_states_equal(
-                out.state, full.state, f"{profile}/{seed} t{trial}"
+                propagate_event(graph, baseline, applied),
+                _oracle(graph, origin, event),
+                f"{profile}/{seed} t{trial}",
             )
 
     @pytest.mark.parametrize("profile,seed", SCENARIOS[:3])
@@ -267,11 +284,9 @@ class TestEventDifferential:
         for event in events:
             baseline = propagate_compiled(graph, Seed(asn=origin))
             applied = event.apply(graph)
-            out = propagate_delta_event(graph, baseline, applied, threshold=1.0)
-            full = full_event_outcome(graph, baseline, applied)
             _assert_metrics_identical(
-                out.state,
-                full.state,
+                propagate_event(graph, baseline, applied),
+                _oracle(graph, origin, event),
                 targets,
                 f"{profile}/{seed}, {event.describe()}",
             )
@@ -298,10 +313,9 @@ class TestRetractionRegression:
         baseline = propagate_compiled(graph, Seed(asn=301))
         assert len(baseline.routes) == 10  # everyone routed
         applied = LinkDown(12, 301).apply(graph)
-        out = propagate_delta_event(graph, baseline, applied, threshold=1.0)
-        assert not out.fallback
-        assert _routes_of(out.state) == {}  # total withdrawal
-        assert routed_count_kernel(out.state) == 0
+        state = propagate_event(graph, baseline, applied)
+        assert _routes_of(state) == {}  # total withdrawal
+        assert routed_count_kernel(state) == 0
 
     def test_severed_transit_withdraws_exactly_the_cone_that_used_it(self):
         # CLOUD (AS100) buys transit from AS11 only; severing 11—100 must
@@ -311,9 +325,8 @@ class TestRetractionRegression:
         graph, _ = build_mini()
         baseline = propagate_compiled(graph, Seed(asn=100))
         applied = LinkDown(11, 100).apply(graph)
-        out = propagate_delta_event(graph, baseline, applied, threshold=1.0)
-        assert not out.fallback
-        assert _routes_of(out.state) == {
+        state = propagate_event(graph, baseline, applied)
+        assert _routes_of(state) == {
             2: (1, 1, {100}),
             12: (1, 1, {100}),
             201: (1, 1, {100}),
@@ -341,42 +354,17 @@ class TestRetractionRegression:
             1: (0, 3, {2}),
         }
         applied = LinkDown(2, 3).apply(graph)
-        out = propagate_delta_event(graph, baseline, applied, threshold=1.0)
-        assert not out.fallback
-        assert _routes_of(out.state) == {
+        state = propagate_event(graph, baseline, applied)
+        assert _routes_of(state) == {
             3: (0, 1, {4}),
             5: (0, 2, {3}),
             1: (1, 3, {5}),
             2: (2, 4, {1}),
         }
 
-    def test_fallback_threshold_boundary(self):
-        # severing 11—100 withdraws exactly 3 of the mini graph's 10
-        # nodes: threshold 0.3 (3 > 3 is false) stays on the delta path,
-        # anything lower falls back — and both produce the same state.
-        graph, _ = build_mini()
-        baseline = propagate_compiled(graph, Seed(asn=100))
-        applied = LinkDown(11, 100).apply(graph)
-        kept = propagate_delta_event(graph, baseline, applied, threshold=0.3)
-        assert not kept.fallback and kept.changed is not None
-        dropped = propagate_delta_event(
-            graph, baseline, applied, threshold=0.29
-        )
-        assert dropped.fallback and dropped.changed is None
-        assert "exceeds threshold" in dropped.reason
-        assert_states_equal(kept.state, dropped.state, "threshold boundary")
-
-    def test_env_threshold_is_honored(self, monkeypatch):
-        graph, _ = build_mini()
-        baseline = propagate_compiled(graph, Seed(asn=100))
-        applied = LinkDown(11, 100).apply(graph)
-        monkeypatch.setenv("REPRO_EVENT_THRESHOLD", "0.0")
-        out = propagate_delta_event(graph, baseline, applied)
-        assert out.fallback
-
 
 # ---------------------------------------------------------------------------
-# timeline runner: engine/worker equivalence + cache invalidation
+# timeline runner: the oracle's rows, worker equivalence, cache invalidation
 # ---------------------------------------------------------------------------
 
 def _mini_timeline():
@@ -385,26 +373,74 @@ def _mini_timeline():
     )
 
 
+def _oracle_rows(graph, origins, targets, events):
+    """``ScenarioRunner``'s rows from the reference engine and the dict
+    metrics alone: (step, event, origin, reachable, reliance, hegemony,
+    captured).  Mutates ``graph``."""
+
+    def row(step, label, origin, state, captured):
+        reliance = _reliance_from_routes(state)
+        hegemony = {}
+        for target in targets:
+            fractions = path_cross_fractions(state, target)
+            hegemony[target] = trimmed_mean(
+                [v for a, v in fractions.items() if a not in (origin, target)],
+                TRIM,
+            )
+        return (
+            step, label, origin, len(state.reachable_ases()),
+            {t: reliance.get(t, 0.0) for t in targets}, hegemony, captured,
+        )
+
+    rows = [
+        row(0, "baseline", o, propagate_reference(graph, Seed(asn=o)), None)
+        for o in origins
+    ]
+    for step, event in enumerate(events, 1):
+        before = {o: propagate_reference(graph, Seed(asn=o)) for o in origins}
+        event.apply(graph)
+        for origin in origins:
+            seed_event = isinstance(event, (Hijack, RouteLeak))
+            actor = getattr(event, "hijacker", getattr(event, "leaker", None))
+            if seed_event and (
+                actor == origin
+                or (
+                    isinstance(event, RouteLeak)
+                    and event.initial_length is None
+                    and before[origin].path_length(actor) is None
+                )
+            ):
+                rows.append(
+                    row(step, event.describe(), origin, before[origin], 0)
+                )
+                continue
+            state = _oracle(graph, origin, event)
+            captured = (
+                len(state.ases_with_origin(event.key)) if seed_event else None
+            )
+            rows.append(row(step, event.describe(), origin, state, captured))
+    return rows
+
+
+def _rows(result):
+    return [
+        (r.step, r.event, r.origin, r.reachable, r.reliance, r.hegemony,
+         r.captured)
+        for r in result.records
+    ]
+
+
 class TestScenarioRunner:
     def test_rows_identical_across_engines(self):
-        results = {}
-        for engine in ("compiled", "reference"):
-            graph, _ = build_mini()
-            runner = ScenarioRunner(
-                graph,
-                origins=[100, 301],
-                targets=[11, 12],
-                engine=engine,
-                threshold=1.0,
-            )
-            results[engine] = runner.run(_mini_timeline())
-        compiled, reference = results["compiled"], results["reference"]
-        for a, b in zip(compiled.records, reference.records):
-            assert (a.step, a.origin, a.event) == (b.step, b.origin, b.event)
-            assert a.reachable == b.reachable, (a, b)
-            assert a.captured == b.captured, (a, b)
-            assert a.reliance == b.reliance, (a, b)
-            assert a.hegemony == b.hegemony, (a, b)
+        # the runner (compiled states, metric kernels) against a replay
+        # on the reference engine with the dict metrics
+        graph, _ = build_mini()
+        runner = ScenarioRunner(graph, origins=[100, 301], targets=[11, 12])
+        got = _rows(runner.run(_mini_timeline()))
+        oracle_graph, _ = build_mini()
+        assert got == _oracle_rows(
+            oracle_graph, [100, 301], [11, 12], _mini_timeline()
+        )
 
     def test_rows_identical_across_workers(self):
         results = {}
@@ -414,19 +450,14 @@ class TestScenarioRunner:
                 graph,
                 origins=[100, 301],
                 targets=[11, 12],
-                engine="compiled",
                 workers=workers,
-                threshold=1.0,
             )
             results[workers] = runner.run(_mini_timeline())
         assert results[None] == results[WORKERS]
 
-    @pytest.mark.parametrize("engine", ("compiled", "reference"))
-    def test_topology_events_invalidate_baselines(self, engine):
+    def test_topology_events_invalidate_baselines(self):
         graph, _ = build_mini()
-        runner = ScenarioRunner(
-            graph, origins=[100], engine=engine, threshold=1.0
-        )
+        runner = ScenarioRunner(graph, origins=[100])
         runner.run(_mini_timeline())
         stats = runner.cache.stats()
         # 4 of the 6 timeline events mutate topology
@@ -434,24 +465,21 @@ class TestScenarioRunner:
 
     def test_seed_events_leave_cache_alone(self):
         graph, _ = build_mini()
-        runner = ScenarioRunner(graph, origins=[100], engine="compiled")
+        runner = ScenarioRunner(graph, origins=[100])
         before_state = runner.cache.state_for(100)
         runner.run(parse_events("hijack:301,leak:201"))
         assert runner.cache.stats().baseline_invalidations == 0
         assert runner.cache.state_for(100) is before_state
 
-    @pytest.mark.parametrize("engine", ("compiled", "reference"))
-    def test_installed_baselines_are_fresh(self, engine):
+    def test_installed_baselines_are_fresh(self):
         # after a topology event the cache must serve post-event states:
         # identical to a from-scratch propagation on the mutated graph
         graph, _ = build_mini()
-        runner = ScenarioRunner(
-            graph, origins=[100, 301], engine=engine, threshold=1.0
-        )
+        runner = ScenarioRunner(graph, origins=[100, 301])
         runner.run(parse_events("down:11-100"))
         for origin in (100, 301):
             cached = runner.cache.state_for(origin)
-            fresh = propagate_compiled(graph, Seed(asn=origin))
+            fresh = propagate_reference(graph, Seed(asn=origin))
             assert_states_equal(cached, fresh, f"post-event cache AS{origin}")
 
     def test_stale_cache_would_differ(self):
@@ -465,21 +493,19 @@ class TestScenarioRunner:
         assert stale.routes.keys() != fresh.routes.keys()
 
     def test_chained_deltas_stay_conformant(self):
-        # each event's delta state becomes the next event's baseline;
-        # after the whole timeline the delta-fed cache still matches a
-        # from-scratch recompute of the final topology
+        # each event's post-event state becomes the next event's
+        # baseline; after the whole timeline the cache still matches a
+        # from-scratch propagation of the final topology
         graph, _ = build_mini()
-        runner = ScenarioRunner(
-            graph, origins=[100], engine="compiled", threshold=1.0
-        )
+        runner = ScenarioRunner(graph, origins=[100])
         runner.run(_mini_timeline())
         cached = runner.cache.state_for(100)
-        fresh = propagate_compiled(graph, Seed(asn=100))
+        fresh = propagate_reference(graph, Seed(asn=100))
         assert_states_equal(cached, fresh, "chained timeline")
 
     def test_self_events_are_noops(self):
         graph, _ = build_mini()
-        runner = ScenarioRunner(graph, origins=[100], engine="compiled")
+        runner = ScenarioRunner(graph, origins=[100])
         result = runner.run(parse_events("hijack:100,leak:100"))
         base = result.record(0, 100)
         for step in (1, 2):
@@ -508,22 +534,11 @@ class TestScenarioRunner:
             f"down:{hub}-{sorted(graph.customers(hub))[0]},"
             f"fail:{victim},hijack:{by_degree[3]},leak:{by_degree[4]}"
         )
-        rows = {}
-        for engine in ("compiled", "reference"):
-            g = netgen_graph(profile, seed=seed)
-            runner = ScenarioRunner(
-                g,
-                origins,
-                targets=by_degree[:2],
-                engine=engine,
-                workers=WORKERS if engine == "compiled" else None,
-                threshold=1.0,
-            )
-            rows[engine] = runner.run(parse_events(spec))
-        for a, b in zip(
-            rows["reference"].records, rows["compiled"].records
-        ):
-            assert a.reachable == b.reachable, (a, b)
-            assert a.captured == b.captured, (a, b)
-            assert a.reliance == b.reliance, (a, b)
-            assert a.hegemony == b.hegemony, (a, b)
+        runner = ScenarioRunner(
+            graph, origins, targets=by_degree[:2], workers=WORKERS
+        )
+        got = _rows(runner.run(parse_events(spec)))
+        assert got == _oracle_rows(
+            netgen_graph(profile, seed=seed), origins, by_degree[:2],
+            parse_events(spec),
+        )

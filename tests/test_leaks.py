@@ -1,10 +1,24 @@
-"""Unit tests for route-leak resilience simulation (§8)."""
+"""Unit tests for route-leak resilience simulation (§8).
 
+``TestSweepEquivalence`` is the leak sweeps' differential harness: the
+compiled sweeps, which propagate one baseline per ``(origin, locks)``
+group and hand each leaker its re-announce length, must reproduce the
+reference engine's per-leaker :func:`simulate_leak` — two full
+propagations per leaker — outcome for outcome, across every
+``LEAK_CONFIGURATIONS`` × :class:`LeakMode` × :class:`PeerLockSemantics`
+combination, for peer-locked leakers (whose own baseline has them
+unlocked), across worker processes, and through
+``average_resilience_curve`` and ``lock_coverage_sweep``.  Set
+``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs the
+harness at 2).
+"""
+
+import os
 import random
 
 import pytest
 
-from repro.bgpsim import LeakMode, Seed
+from repro.bgpsim import LeakMode, leak_seed
 from repro.core import (
     LEAK_CONFIGURATIONS,
     PeerLockSemantics,
@@ -12,11 +26,29 @@ from repro.core import (
     cdf_points,
     configuration_seed_and_locks,
     fraction_at_most,
+    lock_coverage_sweep,
     resilience_curve,
     simulate_leak,
+    simulate_leaks,
+)
+from repro.netgen import build_scenario, profile
+from repro.topology.tiers import infer_tiers
+
+from .conftest import (
+    CLOUD,
+    CONTENT,
+    E3,
+    T1B,
+    T2B,
+    netgen_graph,
+    sample_origins,
 )
 
-from .conftest import CLOUD, CONTENT, E3, T1B, T2B
+WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "4"))
+
+#: the lock configurations, whose lock-set members leak with a baseline
+#: of their own
+LOCK_CONFIGURATIONS = tuple(c for c in LEAK_CONFIGURATIONS if "lock" in c)
 
 
 class TestSimulateLeak:
@@ -156,3 +188,189 @@ class TestCurves:
         graph, tiers = mini
         with pytest.raises(ValueError):
             configuration_seed_and_locks(graph, CLOUD, tiers, "bogus")
+
+
+def _per_leaker(graph, seed, leakers, engine="reference", **kwargs):
+    """The oracle: :func:`simulate_leak` per leaker, each with its own
+    baseline propagation."""
+    return [
+        simulate_leak(graph, seed, leaker, engine=engine, **kwargs)
+        for leaker in leakers
+    ]
+
+
+def _drawn_pairs(rng, graph, origins, leakers_per_origin):
+    """``average_resilience_curve``'s (origin, leaker) draw."""
+    nodes = sorted(graph.nodes())
+    pairs = []
+    for _ in range(origins):
+        origin = rng.choice(nodes)
+        for _ in range(leakers_per_origin):
+            leaker = rng.choice(nodes)
+            if leaker != origin:
+                pairs.append((origin, leaker))
+    return pairs
+
+
+class TestSweepEquivalence:
+    @pytest.mark.parametrize(
+        "profile,seed", [("tiny", 20200901), ("tiny", 7), ("tiny", 8)]
+    )
+    @pytest.mark.parametrize("mode", list(LeakMode))
+    @pytest.mark.parametrize("semantics", list(PeerLockSemantics))
+    def test_resilience_curves_identical(self, profile, seed, mode, semantics):
+        graph = netgen_graph(profile, seed=seed)
+        tiers = infer_tiers(graph, tier2_count=5, min_tier1_adjacency=1)
+        origin = sample_origins(graph, 1, seed=seed)[0]
+        leakers = sample_origins(graph, 8, seed=seed + 1)
+        for configuration in LEAK_CONFIGURATIONS:
+            config_seed, locks = configuration_seed_and_locks(
+                graph, origin, tiers, configuration
+            )
+            eligible = [a for a in leakers if a != origin]
+            # two members of the lock set leak too
+            sweep = eligible + sorted(locks - {origin} - set(eligible))[:2]
+            oracle = _per_leaker(
+                graph, config_seed, sweep, peer_locked=locks, mode=mode,
+                semantics=semantics,
+            )
+            got = simulate_leaks(
+                graph, config_seed, sweep, peer_locked=locks, mode=mode,
+                semantics=semantics, engine="compiled",
+            )
+            context = (
+                f"{configuration} ({profile}, seed={seed}, {mode}, "
+                f"{semantics})"
+            )
+            assert got == oracle, context
+            curve = resilience_curve(
+                graph, origin, tiers, configuration, leakers,
+                mode=mode, semantics=semantics, engine="compiled",
+            )
+            assert curve == sorted(
+                outcome.fraction_detoured
+                for outcome in oracle[: len(eligible)]
+                if outcome is not None
+            ), context
+
+    def test_simulate_leaks_outcomes_identical(self):
+        graph = netgen_graph("small", seed=20200901)
+        origin = sample_origins(graph, 1, seed=5)[0]
+        leakers = [a for a in sample_origins(graph, 10, seed=6) if a != origin]
+        oracle = _per_leaker(graph, origin, leakers)
+        for engine in ("compiled", "reference"):
+            got = simulate_leaks(graph, origin, leakers, engine=engine)
+            assert got == oracle, engine
+        assert any(outcome is not None for outcome in oracle)
+
+    def test_parallel_sweep_matches_serial(self):
+        graph = netgen_graph("tiny", seed=7)
+        origin = sample_origins(graph, 1, seed=2)[0]
+        leakers = [a for a in sample_origins(graph, 8, seed=3) if a != origin]
+        # leak seeds and plain locked ASNs both cross the pool
+        locked = frozenset(leakers[:2])
+        for peer_locked in (frozenset(), locked):
+            serial = simulate_leaks(
+                graph, origin, leakers, peer_locked=peer_locked,
+                engine="compiled",
+            )
+            parallel = simulate_leaks(
+                graph, origin, leakers, peer_locked=peer_locked,
+                engine="compiled", workers=WORKERS,
+            )
+            assert parallel == serial
+            assert parallel == _per_leaker(
+                graph, origin, leakers, peer_locked=peer_locked
+            )
+
+    @pytest.mark.parametrize("profile_name", ["tiny", "small"])
+    def test_locked_leaker_falls_back_to_full_simulation(self, profile_name):
+        # a leaker inside the lock set is unlocked in its own baseline, so
+        # its re-announce length may differ from the shared baseline's:
+        # every lock-set member of every cloud leaks here.  On small the
+        # per-leaker oracle runs the compiled kernel, which keeps the test
+        # fast; the engines agree leak for leak on tiny.
+        scenario = build_scenario(profile(profile_name, seed=20200901))
+        graph, tiers = scenario.graph, scenario.tiers
+        engine = "reference" if profile_name == "tiny" else "compiled"
+        for origin in sorted(scenario.clouds.values()):
+            for configuration in LOCK_CONFIGURATIONS:
+                seed, locks = configuration_seed_and_locks(
+                    graph, origin, tiers, configuration
+                )
+                leakers = sorted(locks - {origin})
+                oracle = _per_leaker(
+                    graph, seed, leakers, engine=engine, peer_locked=locks
+                )
+                got = simulate_leaks(
+                    graph, seed, leakers, peer_locked=locks, engine="compiled"
+                )
+                assert got == oracle, (profile_name, origin, configuration)
+
+    def test_single_leak_parity_across_modes(self):
+        graph = netgen_graph("tiny", seed=8)
+        origin = sample_origins(graph, 1, seed=1)[0]
+        leaker = next(
+            a for a in sample_origins(graph, 5, seed=11) if a != origin
+        )
+        for mode in LeakMode:
+            full = simulate_leak(
+                graph, origin, leaker, mode=mode, engine="reference"
+            )
+            compiled = simulate_leak(
+                graph, origin, leaker, mode=mode, engine="compiled"
+            )
+            assert compiled == full, mode
+        # the leak seed carries its length: no baseline needed
+        seed = leak_seed(graph, origin, leaker)
+        assert simulate_leak(graph, origin, seed) == simulate_leak(
+            graph, origin, leaker
+        )
+
+    def test_average_resilience_curve_identical(self):
+        graph = netgen_graph("tiny", seed=7)
+        pairs = _drawn_pairs(random.Random(42), graph, 4, 4)
+        oracle = sorted(
+            outcome.fraction_detoured
+            for origin, leaker in pairs
+            for outcome in [
+                simulate_leak(graph, origin, leaker, engine="reference")
+            ]
+            if outcome is not None
+        )
+        for engine, workers in (("compiled", None), ("compiled", WORKERS),
+                                ("reference", None)):
+            curve = average_resilience_curve(
+                graph, random.Random(42), origins=4, leakers_per_origin=4,
+                engine=engine, workers=workers,
+            )
+            assert curve == oracle, (engine, workers)
+
+    def test_lock_coverage_sweep_identical(self):
+        graph = netgen_graph("tiny", seed=20200901)
+        origin = sample_origins(graph, 1, seed=7)[0]
+        neighbors = sorted(graph.neighbors(origin))
+        # half the leakers neighbor the origin, so some are locked
+        leakers = (
+            neighbors[: len(neighbors) // 2] + sample_origins(graph, 8, seed=8)
+        )
+        eligible = [leaker for leaker in leakers if leaker != origin]
+        coverages = (0.0, 0.5, 1.0)
+        rng = random.Random(17)
+        oracle = {}
+        for coverage in coverages:
+            count = round(coverage * len(neighbors))
+            locked = frozenset(rng.sample(neighbors, k=count))
+            fractions = [
+                outcome.fraction_detoured
+                for outcome in _per_leaker(
+                    graph, origin, eligible, peer_locked=locked
+                )
+                if outcome is not None
+            ]
+            oracle[coverage] = sum(fractions) / len(fractions)
+        got = lock_coverage_sweep(
+            graph, origin, leakers, coverages=coverages,
+            rng=random.Random(17), engine="compiled",
+        )
+        assert got == oracle

@@ -8,8 +8,8 @@ the dict reference implementations exactly.  This module proves it:
 
 * **exact level** — kernel output equals the dict reference in
   ``Fraction`` mode on seeded synthetic-Internet scenarios (≥3 seeds ×
-  2 sizes), for compiled states and for a ``DeltaRoutingState`` built
-  from a route leak;
+  2 sizes), for single-origin compiled states and for the two-seed
+  state of a route leak;
 * **float level** — the float paths are *bit-identical*: both sides
   accumulate in the same canonical order (nodes by (length, ASN),
   parents ascending), which also pins results across set/dict insertion
@@ -31,7 +31,6 @@ import pytest
 from .conftest import netgen_graph, sample_origins
 from repro.bgpsim import (
     CompiledRoutingState,
-    DeltaRoutingState,
     Seed,
     cross_fractions_kernel,
     dag_of,
@@ -40,7 +39,6 @@ from repro.bgpsim import (
     path_counts_kernel,
     propagate,
     propagate_compiled,
-    propagate_delta,
     reliance_kernel,
     routed_count_kernel,
 )
@@ -83,13 +81,12 @@ def _states(graph, origin, excluded=frozenset()):
 
 
 def _leak_states(graph, origin, leaker):
-    """(two-seed reference state, DeltaRoutingState) for one leak."""
+    """(reference, compiled) two-seed states for one leak."""
     legit = Seed(asn=origin, key="origin")
     leak = Seed(asn=leaker, key="leak", initial_length=0)
-    baseline = propagate_compiled(graph, (legit,), locked_origin=origin)
-    delta = propagate_delta(graph, baseline, leak, locked_origin=origin)
+    compiled = propagate_compiled(graph, (legit, leak), locked_origin=origin)
     ref = propagate(graph, (legit, leak), engine="reference")
-    return ref, delta
+    return ref, compiled
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +154,26 @@ class TestDifferential:
             assert compiled._materialized is None
 
     @pytest.mark.parametrize("profile,seed", SCENARIOS)
-    def test_delta_state_kernels_match_reference(self, profile, seed):
+    def test_leak_state_kernels_match_reference(self, profile, seed):
         graph = netgen_graph(profile, seed=seed)
         rng = random.Random(seed * 31 + 1)
         nodes = sorted(graph.nodes())
         origin, leaker = rng.sample(nodes, 2)
-        ref, delta = _leak_states(graph, origin, leaker)
-        assert isinstance(delta, DeltaRoutingState)
-        assert is_array_state(delta)
+        ref, leak = _leak_states(graph, origin, leaker)
+        assert is_array_state(leak)
 
-        assert path_counts_kernel(delta) == _path_counts_routes(ref)
-        assert reliance_kernel(delta, exact=True) == (
+        assert path_counts_kernel(leak) == _path_counts_routes(ref)
+        assert reliance_kernel(leak, exact=True) == (
             _reliance_from_routes(ref, exact=True)
         )
-        assert reliance_kernel(delta) == _reliance_from_routes(ref)
+        assert reliance_kernel(leak) == _reliance_from_routes(ref)
         for target in (origin, leaker, *sample_origins(graph, 3, seed=seed)):
-            assert cross_fractions_kernel(delta, target) == (
+            assert cross_fractions_kernel(leak, target) == (
                 path_cross_fractions(ref, target)
             )
-        assert length_histogram_kernel(delta) == path_length_histogram(ref)
-        assert routed_count_kernel(delta) == len(ref.reachable_ases())
+        assert length_histogram_kernel(leak) == path_length_histogram(ref)
+        assert routed_count_kernel(leak) == len(ref.reachable_ases())
+        assert leak._materialized is None
 
     @pytest.mark.parametrize("profile,seed", [("tiny", 20200901), ("small", 7)])
     def test_public_metrics_dispatch_to_kernels(self, profile, seed):

@@ -404,16 +404,11 @@ def test_prefetch_and_baseline_consult_disk(tiny_corpus):
     assert computed == 0  # everything came off the map
     stats = cache.stats()
     assert stats.disk_hits == len(origins) and stats.misses == 0
-    # plain-seed baselines ride the same tiers...
+    # a timeline's baselines ride the same tiers
     other = sample_origins(graph, 20, seed=11)[-1]
     cache2 = RoutingStateCache(graph, shards=store)
-    cache2.baseline_for(Seed(asn=other))
-    assert cache2.stats().disk_hits == 1
-    # ...but locked/leak baselines are not plain origin states: computed
-    cache2.baseline_for(
-        Seed(asn=other), peer_locked=frozenset({origins[0]})
-    )
-    assert cache2.stats().misses == 1
+    cache2.state_for(other)
+    assert cache2.stats().disk_hits == 1 and cache2.stats().misses == 0
 
 
 def test_states_for_many_disk_and_stream(tiny_corpus):

@@ -17,7 +17,6 @@ import pytest
 
 from .conftest import assert_states_equal, netgen_graph, sample_origins
 from repro.bgpsim import (
-    RoutingStateCache,
     Seed,
     precompute_shards,
     propagate_compiled,
@@ -244,23 +243,32 @@ class TestParallelTransport:
         assert all(s["attaches"] >= 1 for s in worker_stats)
 
     def test_leak_sweep_over_shard_backed_baseline(self, tmp_path):
-        # the baseline comes off a shard, ships to the workers through an
-        # arena, and must arrive with its element formats intact
-        from repro.core.leaks import simulate_leaks
+        # a timeline's baselines come off a shard, ship to the workers
+        # through an arena, and must arrive with their element formats
+        # intact: every leak, hijack and link event answers as in-process
+        from repro.experiments.timeline import ScenarioRunner, parse_events
 
         graph = netgen_graph("tiny")
         target = precompute_shards(graph, tmp_path, workers=1)
-        origin, *others = sorted(graph.nodes())
-        leakers = others[:30]
+        nodes = sorted(graph.nodes())
+        origins, leakers = nodes[:4], nodes[4:10]
+        stub = next(a for a in nodes[10:] if graph.is_stub(a))
+        spec = ",".join(
+            [f"leak:{leaker}" for leaker in leakers]
+            + [f"hijack:{nodes[11]}",
+               f"down:{min(graph.providers(stub))}-{stub}"]
+        )
+        results = {}
         with ShardStore.open(target, graph=graph) as store:
-            outcomes = {}
             for workers in (1, 2):
-                cache = RoutingStateCache(graph, shards=store)
-                outcomes[workers] = simulate_leaks(
-                    graph, origin, leakers, workers=workers, cache=cache
+                runner = ScenarioRunner(
+                    graph.copy(), origins, targets=nodes[:2],
+                    workers=workers, shards=store,
                 )
-        assert any(outcomes[1])
-        assert outcomes[2] == outcomes[1]
+                results[workers] = runner.run(parse_events(spec))
+                assert runner.cache.stats().disk_hits == len(origins)
+        assert any(r.captured for r in results[1].records)
+        assert results[2] == results[1]
 
     def test_no_segments_leak_after_sweep(self):
         graph = netgen_graph("tiny", 7)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import gc
 import os
-import random
 import tracemalloc
 
 import pytest
@@ -28,7 +27,6 @@ from repro.bgpsim import (
     resolve_stream,
 )
 from repro.core.hegemony import global_hegemony
-from repro.core.leaks import average_resilience_curve
 from repro.core.pathlen import fig13_bars_sweep
 from repro.core.reliance import (
     hierarchy_free_reliance_summaries,
@@ -316,25 +314,3 @@ class TestConsumersStreamEqualsEager:
         assert (
             reliance_summary_sweep(scenario.graph, [], stream="on") == []
         )
-
-    def test_average_resilience_curve(self, scenario):
-        graph = scenario.graph
-        eager = average_resilience_curve(
-            graph,
-            random.Random(11),
-            origins=6,
-            leakers_per_origin=4,
-            engine="compiled",
-            batch=4,
-            stream=False,
-        )
-        streamed = average_resilience_curve(
-            graph,
-            random.Random(11),
-            origins=6,
-            leakers_per_origin=4,
-            engine="compiled",
-            batch=4,
-            stream="on",
-        )
-        assert streamed == eager

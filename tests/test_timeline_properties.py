@@ -11,28 +11,34 @@ sequence and then the reversed inverses must return
 * the propagation state for any origin
 
 exactly to their baselines.  Along the forward pass, every
-topology-mutating step is also checked differentially (delta ≡ full
-recompute on the mutated graph), so random *sequences* of chained
-mutations get the same conformance bar as the curated scenarios in
-``tests/test_event_engine.py``.
+topology-mutating step is also checked differentially (the post-event
+state chained from the previous one ≡ the reference engine on the
+mutated graph), so random *sequences* of chained mutations get the same
+conformance bar as the curated scenarios in
+``tests/test_event_engine.py``.  An event whose inverse could not
+restore the graph exactly is refused before it touches it.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bgpsim import (
     ASFailure,
+    ASRecover,
     Depeer,
     LinkDown,
     LinkUp,
     Seed,
     propagate_compiled,
-    propagate_delta_event,
+    propagate_event,
+    propagate_reference,
 )
+from repro.topology import ASGraph
 
 from .conftest import assert_states_equal, random_internet
 
@@ -118,12 +124,11 @@ class TestApplyRevertIdentity:
             event = _random_event(graph, rng, origin)
             applied = event.apply(graph)
             applied_stack.append(applied)
-            # forward conformance: delta over the previous state must
-            # equal a full recompute on the mutated graph
-            out = propagate_delta_event(graph, state, applied, threshold=1.0)
-            full = propagate_compiled(graph, Seed(asn=origin))
-            assert_states_equal(out.state, full, f"forward {event.describe()}")
-            state = out.state
+            # forward conformance: the state chained from the previous
+            # one must equal the oracle on the mutated graph
+            state = propagate_event(graph, state, applied)
+            oracle = propagate_reference(graph, Seed(asn=origin))
+            assert_states_equal(state, oracle, f"forward {event.describe()}")
 
         for applied in reversed(applied_stack):
             assert applied.inverse is not None
@@ -137,9 +142,9 @@ class TestApplyRevertIdentity:
     @TIMELINE_SETTINGS
     @given(seed=st.integers(0, 10**6))
     def test_reverting_through_deltas_restores_the_state_too(self, seed):
-        # the delta engine itself round-trips: applying the inverse event
-        # as a *delta* over the post-event state lands exactly on the
-        # baseline state (not merely an equivalent graph)
+        # the event path round-trips: applying the inverse event over the
+        # post-event state lands exactly on the baseline state (not
+        # merely an equivalent graph)
         rng = random.Random(seed)
         graph = random_internet(rng, n_transit=4, n_edge=10)
         nodes = sorted(graph.nodes())
@@ -147,14 +152,10 @@ class TestApplyRevertIdentity:
         baseline = propagate_compiled(graph, Seed(asn=origin))
         event = _random_event(graph, rng, origin)
         applied = event.apply(graph)
-        forward = propagate_delta_event(
-            graph, baseline, applied, threshold=1.0
-        )
+        forward = propagate_event(graph, baseline, applied)
         reverted = applied.inverse.apply(graph)
-        back = propagate_delta_event(
-            graph, forward.state, reverted, threshold=1.0
-        )
-        assert_states_equal(back.state, baseline, "delta round-trip")
+        back = propagate_event(graph, forward, reverted)
+        assert_states_equal(back, baseline, "event round-trip")
 
     @TIMELINE_SETTINGS
     @given(seed=st.integers(0, 10**6))
@@ -168,5 +169,51 @@ class TestApplyRevertIdentity:
         assert not graph.providers(victim)
         assert not graph.customers(victim)
         assert not graph.peers(victim)
+        applied.inverse.apply(graph)
+        assert _graph_snapshot(graph) == before
+
+
+def _triangle():
+    """p2c(1, 2), p2c(1, 3), p2p(2, 3)."""
+    graph = ASGraph()
+    graph.add_p2c(1, 2)
+    graph.add_p2c(1, 3)
+    graph.add_p2p(2, 3)
+    return graph
+
+
+class TestRefusedEvents:
+    @pytest.mark.parametrize(
+        "event",
+        [
+            LinkUp(2, 3, "p2p"),
+            LinkUp(1, 2, "p2c"),
+            # an existing link under the other relationship or direction
+            LinkUp(2, 3, "p2c"),
+            LinkUp(2, 1, "p2c"),
+            LinkUp(1, 3, "p2p"),
+        ],
+        ids=lambda e: f"{e.relationship}-{e.a}-{e.b}",
+    )
+    def test_linkup_refuses_an_existing_link(self, event):
+        # its inverse LinkDown would delete the link that was there
+        graph = _triangle()
+        before, csr_before = _graph_snapshot(graph), _csr_snapshot(graph)
+        with pytest.raises(ValueError, match="already linked"):
+            event.apply(graph)
+        assert _graph_snapshot(graph) == before
+        assert _csr_snapshot(graph) == csr_before
+
+    def test_asrecover_refuses_a_linked_as(self):
+        # its inverse ASFailure would take down every link of the AS,
+        # not just the recovered ones
+        graph = _triangle()
+        graph.add_as(4)
+        graph.add_p2c(1, 4)
+        before = _graph_snapshot(graph)
+        with pytest.raises(ValueError, match="still has links"):
+            ASRecover(4, peers=(2,)).apply(graph)
+        assert _graph_snapshot(graph) == before
+        applied = ASFailure(4).apply(graph)
         applied.inverse.apply(graph)
         assert _graph_snapshot(graph) == before

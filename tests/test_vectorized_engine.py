@@ -7,8 +7,8 @@ the oracle: :func:`~repro.bgpsim.engine.propagate_reference` and the dict
 metrics of :mod:`repro.core`.  This module proves it on seeded
 synthetic-Internet scenarios (≥3 seeds × 2 sizes):
 
-* full propagation states (including :class:`DeltaRoutingState` leak
-  injections and :class:`BatchOriginView` per-origin views);
+* full propagation states (including two-seed leak states and
+  :class:`BatchOriginView` per-origin views);
 * every metric kernel output — counts and histograms by dict equality,
   reliance / hegemony by **float byte equality** (the kernels replay the
   dict metrics' accumulation order);
@@ -30,7 +30,6 @@ from repro.bgpsim import (
     leak_seed,
     propagate_batch,
     propagate_compiled,
-    propagate_delta,
     propagate_reference,
 )
 from repro.bgpsim import metrics_kernel as mk
@@ -111,7 +110,7 @@ class TestVectorizedDifferential:
             )
 
     @pytest.mark.parametrize("profile_name,seed", SCENARIOS[3:])
-    def test_delta_states_identical(self, profile_name, seed):
+    def test_leak_states_identical(self, profile_name, seed):
         graph = netgen_graph(profile_name, seed)
         origins = sample_origins(graph, 4, seed=seed)
         leakers = sample_origins(graph, 4, seed=seed + 1)
@@ -119,16 +118,14 @@ class TestVectorizedDifferential:
             if origin == leaker:
                 continue
             legit = Seed(asn=origin)
-            baseline = propagate_compiled(graph.compile(), (legit,))
-            leak = leak_seed(graph, origin, leaker)
             try:
-                delta = propagate_delta(graph, baseline, leak)
+                leak = leak_seed(graph, origin, leaker)
             except ValueError:
-                continue  # config outside the delta contract: skip pair
+                continue  # the leaker has no route to re-announce
             assert_states_equal(
                 propagate_reference(graph, (legit, leak)),
-                delta,
-                f"(delta {profile_name}/{seed} {origin}->{leaker})",
+                propagate_compiled(graph.compile(), (legit, leak)),
+                f"(leak {profile_name}/{seed} {origin}->{leaker})",
             )
 
     @pytest.mark.parametrize("profile_name,seed", SCENARIOS[3:])
