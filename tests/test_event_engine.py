@@ -46,6 +46,7 @@ from .conftest import (
 from repro.bgpsim import (
     ASFailure,
     ASRecover,
+    CompiledRoutingState,
     Depeer,
     Hijack,
     LinkDown,
@@ -455,7 +456,10 @@ class TestScenarioRunner:
             results[workers] = runner.run(_mini_timeline())
         assert results[None] == results[WORKERS]
 
-    def test_topology_events_invalidate_baselines(self):
+    @pytest.mark.parametrize("engine", ("compiled", "reference"))
+    def test_topology_events_invalidate_baselines(self, engine, monkeypatch):
+        # the runner's cache discipline holds whatever REPRO_ENGINE names
+        monkeypatch.setenv("REPRO_ENGINE", engine)
         graph, _ = build_mini()
         runner = ScenarioRunner(graph, origins=[100])
         runner.run(_mini_timeline())
@@ -471,14 +475,18 @@ class TestScenarioRunner:
         assert runner.cache.stats().baseline_invalidations == 0
         assert runner.cache.state_for(100) is before_state
 
-    def test_installed_baselines_are_fresh(self):
+    @pytest.mark.parametrize("engine", ("compiled", "reference"))
+    def test_installed_baselines_are_fresh(self, engine, monkeypatch):
         # after a topology event the cache must serve post-event states:
-        # identical to a from-scratch propagation on the mutated graph
+        # compiled array states (whatever REPRO_ENGINE names) identical
+        # to a from-scratch propagation on the mutated graph
+        monkeypatch.setenv("REPRO_ENGINE", engine)
         graph, _ = build_mini()
         runner = ScenarioRunner(graph, origins=[100, 301])
         runner.run(parse_events("down:11-100"))
         for origin in (100, 301):
             cached = runner.cache.state_for(origin)
+            assert isinstance(cached, CompiledRoutingState), origin
             fresh = propagate_reference(graph, Seed(asn=origin))
             assert_states_equal(cached, fresh, f"post-event cache AS{origin}")
 
