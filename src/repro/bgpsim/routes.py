@@ -161,11 +161,15 @@ class RoutingState:
                 stack.append((parent, path + (parent,)))
 
     def contains_path(self, path: tuple[int, ...]) -> bool:
-        """True if ``path`` (receiver first, origin last) is a tied-best path."""
+        """True if ``path`` (receiver first, origin last) is a tied-best path.
+
+        Reads each hop through :meth:`route`, so array-backed subclasses
+        answer without materializing the full ``routes`` dict.
+        """
         if len(path) < 1 or path[-1] not in self.seed_asns:
             return False
         for node, parent in zip(path, path[1:]):
-            route = self.routes.get(node)
+            route = self.route(node)
             if route is None or parent not in route.parents:
                 return False
         return True

@@ -159,6 +159,8 @@ class Geolocator:
             if vp.suspicious:
                 continue  # paper: avoid VPs with suspicious locations
             self._vps_by_city.setdefault(vp.city.code, []).append(vp)
+        # city code -> its eligible VPs sorted by vp_id, scanned once
+        self._eligible: dict[str, list[AtlasVP]] = {}
 
     # -- step 1: candidate cities ------------------------------------------
     def candidates(self, ip) -> tuple[str, ...]:
@@ -173,10 +175,21 @@ class Geolocator:
 
     # -- step 2: pick a VP near each candidate ------------------------------
     def _vp_for(self, code: str, rng: random.Random) -> Optional[AtlasVP]:
+        eligible = self._eligible.get(code)
+        if eligible is None:
+            eligible = self._eligible[code] = self._eligible_vps(code)
+        if not eligible:
+            return None  # no draw: the RNG stream stays as it was
+        return rng.choice(eligible)
+
+    def _eligible_vps(self, code: str) -> list[AtlasVP]:
+        """VPs within ``VP_RADIUS_KM`` of ``code`` that pass the presence
+        filter, sorted by ``vp_id``; empty for an unknown code."""
         try:
             target = city_by_code(code)
         except KeyError:
-            return None
+            return []
+        allowed = self.presence.get(code)
         eligible: list[AtlasVP] = []
         for vps in self._vps_by_city.values():
             for vp in vps:
@@ -185,13 +198,11 @@ class Geolocator:
                 )
                 if distance > VP_RADIUS_KM:
                     continue
-                allowed = self.presence.get(code)
                 if allowed is not None and vp.asn not in allowed:
                     continue
                 eligible.append(vp)
-        if not eligible:
-            return None
-        return rng.choice(sorted(eligible, key=lambda v: v.vp_id))
+        eligible.sort(key=lambda v: v.vp_id)
+        return eligible
 
     # -- step 3: verify with pings -------------------------------------------
     def geolocate(

@@ -15,7 +15,19 @@ from dataclasses import dataclass
 
 from .cities import WORLD_CITIES, City
 from .continents import Continent
-from .distance import haversine_km
+from .distance import EARTH_RADIUS_KM, haversine_km
+
+#: Width (km) of the band above a cell's numpy minimum inside which
+#: :meth:`PopulationGrid.distance_profile` rechecks points with
+#: ``haversine_km``.  numpy's vectorized trigonometry and libm disagree on
+#: the haversine term ``a`` by up to 2 ulps (measured over 300k pairs).
+#: Near antipodal points ``asin`` magnifies that: one ulp of ``a`` just
+#: below 1 moves the distance by ~1.9e-4 km.  The true nearest point lies
+#: within twice the disagreement of the numpy minimum; 1e-3 km covers up
+#: to ~14 ulps.
+_RECHECK_BAND_KM = 1e-3
+#: Matrix elements per block: bounds the temporaries for large point sets.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,6 +62,21 @@ if abs(sum(w for _, _, w in _SPREAD) - 1.0) > 1e-9:
     raise AssertionError("spread weights must sum to 1")
 
 
+def _haversine_matrix(lat1, lon1, cos1, lat2, lon2, cos2):
+    """numpy ``haversine_km`` from each row point (lat1, lon1) to each
+    column point (lat2, lon2), given in degrees with the cosines of their
+    latitudes; the same operations as ``haversine_km``, in its order."""
+    import numpy as np
+
+    dphi = np.radians(lat2[None, :] - lat1[:, None])
+    dlambda = np.radians(lon2[None, :] - lon1[:, None])
+    a = (
+        np.sin(dphi / 2.0) ** 2
+        + cos1[:, None] * cos2[None, :] * np.sin(dlambda / 2.0) ** 2
+    )
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
 class PopulationGrid:
     """Discrete world population built from a city list."""
 
@@ -71,6 +98,16 @@ class PopulationGrid:
                 )
         self.cells: tuple[GridCell, ...] = tuple(cells)
         self.total_population: float = sum(c.population for c in self.cells)
+        self._arrays = None  # numpy (lat°, lon°, cos lat) of the cells
+
+    def _cell_arrays(self):
+        if self._arrays is None:
+            import numpy as np
+
+            lat = np.array([c.lat for c in self.cells])
+            lon = np.array([c.lon for c in self.cells])
+            self._arrays = (lat, lon, np.cos(np.radians(lat)))
+        return self._arrays
 
     def distance_profile(
         self, points: Iterable[tuple[float, float]]
@@ -80,19 +117,44 @@ class PopulationGrid:
         Computing the profile once makes coverage queries at many radii /
         continents cheap (Fig. 12 sweeps 3 radii x 7 regions x ~20
         providers).
+
+        Each distance is the ``haversine_km`` of the cell's nearest point,
+        bit for bit.  A numpy cells x points haversine matrix finds each
+        cell's minimum; only the points within ``_RECHECK_BAND_KM`` of it
+        are then measured again with ``haversine_km``, so the result does
+        not depend on which SIMD path numpy's trigonometry takes.
+        Duplicate points are dropped first; they cannot move a minimum.
         """
-        points = list(points)
-        profile: list[tuple[float, float, Continent]] = []
-        for cell in self.cells:
-            if points:
-                nearest = min(
-                    haversine_km(cell.lat, cell.lon, lat, lon)
-                    for lat, lon in points
+        points = list(
+            dict.fromkeys((float(lat), float(lon)) for lat, lon in points)
+        )
+        nearest = [float("inf")] * len(self.cells)
+        if points:
+            import numpy as np
+
+            cell_lat, cell_lon, cell_cos = self._cell_arrays()
+            lat = np.array([p[0] for p in points])
+            lon = np.array([p[1] for p in points])
+            cos_lat = np.cos(np.radians(lat))
+            cells = self.cells
+            step = max(1, _BLOCK_ELEMENTS // len(points))
+            for start in range(0, len(cells), step):
+                block = slice(start, start + step)
+                distance = _haversine_matrix(
+                    cell_lat[block], cell_lon[block], cell_cos[block],
+                    lat, lon, cos_lat,
                 )
-            else:
-                nearest = float("inf")
-            profile.append((nearest, cell.population, cell.continent))
-        return profile
+                limit = distance.min(axis=1) + _RECHECK_BAND_KM
+                rows, cols = np.nonzero(distance <= limit[:, None])
+                for i, j in zip((rows + start).tolist(), cols.tolist()):
+                    cell = cells[i]
+                    exact = haversine_km(cell.lat, cell.lon, *points[j])
+                    if exact < nearest[i]:
+                        nearest[i] = exact
+        return [
+            (d, cell.population, cell.continent)
+            for d, cell in zip(nearest, self.cells)
+        ]
 
     @staticmethod
     def covered_from_profile(

@@ -12,7 +12,7 @@ import ipaddress
 from collections.abc import Iterable
 from typing import Optional
 
-IPLike = ipaddress.IPv4Address | str
+IPLike = ipaddress.IPv4Address | str | int
 
 
 class IpAsnService:

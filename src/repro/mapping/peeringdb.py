@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-IPLike = ipaddress.IPv4Address | str
+IPLike = ipaddress.IPv4Address | str | int
 
 
 @dataclass(frozen=True)

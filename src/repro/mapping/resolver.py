@@ -17,7 +17,7 @@ from .ipasn import IpAsnService
 from .peeringdb import PeeringDB
 from .whois import WhoisRegistry
 
-IPLike = ipaddress.IPv4Address | str
+IPLike = ipaddress.IPv4Address | str | int
 
 #: The final (§5) resolution order.
 FINAL_ORDER: tuple[str, ...] = ("peeringdb", "cymru", "whois")
@@ -34,7 +34,17 @@ class ResolvedHop:
 
 
 class IterativeResolver:
-    """Resolve addresses through an ordered cascade of services."""
+    """Resolve addresses through an ordered cascade of services.
+
+    Answers are memoized by the address's integer value, so a resolver
+    shared across traceroutes (one per inference stage, as
+    :func:`~repro.neighbors.infer_all_clouds` does) runs the cascade once
+    per distinct address however many hops carry it.  The services are
+    treated as read-only once wrapped: nothing announces, withdraws or
+    registers on them after :func:`resolver_from_scenario` builds the
+    cascade, so the memo cannot go stale.  Callers that mutate a service
+    must build a new resolver.
+    """
 
     def __init__(
         self,
@@ -52,21 +62,34 @@ class IterativeResolver:
         self.peeringdb = peeringdb
         self.whois = whois
         self.order = tuple(order)
+        self._memo: dict[int, Optional[ResolvedHop]] = {}
 
     def resolve(self, ip: IPLike) -> Optional[ResolvedHop]:
         """First successful resolution in cascade order, else ``None``."""
+        # int(IPv4Address) reads the stored value; handing the address
+        # object itself to IPv4Address() would round-trip it through str
+        if isinstance(ip, ipaddress.IPv4Address):
+            address = int(ip)
+        else:
+            address = int(ipaddress.IPv4Address(ip))
+        memo = self._memo
+        if address in memo:
+            return memo[address]
+        answer = None
         for service in self.order:
-            asn = self._query(service, ip)
+            asn = self._query(service, address)
             if asn is not None:
-                return ResolvedHop(asn=asn, source=service)
-        return None
+                answer = ResolvedHop(asn=asn, source=service)
+                break
+        memo[address] = answer
+        return answer
 
-    def _query(self, service: str, ip: IPLike) -> Optional[int]:
+    def _query(self, service: str, address: int) -> Optional[int]:
         if service == "peeringdb":
-            return self.peeringdb.ip_to_asn(ip)
+            return self.peeringdb.ip_to_asn(address)
         if service == "cymru":
-            return self.cymru.lookup(ip)
-        return self.whois.lookup_asn(ip)
+            return self.cymru.lookup(address)
+        return self.whois.lookup_asn(address)
 
 
 def resolver_from_scenario(

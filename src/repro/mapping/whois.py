@@ -8,11 +8,12 @@ coarser in practice, which is why the pipeline uses it last.
 
 from __future__ import annotations
 
+import bisect
 import ipaddress
 from dataclasses import dataclass
 from typing import Optional
 
-IPLike = ipaddress.IPv4Address | str
+IPLike = ipaddress.IPv4Address | str | int
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,11 @@ class WhoisRecord:
 
 
 class WhoisRegistry:
-    """Exact-allocation registry with longest-match lookup."""
+    """Exact-allocation registry with longest-match lookup.
+
+    Records are kept longest prefix first; among equal lengths the
+    first-registered record comes first, and so wins a lookup.
+    """
 
     def __init__(self, records: list[WhoisRecord] | None = None) -> None:
         self._records: list[WhoisRecord] = []
@@ -33,8 +38,10 @@ class WhoisRegistry:
             self.register(record)
 
     def register(self, record: WhoisRecord) -> None:
-        self._records.append(record)
-        self._records.sort(key=lambda r: -r.network.prefixlen)
+        # insort_right places the record after every equal-length one
+        bisect.insort(
+            self._records, record, key=lambda r: -r.network.prefixlen
+        )
 
     def lookup(self, ip: IPLike) -> Optional[WhoisRecord]:
         address = ipaddress.IPv4Address(ip)

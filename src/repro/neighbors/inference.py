@@ -185,7 +185,11 @@ def infer_all_clouds(
     traceroutes_by_cloud: dict[int, list[Traceroute]],
     stage: InferenceStage = FINAL_STAGE,
 ) -> dict[int, NeighborInference]:
-    """Run one stage for every cloud (sharing one resolver)."""
+    """Run one stage for every cloud.
+
+    The clouds share one memoized resolver, so each distinct hop address
+    goes through the stage's cascade once.
+    """
     resolver = build_resolver(scenario, stage)
     return {
         cloud: infer_from_traceroutes(cloud, traces, resolver, stage)

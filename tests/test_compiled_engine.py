@@ -213,6 +213,28 @@ class TestCompiledStateAPI:
             assert compiled.has_route(asn) == reference.has_route(asn)
             assert compiled.path_length(asn) == reference.path_length(asn)
             assert compiled.origins_at(asn) == reference.origins_at(asn)
+        # contains_path reads each hop through route(): agreement on paths
+        # that are contained and on paths that are not
+        (seed,) = reference.seed_asns
+        outcomes = {True: 0, False: 0}
+        for asn in sample_origins(graph, 15, seed=3):
+            for path in reference.enumerate_best_paths(asn, limit=5):
+                candidates = [path, path[:-1], path + (asn,)]
+                if len(path) > 2:
+                    node, parent = path[0], path[1]
+                    others = sorted(
+                        set(graph.neighbors(node))
+                        - reference.route(node).parents
+                    )
+                    for other in others[:2]:  # a swapped parent
+                        candidates.append((node, other) + path[2:])
+                for candidate in candidates:
+                    want = reference.contains_path(candidate)
+                    assert compiled.contains_path(candidate) == want
+                    outcomes[want] += 1
+        assert outcomes[True] and outcomes[False]
+        assert compiled.contains_path((seed,))
+        assert not compiled.contains_path(())
         assert compiled._materialized is None  # still not materialized
 
     def test_dag_utilities_match(self):

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.geo import (
+    VP_RADIUS_KM,
+    WORLD_CITIES,
     AtlasVP,
     Geolocator,
     PingSimulator,
@@ -12,6 +14,7 @@ from repro.geo import (
     atlas_from_scenario,
     city_by_code,
     geolocate_routers,
+    haversine_km,
     rtt_floor_ms,
 )
 from repro.mapping import peeringdb_from_scenario, resolver_from_scenario
@@ -157,3 +160,66 @@ class TestGeolocation:
         )
         ip = footprint.routers[0].interfaces[0]
         assert not geolocator.geolocate(ip).located
+
+
+class TestVantagePointChoice:
+    """``_vp_for`` caches each code's eligible VPs and draws as a scan does."""
+
+    @staticmethod
+    def scan(vps, presence, code, rng):
+        try:
+            target = city_by_code(code)
+        except KeyError:
+            return None
+        allowed = presence.get(code)
+        eligible = sorted(
+            (
+                vp
+                for vp in vps
+                if not vp.suspicious
+                and haversine_km(
+                    vp.city.lat, vp.city.lon, target.lat, target.lon
+                )
+                <= VP_RADIUS_KM
+                and (allowed is None or vp.asn in allowed)
+            ),
+            key=lambda vp: vp.vp_id,
+        )
+        return rng.choice(eligible) if eligible else None
+
+    def test_draws_match_a_brute_force_scan(self, scenario, footprint):
+        vps = atlas_from_scenario(scenario, random.Random(9), vps_per_city=3)
+        vp_codes = sorted({vp.city.code for vp in vps})
+        lonely = [
+            c.code
+            for c in WORLD_CITIES
+            if self.scan(vps, {}, c.code, random.Random(0)) is None
+        ]
+        assert lonely  # cities with no VP within the radius
+        # one VP city whose VPs are all filtered out by presence
+        presence = {vp_codes[0]: frozenset()}
+        presence[vp_codes[1]] = frozenset({vps[-1].asn})
+        geolocator = Geolocator(
+            peeringdb=peeringdb_from_scenario(scenario),
+            resolver=resolver_from_scenario(scenario),
+            vps=vps,
+            pinger=PingSimulator.from_routers(
+                footprint.routers, random.Random(1)
+            ),
+            presence=presence,
+        )
+        codes = (
+            vp_codes
+            + [c.code for c in footprint.cities()]
+            + lonely[:5]
+            + ["zzz", "not-a-city"]
+        )
+        sequence = codes + codes[::-1] + codes[::3]
+        random.Random(4).shuffle(sequence)
+        ours, theirs = random.Random(17), random.Random(17)
+        picked = [geolocator._vp_for(code, ours) for code in sequence]
+        wanted = [self.scan(vps, presence, code, theirs) for code in sequence]
+        assert picked == wanted
+        assert ours.getstate() == theirs.getstate()  # the same RNG stream
+        assert any(vp is None for vp in picked)
+        assert sum(vp is not None for vp in picked) > len(sequence) // 3

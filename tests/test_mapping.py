@@ -109,6 +109,52 @@ class TestWhois:
             assert record is not None
             assert record.asn == ixp.asn
 
+    def test_order_is_a_stable_sort_by_prefix_length(self, scenario):
+        registry = whois_from_scenario(scenario)
+        records = [
+            WhoisRecord(prefix, scenario.name_of(asn), asn)
+            for asn, prefix in scenario.prefixes.items()
+        ] + [WhoisRecord(ixp.lan, ixp.name, ixp.asn) for ixp in scenario.ixps]
+        assert registry._records == sorted(
+            records, key=lambda r: -r.network.prefixlen
+        )
+
+    def test_lookup_agrees_with_a_scan(self):
+        # nested, disjoint and duplicate networks registered out of order;
+        # of two records for one network the first registered wins
+        records = [
+            WhoisRecord(net("10.0.0.0/8"), "big", 1),
+            WhoisRecord(net("10.1.0.0/16"), "mid", 2),
+            WhoisRecord(net("10.1.2.0/24"), "first", 3),
+            WhoisRecord(net("192.0.2.0/24"), "doc", None),
+            WhoisRecord(net("10.1.2.0/24"), "second", 4),
+            WhoisRecord(net("10.1.2.128/25"), "half", 5),
+            WhoisRecord(net("0.0.0.0/0"), "default", 6),
+            WhoisRecord(net("10.1.0.0/16"), "mid-again", 7),
+        ]
+        registry = WhoisRegistry(records)
+
+        def scan(address):
+            address = ipaddress.IPv4Address(address)
+            best = None
+            for record in records:
+                if address in record.network and (
+                    best is None
+                    or record.network.prefixlen > best.network.prefixlen
+                ):
+                    best = record
+            return best
+
+        probes = [
+            "10.1.2.3", "10.1.2.200", "10.1.3.1", "10.9.9.9",
+            "192.0.2.7", "8.8.8.8", "10.1.2.127", "10.1.2.128",
+        ]
+        for probe in probes:
+            assert registry.lookup(probe) is scan(probe), probe
+        assert registry.lookup("10.1.2.3").org_name == "first"
+        assert registry.lookup("10.1.9.9").org_name == "mid"
+        assert registry.lookup_asn("192.0.2.1") is None
+
 
 class TestResolver:
     def test_order_validation(self, scenario):
@@ -155,3 +201,56 @@ class TestResolver:
         assert resolver.resolve(prefix[9]).source == "whois"
         assert resolver.resolve(prefix[9]).asn == asn
         assert resolver.resolve("203.0.113.5") is None
+
+    def test_str_int_and_address_input_agree(self, scenario):
+        addresses = [
+            ixp.member_ip(m) for ixp in scenario.ixps for m in ixp.members
+        ]
+        addresses += [prefix[9] for prefix in scenario.prefixes.values()]
+        addresses.append(ipaddress.IPv4Address("203.0.113.5"))
+        orders = (FINAL_ORDER, INITIAL_ORDER, ("cymru", "peeringdb", "whois"))
+        for order in orders:
+            by_address = resolver_from_scenario(scenario, order=order)
+            by_str = resolver_from_scenario(scenario, order=order)
+            by_int = resolver_from_scenario(scenario, order=order)
+            for address in addresses:
+                want = by_address.resolve(address)
+                assert by_str.resolve(str(address)) == want
+                assert by_int.resolve(int(address)) == want
+                # a repeat answers from the memo, whatever the input type
+                assert by_address.resolve(str(address)) == want
+
+    def test_each_address_queried_once(self, scenario, monkeypatch):
+        resolver = resolver_from_scenario(scenario, order=FINAL_ORDER)
+        asked: list[tuple[str, int]] = []
+
+        def counted(name, real):
+            def query(ip):
+                asked.append((name, ip))
+                return real(ip)
+
+            return query
+
+        for service, name in (
+            (resolver.peeringdb, "ip_to_asn"),
+            (resolver.cymru, "lookup"),
+            (resolver.whois, "lookup_asn"),
+        ):
+            monkeypatch.setattr(
+                service, name, counted(name, getattr(service, name))
+            )
+        addresses = [
+            ixp.member_ip(m) for ixp in scenario.ixps for m in ixp.members
+        ]
+        addresses.append(ipaddress.IPv4Address("203.0.113.5"))
+        first = [resolver.resolve(a) for a in addresses]
+        queries = len(asked)
+        again = [resolver.resolve(a) for a in addresses]
+        again += [resolver.resolve(str(a)) for a in addresses]
+        assert again == first + first
+        assert len(asked) == queries  # every repeat came from the memo
+        # the unresolvable address went down the whole cascade, once
+        unresolved = int(addresses[-1])
+        assert [name for name, ip in asked if ip == unresolved] == [
+            "ip_to_asn", "lookup", "lookup_asn"
+        ]

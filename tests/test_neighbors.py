@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.netgen import build_scenario, tiny
+from repro.mapping import (
+    cymru_from_scenario,
+    peeringdb_from_scenario,
+    whois_from_scenario,
+)
+from repro.mapping.resolver import ResolvedHop
+from repro.netgen import build_scenario, profile, tiny
 from repro.neighbors import (
     FINAL_STAGE,
     STAGES,
@@ -100,6 +106,52 @@ class TestInference:
         for cloud in scenario.cloud_asns():
             assert augmented.degree(cloud) >= scenario.public_graph.degree(cloud)
             assert report.added_count(cloud) > 0
+
+
+class _UnmemoizedCascade:
+    """The resolution cascade run afresh for every hop: no memo, and each
+    service is handed the hop's own address object."""
+
+    def __init__(self, scenario, order):
+        self.order = order
+        self._services = {
+            "peeringdb": peeringdb_from_scenario(scenario).ip_to_asn,
+            "cymru": cymru_from_scenario(scenario).lookup,
+            "whois": whois_from_scenario(scenario).lookup_asn,
+        }
+
+    def resolve(self, ip):
+        for service in self.order:
+            asn = self._services[service](ip)
+            if asn is not None:
+                return ResolvedHop(asn=asn, source=service)
+        return None
+
+
+@pytest.fixture(scope="module", params=["tiny", "small"])
+def campaign(request):
+    config = profile(request.param)
+    scenario = build_scenario(config)
+    # the campaign seed build_context uses
+    traces = TracerouteCampaign(scenario, seed=config.seed + 2).run_all()
+    return scenario, traces
+
+
+class TestMemoizedResolution:
+    """One memoized resolver per stage infers what a per-hop replay does."""
+
+    @pytest.mark.parametrize("stage", STAGES, ids=lambda s: s.name)
+    def test_matches_unmemoized_replay(self, campaign, stage):
+        scenario, traces = campaign
+        inferred = infer_all_clouds(scenario, traces, stage)
+        cascade = _UnmemoizedCascade(scenario, stage.resolution_order)
+        assert set(inferred) == set(traces)
+        for cloud, cloud_traces in traces.items():
+            want = infer_from_traceroutes(cloud, cloud_traces, cascade, stage)
+            got = inferred[cloud]
+            assert got.neighbors == want.neighbors
+            assert got.evidence == want.evidence
+            assert (got.used, got.discarded) == (want.used, want.discarded)
 
 
 class TestValidationMath:
