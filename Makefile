@@ -5,7 +5,7 @@ PROFILE ?= small
 # Let the targets work from a fresh checkout without `make install`.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast bench bench-engine bench-metrics-kernel bench-multiorigin bench-scale bench-serve experiments csv examples all
+.PHONY: install test test-fast bench bench-engine bench-metrics-kernel bench-scale bench-serve experiments csv examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -33,17 +33,9 @@ bench-engine:
 bench-metrics-kernel:
 	pytest benchmarks/test_bench_metric_kernels.py --benchmark-only
 
-# Bit-parallel multi-origin propagation vs per-origin compiled sweeps
-# (collect_ribs + global_hegemony); asserts bitwise-identical outputs and
-# the >=3x propagation-layer speedup; writes
-# benchmarks/bench_multiorigin.json.
-bench-multiorigin:
-	pytest benchmarks/test_bench_multiorigin.py --benchmark-only
-
 # Propagation + Fig. 6 reliance sweep wall time across scenario scales
 # (small ~700 / mid ~2k / large ~10k ASes), engine/shm/batch
-# stamped; per-stage wall time + tracemalloc/RSS peaks, and the large
-# profile's streamed-vs-eager sweeps (bit-identical, >=5x lower peak).
+# stamped; per-stage wall time + tracemalloc/RSS peaks.
 # REPRO_FULL_PROFILE=1 appends a ~70k-AS generation+validation row.
 # Writes benchmarks/bench_scale.json.
 bench-scale:

@@ -8,8 +8,8 @@ benchmarks at full scenario scale.
 Benchmarks that persist machine-readable records should write them through
 :func:`write_bench_json`, which stamps the environment every record needs
 to be interpretable in review: the resolved propagation ``engine``, the
-``workers`` count the benchmark ran with, the resolved multi-origin
-``batch`` width, and the host's ``cpu_count``.
+``workers`` count the benchmark ran with, the multi-origin ``batch``
+width, and the host's ``cpu_count``.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ PROFILE = os.environ.get("REPRO_PROFILE", "small")
 def bench_metadata(
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    batch: Optional[int] = None,
 ) -> dict[str, Any]:
     """The environment stamp every benchmark JSON record carries."""
     return {
         "profile": PROFILE,
         "engine": resolve_engine(engine),
         "workers": workers,
-        "batch": resolve_batch(batch),
+        "batch": resolve_batch(),
         "shm": resolve_shm(),
         "cpu_count": os.cpu_count() or 1,
     }
@@ -49,7 +48,6 @@ def write_bench_json(
     record: dict[str, Any],
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    batch: Optional[int] = None,
     **extra: Any,
 ) -> dict[str, Any]:
     """Stamp ``record`` with :func:`bench_metadata` and write it to ``path``.
@@ -62,7 +60,7 @@ def write_bench_json(
     Returns the record as written.
     """
     merged = {
-        **bench_metadata(engine=engine, workers=workers, batch=batch),
+        **bench_metadata(engine=engine, workers=workers),
         **extra,
         **record,
     }

@@ -4,15 +4,8 @@ One row per netgen profile (``small`` ~700 ASes, ``mid`` ~2k, ``large``
 ~10k): wall time (best-of rounds) *and* tracemalloc / RSS high-water
 marks for building + compiling the topology, the per-cloud compiled
 propagation sweep, and the full Fig. 6/Table 2 hierarchy-free reliance
-sweep.
-
-The ``large`` row additionally runs the paper-scale streaming leg: a
-256-origin Fig. 6 reliance sweep (one common hierarchy excluded set)
-and a 256-origin hegemony sweep, eager vs ``stream=True``, asserting
-the outputs bit-identical and the streamed peak at least
-:data:`STREAM_MIN_RATIO` times below the eager peak — the whole point
-of the O(batch) tier.  Set ``REPRO_FULL_PROFILE=1`` to append a
-``full`` (~70k-AS) generation + structural-validation row.
+sweep.  Set ``REPRO_FULL_PROFILE=1`` to append a ``full`` (~70k-AS)
+generation + structural-validation row.
 
 Run it through ``make bench-scale``; the record lands in
 ``benchmarks/bench_scale.json``.
@@ -21,7 +14,6 @@ Run it through ``make bench-scale``; the record lands in
 from __future__ import annotations
 
 import os
-import random
 import resource
 import time
 import tracemalloc
@@ -29,22 +21,13 @@ from pathlib import Path
 
 from benchmarks.conftest import write_bench_json
 from repro.bgpsim import Seed, propagate
-from repro.core.hegemony import global_hegemony
-from repro.core.reliance import (
-    hierarchy_free_reliance_summaries,
-    reliance_summary_sweep,
-)
+from repro.core.reliance import hierarchy_free_reliance_summaries
 from repro.netgen import build_scenario, profile, validate_scenario
 
 BENCH_JSON = Path(__file__).resolve().parent / "bench_scale.json"
 SCALES = ("small", "mid", "large")
 #: best-of rounds per timed stage (tames scheduler noise on small hosts)
 ROUNDS = 3
-#: origins and batch width of the large-profile streamed-vs-eager legs
-SWEEP_ORIGINS = 256
-SWEEP_BATCH = 256
-#: the streamed sweep must peak at least this many times below eager
-STREAM_MIN_RATIO = 5.0
 
 
 def _rss_mb() -> float:
@@ -78,108 +61,7 @@ def _stage(func, rounds: int = ROUNDS):
     return stats, result
 
 
-def _sweep_origins(scenario, count: int = SWEEP_ORIGINS) -> list[int]:
-    """A deterministic origin sample clear of the transit hierarchy (so
-    one common excluded set serves the whole sweep)."""
-    nodes = sorted(set(scenario.graph.nodes()) - scenario.tiers.hierarchy)
-    if len(nodes) <= count:
-        return nodes
-    return sorted(random.Random(0).sample(nodes, count))
-
-
-def _stream_legs(scenario):
-    """Eager-vs-streamed Fig. 6 + hegemony sweeps on one scenario.
-
-    Returns the per-leg stats and asserts the two contracts the
-    streaming tier ships under: bit-identical outputs, >=5x lower peak.
-    """
-    graph = scenario.graph
-    origins = _sweep_origins(scenario)
-    common = scenario.tiers.hierarchy
-    items = [(origin, common) for origin in origins]
-    clouds = sorted(scenario.clouds.values())
-
-    def _measure(func):
-        tracemalloc.start()
-        try:
-            started = time.perf_counter()
-            result = func()
-            wall = time.perf_counter() - started
-            _size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return {"wall_s": wall, "tracemalloc_peak_mb": peak / 1e6}, result
-
-    legs = {}
-    eager_stats, eager_fig6 = _measure(
-        lambda: reliance_summary_sweep(
-            graph, items, engine="compiled", batch=SWEEP_BATCH, stream=False
-        )
-    )
-    stream_stats, stream_fig6 = _measure(
-        lambda: reliance_summary_sweep(
-            graph, items, engine="compiled", batch=SWEEP_BATCH, stream=True
-        )
-    )
-    assert stream_fig6 == eager_fig6, "streamed Fig. 6 sweep diverged"
-    ratio = (
-        eager_stats["tracemalloc_peak_mb"]
-        / stream_stats["tracemalloc_peak_mb"]
-    )
-    assert ratio >= STREAM_MIN_RATIO, (
-        f"streamed Fig. 6 peak only {ratio:.1f}x below eager "
-        f"({stream_stats['tracemalloc_peak_mb']:.1f} MB vs "
-        f"{eager_stats['tracemalloc_peak_mb']:.1f} MB)"
-    )
-    legs["fig6_reliance"] = {
-        "origins": len(origins),
-        "batch": SWEEP_BATCH,
-        "eager": eager_stats,
-        "stream": stream_stats,
-        "peak_ratio": ratio,
-    }
-
-    eager_stats, eager_heg = _measure(
-        lambda: global_hegemony(
-            graph,
-            clouds,
-            origins=origins,
-            engine="compiled",
-            batch=SWEEP_BATCH,
-            stream=False,
-        )
-    )
-    stream_stats, stream_heg = _measure(
-        lambda: global_hegemony(
-            graph,
-            clouds,
-            origins=origins,
-            engine="compiled",
-            batch=SWEEP_BATCH,
-            stream=True,
-        )
-    )
-    assert stream_heg == eager_heg, "streamed hegemony sweep diverged"
-    ratio = (
-        eager_stats["tracemalloc_peak_mb"]
-        / stream_stats["tracemalloc_peak_mb"]
-    )
-    assert ratio >= STREAM_MIN_RATIO, (
-        f"streamed hegemony peak only {ratio:.1f}x below eager "
-        f"({stream_stats['tracemalloc_peak_mb']:.1f} MB vs "
-        f"{eager_stats['tracemalloc_peak_mb']:.1f} MB)"
-    )
-    legs["global_hegemony"] = {
-        "origins": len(origins),
-        "batch": SWEEP_BATCH,
-        "eager": eager_stats,
-        "stream": stream_stats,
-        "peak_ratio": ratio,
-    }
-    return legs
-
-
-def _scale_row(name, rounds=ROUNDS, stream_legs=False):
+def _scale_row(name, rounds=ROUNDS):
     build_stats, scenario = _stage(
         lambda: build_scenario(profile(name)), rounds=1
     )
@@ -211,8 +93,6 @@ def _scale_row(name, rounds=ROUNDS, stream_legs=False):
         "fig6_reliance_sweep": fig6_stats,
         "networks_relied_on": [s.networks for s in summaries],
     }
-    if stream_legs:
-        row["stream_vs_eager"] = _stream_legs(scenario)
     return row
 
 
@@ -245,13 +125,12 @@ def _full_row():
 def test_bench_scale_sweep(benchmark):
     rows = [_scale_row(name) for name in SCALES[:-1]]
     # the large row is timed once under the benchmark timer (building the
-    # ~10k-AS scenario repeatedly would dominate the suite's runtime) and
-    # carries the streamed-vs-eager paper-scale legs
+    # ~10k-AS scenario repeatedly would dominate the suite's runtime)
     rows.append(
         benchmark.pedantic(
             _scale_row,
             args=(SCALES[-1],),
-            kwargs={"rounds": 1, "stream_legs": True},
+            kwargs={"rounds": 1},
             rounds=1,
             iterations=1,
         )
@@ -268,6 +147,3 @@ def test_bench_scale_sweep(benchmark):
     # scale ordering sanity: each profile really is materially larger
     sizes = [row["ases"] for row in rows]
     assert sizes == sorted(sizes) and sizes[-1] > 4 * sizes[0]
-    legs = rows[-1]["stream_vs_eager"]
-    assert legs["fig6_reliance"]["peak_ratio"] >= STREAM_MIN_RATIO
-    assert legs["global_hegemony"]["peak_ratio"] >= STREAM_MIN_RATIO

@@ -13,12 +13,12 @@ access pattern actually fits the bound.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
 from ..topology.asgraph import ASGraph
-from .engine import propagate, resolve_engine, resolve_stream
+from .engine import propagate, resolve_engine
 from .routes import RoutingState, Seed
 
 
@@ -134,20 +134,13 @@ class RoutingStateCache:
         graph: ASGraph,
         maxsize: Optional[int] = None,
         engine: Optional[str] = None,
-        batch: Optional[int] = None,
         shards=None,
-        stream: bool | str | None = None,
     ) -> None:
         if maxsize is not None and maxsize < 1:
             raise ValueError("maxsize must be None or >= 1")
         self.graph = graph
         self.maxsize = maxsize
         self.engine = engine
-        #: batch width for prefetch sweeps (None: REPRO_BATCH / default)
-        self.batch = batch
-        #: default ``stream`` mode for :meth:`states_for_many`
-        #: (None: per-call knob, else ``REPRO_STREAM`` / auto)
-        self.stream = stream
         self._states: OrderedDict[int, RoutingState] = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -187,14 +180,9 @@ class RoutingStateCache:
         """
         return self.shards is not None and self._gate.ready()
 
-    def _on_disk(self, origin: int) -> bool:
-        """Uncounted peek: could the disk tier serve ``origin``?"""
-        return self._disk_ready() and origin in self.shards
-
-    def _from_disk(
-        self, origin: int, insert: bool = True
-    ) -> Optional[RoutingState]:
-        """Consult the disk tier for ``origin`` (counted in stats)."""
+    def _from_disk(self, origin: int) -> Optional[RoutingState]:
+        """Consult the disk tier for ``origin`` (counted in stats) and
+        insert a hit into the LRU."""
         if not self._disk_ready():
             return None
         try:
@@ -203,28 +191,8 @@ class RoutingStateCache:
             self._disk_misses += 1
             return None
         self._disk_hits += 1
-        if insert:
-            self._insert(origin, state)
+        self._insert(origin, state)
         return state
-
-    def _batch_width(self, batch: Optional[int], cap: bool = True) -> int:
-        """Effective batch width for a sweep: the per-call override, else
-        the cache's knob, else the environment default — capped at the
-        cache bound (a wider batch would only compute states that evict
-        each other before first use; streaming sweeps that bypass the
-        LRU pass ``cap=False``) and forced to 1 on the reference engine
-        (which has no batch kernel)."""
-        from .multiorigin import resolve_batch
-
-        width = resolve_batch(self.batch if batch is None else batch)
-        try:
-            if resolve_engine(self.engine) == "reference":
-                return 1
-        except ValueError:
-            return 1  # unknown engine string: the sweep itself will raise
-        if cap and self.maxsize is not None:
-            width = min(width, self.maxsize)
-        return max(width, 1)
 
     def state_for(self, origin: int) -> RoutingState:
         state = self._states.get(origin)
@@ -252,7 +220,6 @@ class RoutingStateCache:
         self,
         origins: Iterable[int],
         workers: int | str | None = None,
-        batch: Optional[int] = None,
     ) -> int:
         """Warm the cache for ``origins``; returns how many were computed.
 
@@ -260,13 +227,13 @@ class RoutingStateCache:
         is attached, and otherwise propagated — batched through the
         bit-parallel multi-origin kernel, in parallel when ``workers``
         asks for it — and inserted in input order.  With a bounded cache
-        the request is chunked to the cache bound: the *first*
-        ``maxsize`` missing origins are computed (consumers drain
-        prefetched sweeps in input order, so these are the ones read
-        before any eviction) and the rest are skipped rather than
-        computed-then-evicted unread; the skip/chunk decisions are
-        visible in :meth:`stats`.
+        only the *first* ``maxsize`` missing origins are computed
+        (consumers drain prefetched sweeps in input order, so these are
+        the ones read before any eviction) and the rest are skipped
+        rather than computed-then-evicted unread; the skip/chunk
+        decisions are visible in :meth:`stats`.
         """
+        from .multiorigin import batched
         from .parallel import propagate_origins
 
         missing = []
@@ -285,272 +252,18 @@ class RoutingStateCache:
             missing = missing[: self.maxsize]
         if not missing:
             return 0
-        width = self._batch_width(batch)
-        self._prefetch_chunks += -(-len(missing) // width)
+        # the reference engine, the oracle, has no batch kernel
+        self._prefetch_chunks += (
+            len(batched(missing))
+            if resolve_engine(self.engine) == "compiled"
+            else len(missing)
+        )
         for origin, state in propagate_origins(
-            self.graph,
-            missing,
-            workers=workers,
-            engine=self.engine,
-            batch=width,
+            self.graph, missing, workers=workers, engine=self.engine
         ):
             self._misses += 1
             self._insert(origin, state)
         return len(missing)
-
-    def states_for_many(
-        self,
-        origins: Iterable[int],
-        workers: int | str | None = None,
-        batch: Optional[int] = None,
-        stream: bool | str | None = None,
-        excluded: Collection[int] = frozenset(),
-    ) -> Iterator[tuple[int, RoutingState]]:
-        """``(origin, state)`` pairs in input order, batching the misses.
-
-        Unlike :meth:`prefetch` + :meth:`state_for`, this streams: runs
-        of missing origins are computed as bit-parallel batches and
-        yielded as they complete, so an over-``maxsize`` sweep still
-        pays one batched sweep per chunk — never a fallback to
-        per-origin recomputes — while the cache holds at most
-        ``maxsize`` states at any moment.  Cache and disk hits are
-        served from their tiers either way.
-
-        ``stream`` resolves through
-        :func:`~repro.bgpsim.engine.resolve_stream` (per-call value,
-        else the cache's knob, else ``REPRO_STREAM``; ``auto`` streams
-        at paper scale).  When it resolves true, computed states bypass
-        the LRU: views are yielded *one at a time* and each is dropped
-        from its batch the moment the caller releases it, so a
-        full-origin-set sweep — or ``repro precompute`` — runs in
-        **O(batch) peak memory** regardless of the origin count
-        (tracemalloc-asserted in ``tests/test_shards.py`` and
-        ``tests/test_streaming_sweeps.py``).  The batch width is then
-        also not capped at ``maxsize``.  The disk tier still serves
-        precomputed origins per window, so a sharded corpus accelerates
-        streaming sweeps too.
-
-        ``excluded`` propagates every *computed* state over the subgraph
-        without those ASes (the hierarchy-free sweeps of §6–7).  A
-        non-empty set bypasses the LRU **and** disk tiers entirely —
-        both hold plain full-graph states keyed by origin, which must
-        never be conflated with subgraph states.
-        """
-        origin_list = list(origins)
-        excluded = frozenset(excluded)
-        knob = stream if stream is not None else self.stream
-        streaming = resolve_stream(knob, len(self.graph))
-        width = self._batch_width(batch, cap=not streaming)
-        if streaming:
-            yield from self._stream_states(
-                origin_list, width, workers, excluded
-            )
-            return
-        if excluded:
-            yield from self._sweep_uncached(
-                origin_list, width, workers, excluded
-            )
-            return
-        from .parallel import propagate_origins
-
-        i, n = 0, len(origin_list)
-        while i < n:
-            origin = origin_list[i]
-            state = self._states.get(origin)
-            if state is not None:
-                self._hits += 1
-                self._states.move_to_end(origin)
-                yield origin, state
-                i += 1
-                continue
-            state = self._from_disk(origin)
-            if state is not None:
-                yield origin, state
-                i += 1
-                continue
-            # gather the next window's distinct missing origins, one batch
-            chunk: list[int] = []
-            chunk_set: set[int] = set()
-            j = i
-            while j < n and len(chunk) < width:
-                candidate = origin_list[j]
-                if (
-                    candidate not in self._states
-                    and candidate not in chunk_set
-                    and not self._on_disk(candidate)
-                ):
-                    chunk.append(candidate)
-                    chunk_set.add(candidate)
-                j += 1
-            computed: dict[int, RoutingState] = {}
-            self._prefetch_chunks += 1
-            for o, s in propagate_origins(
-                self.graph,
-                chunk,
-                workers=workers,
-                engine=self.engine,
-                batch=width,
-            ):
-                self._misses += 1
-                self._insert(o, s)
-                computed[o] = s
-            while i < j:
-                origin = origin_list[i]
-                state = computed.get(origin)
-                if state is None:
-                    cached = self._states.get(origin)
-                    if cached is not None:
-                        self._hits += 1
-                        self._states.move_to_end(origin)
-                        state = cached
-                    else:
-                        state = self._from_disk(origin)
-                    if state is None:
-                        # evicted by the chunk's own inserts (bounded
-                        # cache); recompute through the normal path
-                        state = self.state_for(origin)
-                yield origin, state
-                state = None
-                i += 1
-            computed.clear()
-
-    def _sweep_uncached(
-        self,
-        origin_list: list[int],
-        width: int,
-        workers: int | str | None,
-        excluded: frozenset[int],
-    ) -> Iterator[tuple[int, RoutingState]]:
-        """Eager subgraph sweep: no tier is consulted or populated.
-
-        Duplicate origins within a batch window share one propagation;
-        the window's states are retained together (the historical eager
-        footprint), then released before the next window.
-        """
-        from .parallel import propagate_origins
-
-        i, n = 0, len(origin_list)
-        while i < n:
-            chunk: list[int] = []
-            chunk_set: set[int] = set()
-            j = i
-            while j < n and len(chunk) < width:
-                candidate = origin_list[j]
-                if candidate not in chunk_set:
-                    chunk.append(candidate)
-                    chunk_set.add(candidate)
-                j += 1
-            computed: dict[int, RoutingState] = {}
-            self._prefetch_chunks += 1
-            for o, s in propagate_origins(
-                self.graph,
-                chunk,
-                workers=workers,
-                engine=self.engine,
-                batch=width,
-                excluded=excluded,
-            ):
-                self._misses += 1
-                computed[o] = s
-            while i < j:
-                yield origin_list[i], computed[origin_list[i]]
-                i += 1
-            computed.clear()
-
-    def _stream_states(
-        self,
-        origin_list: list[int],
-        width: int,
-        workers: int | str | None,
-        excluded: frozenset[int],
-    ) -> Iterator[tuple[int, RoutingState]]:
-        """O(batch)-memory sweep: yield each view as it is computed.
-
-        The interleaving is the point: the window's views are *pulled*
-        from the propagation iterator one at a time as the window is
-        replayed, so at any moment only the live batch masks plus the
-        one or two views in flight are resident — never the whole
-        window's materialized arrays (the eager path's footprint).
-        Only origins duplicated within a window are parked until their
-        last occurrence.
-        """
-        from .parallel import propagate_origins
-
-        use_tiers = not excluded
-        i, n = 0, len(origin_list)
-        while i < n:
-            origin = origin_list[i]
-            if use_tiers:
-                state = self._states.get(origin)
-                if state is not None:
-                    self._hits += 1
-                    self._states.move_to_end(origin)
-                    yield origin, state
-                    i += 1
-                    continue
-                state = self._from_disk(origin, insert=False)
-                if state is not None:
-                    yield origin, state
-                    i += 1
-                    continue
-            # gather the next window's distinct missing origins, one batch
-            chunk: list[int] = []
-            chunk_set: set[int] = set()
-            last_use: dict[int, int] = {}
-            j = i
-            while j < n and len(chunk) < width:
-                candidate = origin_list[j]
-                if candidate in chunk_set:
-                    last_use[candidate] = j
-                elif not use_tiers or (
-                    candidate not in self._states
-                    and not self._on_disk(candidate)
-                ):
-                    chunk.append(candidate)
-                    chunk_set.add(candidate)
-                    last_use[candidate] = j
-                j += 1
-            self._prefetch_chunks += 1
-            pending = propagate_origins(
-                self.graph,
-                chunk,
-                workers=workers,
-                engine=self.engine,
-                batch=width,
-                excluded=excluded,
-            )
-            held: dict[int, RoutingState] = {}
-            while i < j:
-                origin = origin_list[i]
-                if origin in chunk_set:
-                    state = held.pop(origin, None)
-                    if state is None:
-                        # the chunk preserves first-occurrence order, so
-                        # this pulls exactly the next view
-                        for o, s in pending:
-                            self._misses += 1
-                            if o == origin:
-                                state = s
-                                break
-                            held[o] = s  # defensive: out-of-order view
-                    if last_use[origin] > i:
-                        held[origin] = state  # duplicated later in window
-                else:
-                    # a warm tier covered this origin at gather time
-                    state = self._states.get(origin)
-                    if state is not None:
-                        self._hits += 1
-                        self._states.move_to_end(origin)
-                    else:
-                        state = self._from_disk(origin, insert=False)
-                    if state is None:
-                        state = self.state_for(origin)
-                yield origin, state
-                state = None
-                i += 1
-            held.clear()
-            for _o, _s in pending:  # defensive: keep miss accounting exact
-                self._misses += 1
 
     def stats(self) -> CacheStats:
         return CacheStats(

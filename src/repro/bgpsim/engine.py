@@ -56,49 +56,12 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-#: graph size at which ``stream="auto"`` turns streaming aggregation on.
-#: Below it the eager sweeps comfortably fit in memory and keep their
-#: states reusable; at the ``full`` (~70k-AS) profile an eager all-origin
-#: sweep would hold hundreds of megabytes of views at once.
-DEFAULT_STREAM_THRESHOLD = 50_000
-
-_STREAM_TRUE = frozenset({"1", "on", "true", "yes"})
-_STREAM_FALSE = frozenset({"0", "off", "false", "no"})
-
-
-def resolve_stream(
-    stream: bool | str | None = None,
-    graph_size: Optional[int] = None,
-) -> bool:
-    """Normalize a ``stream`` knob to a concrete bool.
-
-    Resolution order: an explicit bool wins; ``"on"``/``"off"`` (and the
-    usual truthy/falsy spellings) force the choice; ``None`` falls back
-    to ``REPRO_STREAM``; ``"auto"`` (the default) streams only when
-    ``graph_size`` reaches ``REPRO_STREAM_THRESHOLD`` (default
-    :data:`DEFAULT_STREAM_THRESHOLD`), so the paper-scale ``full``
-    profile streams out of the box while the seed profiles keep the
-    eager, state-reusing path.
-    """
-    if isinstance(stream, bool):
-        return stream
-    if stream is None:
-        stream = os.environ.get("REPRO_STREAM", "auto")
-    knob = str(stream).strip().lower()
-    if knob in _STREAM_TRUE:
-        return True
-    if knob in _STREAM_FALSE:
-        return False
-    if knob != "auto":
-        raise ValueError(
-            f"unknown stream knob {stream!r}; expected auto/on/off"
-        )
-    if graph_size is None:
-        return False
-    threshold = int(
-        os.environ.get("REPRO_STREAM_THRESHOLD", DEFAULT_STREAM_THRESHOLD)
-    )
-    return graph_size >= threshold
+def resolve_stream(stream=None, graph_size=None) -> bool:
+    """Always ``False``: every all-origin sweep runs one batched path,
+    which already holds one per-origin view at a time.  Kept for run
+    records that stamp every resolved performance setting."""
+    del stream, graph_size
+    return False
 
 
 def propagate(

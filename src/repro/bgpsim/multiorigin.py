@@ -56,7 +56,6 @@ callers needing them (leak simulations) keep the per-origin engines.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from typing import Optional
@@ -73,30 +72,29 @@ __all__ = [
     "BatchOriginView",
     "BatchRoutingState",
     "DEFAULT_BATCH",
+    "batched",
     "propagate_batch",
     "resolve_batch",
 ]
 
-#: default batch width; 64–512 keeps the mask matrices in the sweet spot
-#: where one word-sliced sweep serves many origins without the masks
-#: outgrowing the CPU cache.
+#: the batch width of every all-origin sweep; 64–512 keeps the mask
+#: matrices in the sweet spot where one word-sliced sweep serves many
+#: origins without the masks outgrowing the CPU cache.
 DEFAULT_BATCH = 256
 
 
-def resolve_batch(batch: Optional[int | str] = None) -> int:
-    """Normalize a ``batch`` knob: explicit value, else the ``REPRO_BATCH``
-    environment variable, else :data:`DEFAULT_BATCH`.
+def batched(items: Sequence) -> list[tuple]:
+    """``items`` cut into :data:`DEFAULT_BATCH`-wide tuples, in order
+    (the last one ragged).  The width is read at call time, so tests can
+    narrow it."""
+    width = DEFAULT_BATCH
+    return [tuple(items[i : i + width]) for i in range(0, len(items), width)]
 
-    Returns the batch width as an int ``>= 1``; ``0`` and ``1`` both mean
-    "no batching" (consumers fall back to the per-origin path) and
-    normalize to ``1``.
-    """
-    if batch is None:
-        batch = os.environ.get("REPRO_BATCH", DEFAULT_BATCH)
-    width = int(batch)
-    if width < 0:
-        raise ValueError(f"batch must be >= 0, got {width}")
-    return max(width, 1)
+
+def resolve_batch() -> int:
+    """:data:`DEFAULT_BATCH`.  Kept for run records that stamp every
+    resolved performance setting."""
+    return DEFAULT_BATCH
 
 
 class BatchRoutingState:
@@ -183,9 +181,16 @@ class BatchRoutingState:
         return self.view_at(self._bit_of[origin])
 
     def views(self) -> Iterator[tuple[int, "BatchOriginView"]]:
-        """``(origin, view)`` pairs in batch (input) order."""
+        """``(origin, view)`` pairs in batch (input) order.
+
+        Each view leaves the batch's cache once the consumer moves past
+        it, so a consumer that releases its view frees that view's
+        arrays at once (refcount alone, no gc): a sweep holds the batch
+        buckets plus one live view, whatever its origin count.
+        """
         for bit, origin in enumerate(self.origins):
             yield origin, self.view_at(bit)
+            self._views.pop(bit, None)
 
     # -- pickling: drop the graph reference and the view cache ------------
     def __getstate__(self) -> dict:

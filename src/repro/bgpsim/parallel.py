@@ -256,59 +256,45 @@ def propagate_origins(
     workers: int | str | None = None,
     excluded: Collection[int] = frozenset(),
     engine: Optional[str] = None,
-    batch: Optional[int] = None,
 ) -> Iterator[tuple[int, RoutingState]]:
     """``(origin, state)`` pairs for a plain single-origin sweep.
 
-    ``batch`` selects the bit-parallel multi-origin kernel
-    (:mod:`repro.bgpsim.multiorigin`): origins are chunked to that width
-    and each chunk costs one graph sweep instead of one per origin.  The
-    default (``None``) resolves through ``REPRO_BATCH`` /
-    :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`; ``batch=1`` (or
-    ``engine="reference"``) keeps the historical per-origin path.  The
-    yielded states are per-origin views equivalent to the per-origin
-    engines' results, so callers are oblivious.  Process-parallelism
+    On the compiled engine the origins go through the bit-parallel
+    multi-origin kernel (:mod:`repro.bgpsim.multiorigin`) in
+    :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide chunks, each
+    costing one graph sweep instead of one per origin; the yielded
+    states are per-origin views equivalent to the per-origin engines'
+    results, so callers are oblivious.  The reference engine, the
+    oracle, propagates each origin on its own.  Process-parallelism
     composes: with ``workers`` the chunks fan out across the pool, each
-    worker running whole batches.
+    worker running whole batches.  An unknown ``engine`` raises
+    ``ValueError`` here.
     """
-    from .multiorigin import resolve_batch
+    from .multiorigin import batched
 
     origin_list = list(origins)
-    try:
-        resolved = resolve_engine(engine)
-    except ValueError:
-        resolved = "reference"  # unknown engine: let propagate() raise
-    width = resolve_batch(batch)
-    if width > 1 and resolved == "compiled" and origin_list:
-        chunks = [
-            tuple(origin_list[i : i + width])
-            for i in range(0, len(origin_list), width)
-        ]
-        batches = graph_map(
+    if resolve_engine(engine) == "reference":
+        states = propagate_many(
             graph,
-            _propagate_batch_task,
-            chunks,
+            origin_list,
             workers=workers,
-            excluded=frozenset(excluded),
-            engine=engine,
+            excluded=excluded,
+            engine="reference",
         )
-
-        def _views() -> Iterator[tuple[int, RoutingState]]:
-            for result in batches:
-                if result._graph is None:  # returned from a pool worker
-                    result.bind_graph(graph)
-                # Yield view-by-view and drop each from the batch's cache
-                # as soon as it is handed over: a streaming consumer that
-                # releases its view after folding it frees that view's
-                # materialized arrays immediately (refcount alone, no gc),
-                # and the batch masks are all that stays live.  This is
-                # what keeps full-origin-set sweeps at O(batch) memory.
-                for bit, origin in enumerate(result.origins):
-                    yield origin, result.view_at(bit)
-                    result._views.pop(bit, None)
-
-        return _views()
-    states = propagate_many(
-        graph, origin_list, workers=workers, excluded=excluded, engine=engine
+        return zip(origin_list, states)
+    batches = graph_map(
+        graph,
+        _propagate_batch_task,
+        batched(origin_list),
+        workers=workers,
+        excluded=frozenset(excluded),
+        engine="compiled",
     )
-    return zip(origin_list, states)
+
+    def _views() -> Iterator[tuple[int, RoutingState]]:
+        for result in batches:
+            if result._graph is None:  # returned from a pool worker
+                result.bind_graph(graph)
+            yield from result.views()
+
+    return _views()

@@ -48,13 +48,14 @@ to rebuild.
 ``<root>/<digest16>/manifest.json`` plus shard files — built by
 :func:`precompute_shards` (the bit-parallel sweeps of
 :func:`~repro.bgpsim.parallel.propagate_origins`) and
-:func:`precompute_metric_shards` (``states_for_many(stream=True)``, off
-the routing shards when present); both stream in O(batch) memory and
-resume partial corpora.  A corpus also carries *leases*
-(``leases/<pid>-<token>.lease``): every serving process that opens the
-store with ``lease=True`` registers its pid, and
-:meth:`ShardStore.compact` / :func:`gc_corpora` refuse to rewrite or
-delete a corpus something live still maps.
+:func:`precompute_metric_shards` (one bit-parallel sweep and one batch
+metric kernel call per batch of origins, mapped over
+:func:`~repro.bgpsim.parallel.graph_map`; it reads no routing shard);
+both hold one batch in memory at a time and resume partial corpora.
+A corpus also carries *leases* (``leases/<pid>-<token>.lease``): every
+serving process that opens the store with ``lease=True`` registers its
+pid, and :meth:`ShardStore.compact` / :func:`gc_corpora` refuse to
+rewrite or delete a corpus something live still maps.
 """
 
 from __future__ import annotations
@@ -1171,7 +1172,6 @@ def precompute_shards(
     out_root: str | os.PathLike,
     origins: Optional[Sequence[int]] = None,
     workers: int | str | None = None,
-    batch: Optional[int] = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
     force: bool = False,
     progress=None,
@@ -1180,15 +1180,15 @@ def precompute_shards(
 
     Fans the origin set through the bit-parallel batched sweeps of
     :func:`~repro.bgpsim.parallel.propagate_origins` (``workers``
-    processes, ``REPRO_BATCH``-sized batches; always the compiled engine,
-    whatever ``REPRO_ENGINE`` says, since a shard holds only compiled
-    array states) and streams the per-origin
-    states into shard files of ``shard_size`` origins under the
-    content-addressed directory ``<out_root>/<digest16>/``, consuming
-    each batch as it completes — peak memory stays O(batch) regardless
-    of the origin-set size.  Writes ``manifest.json`` last (its presence
-    marks the corpus complete); an existing complete corpus covering the
-    requested origins is reused unless ``force``.
+    processes, :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide
+    batches; always the compiled engine, whatever ``REPRO_ENGINE``
+    says, since a shard holds only compiled array states) and streams
+    the per-origin states into shard files of ``shard_size`` origins
+    under the content-addressed directory ``<out_root>/<digest16>/``,
+    consuming each batch as it completes — peak memory stays O(batch)
+    regardless of the origin-set size.  Writes ``manifest.json`` last
+    (its presence marks the corpus complete); an existing complete
+    corpus covering the requested origins is reused unless ``force``.
 
     A valid corpus that covers only *part* of the request is **resumed**,
     not discarded: its shard files are kept, only the missing origins are
@@ -1241,7 +1241,6 @@ def precompute_shards(
             origin_list,
             workers=workers,
             engine="compiled",
-            batch=batch,
         ),
         lambda k: ShardWriter(target / f"shard-{first + k:05d}.shard", cg),
         ShardWriter.add,
@@ -1250,7 +1249,7 @@ def precompute_shards(
         len(origin_list),
     )
 
-    manifest = _new_manifest(cg, digest, workers, batch, shard_size)
+    manifest = _new_manifest(cg, digest, workers, shard_size)
     manifest.update(
         origins=covered + len(origin_list), shards=shard_infos, **carried
     )
@@ -1258,7 +1257,7 @@ def precompute_shards(
     return target
 
 
-def _new_manifest(cg, digest: str, workers, batch, shard_size: int) -> dict:
+def _new_manifest(cg, digest: str, workers, shard_size: int) -> dict:
     """A manifest naming no shard files yet, stamped with the settings
     the corpus is built under."""
     from .multiorigin import resolve_batch
@@ -1273,7 +1272,7 @@ def _new_manifest(cg, digest: str, workers, batch, shard_size: int) -> dict:
         "origins": 0,
         "engine": "compiled",
         "workers": resolve_workers(workers),
-        "batch": resolve_batch(batch),
+        "batch": resolve_batch(),
         "shm": resolve_shm(),
         "shard_size": shard_size,
         "shards": [],
@@ -1448,14 +1447,14 @@ def precompute_metric_shards(
     targets: Optional[Sequence[int]] = None,
     trim: Optional[float] = None,
     workers: int | str | None = None,
-    batch: Optional[int] = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
     force: bool = False,
     progress=None,
 ) -> Path:
     """Precompute metric shards for ``origins`` (default: every AS).
 
-    Maps :func:`_metric_batch_task` over ``batch``-wide chunks of the
+    Maps :func:`_metric_batch_task` over
+    :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide chunks of the
     origins with :func:`~repro.bgpsim.parallel.graph_map` (``workers``
     processes), as the routing pass maps propagation: each task runs one
     bit-parallel sweep and the batch metric kernel, and returns its
@@ -1477,7 +1476,7 @@ def precompute_metric_shards(
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
     from ..core.hegemony import TRIM
-    from .multiorigin import resolve_batch
+    from .multiorigin import batched
     from .parallel import graph_map
 
     cg: CompiledGraph = graph.compile()
@@ -1539,11 +1538,7 @@ def precompute_metric_shards(
         trim_value = TRIM if trim is None else float(trim)
         target_dir.mkdir(parents=True, exist_ok=True)
 
-        width = resolve_batch(batch)
-        chunks = [
-            tuple(origin_list[i : i + width])
-            for i in range(0, len(origin_list), width)
-        ]
+        chunks = batched(origin_list)
         rows = graph_map(
             graph,
             _metric_batch_task,
@@ -1582,9 +1577,7 @@ def precompute_metric_shards(
         if routing_store is not None:
             routing_store.close()
 
-    manifest = manifest or _new_manifest(
-        cg, digest, workers, batch, shard_size
-    )
+    manifest = manifest or _new_manifest(cg, digest, workers, shard_size)
     manifest["metric_shards"] = shard_infos
     manifest["metric_targets"] = list(target_tuple)
     manifest["metric_trim"] = trim_value

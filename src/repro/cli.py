@@ -21,7 +21,6 @@ Subcommands mirror the workflows a downstream user actually has:
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -214,7 +213,6 @@ def cmd_precompute(args: argparse.Namespace) -> int:
         args.output,
         origins=origins,
         workers=args.workers,
-        batch=args.batch,
         shard_size=args.shard_size,
         force=args.force,
         progress=progress if not args.quiet else None,
@@ -231,7 +229,6 @@ def cmd_precompute(args: argparse.Namespace) -> int:
                 targets=targets,
                 trim=args.trim,
                 workers=args.workers,
-                batch=args.batch,
                 shard_size=args.shard_size,
                 force=args.force,
                 progress=progress if not args.quiet else None,
@@ -291,7 +288,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             shards=None if store is None else str(store.directory),
             maxsize=args.maxsize,
             engine=args.engine,
-            batch=args.batch,
         )
         if args.smoke:
             service = QueryService(
@@ -299,7 +295,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 shards=store,
                 maxsize=args.maxsize,
                 engine=args.engine,
-                batch=args.batch,
             )
             expected = smoke_expected(service)
             with WorkerSupervisor(
@@ -354,7 +349,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         shards=store,
         maxsize=args.maxsize,
         engine=args.engine,
-        batch=args.batch,
     )
     if args.smoke:
         failures = smoke_check(service, host=args.host)
@@ -506,7 +500,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         origins=[args.origin],
         targets=targets,
         workers=args.workers,
-        batch=args.batch,
         shards=shards,
     )
     try:
@@ -553,10 +546,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         argv += ["--workers", str(args.workers)]
     if args.engine is not None:
         argv += ["--engine", args.engine]
-    if args.batch is not None:
-        argv += ["--batch", str(args.batch)]
-    if args.stream is not None:
-        argv += ["--stream", args.stream]
     return runner_main(argv)
 
 
@@ -567,14 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproduction toolkit for 'Cloud Provider Connectivity in the "
             "Flat Internet' (IMC 2020)."
         ),
-    )
-    parser.add_argument(
-        "--stream",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="O(batch)-memory streaming sweep aggregations "
-        "(default: $REPRO_STREAM or auto; 'auto' streams once the graph "
-        "reaches the paper-scale threshold, $REPRO_STREAM_THRESHOLD)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -672,12 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="propagation worker processes (int, or 'auto' for all CPUs)",
     )
     timeline.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="bit-parallel batch width for the baseline prefetch",
-    )
-    timeline.add_argument(
         "--shards",
         help="precomputed shard directory (repro precompute) serving "
         "pre-event baselines from mmap instead of propagating",
@@ -705,12 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for the routing and metric passes (int, "
         "or 'auto' for all CPUs)",
-    )
-    precompute.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="bit-parallel batch width (default: $REPRO_BATCH or 256)",
     )
     precompute.add_argument(
         "--shard-size",
@@ -800,12 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--engine", choices=ENGINES, default=None)
     serve.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="bit-parallel width for batched request warming",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -837,13 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="propagation engine (default: compiled, or $REPRO_ENGINE)",
     )
-    experiments.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="bit-parallel multi-origin batch width for the all-AS sweeps "
-        "(default: $REPRO_BATCH or 256; 1 disables batching)",
-    )
     experiments.set_defaults(func=cmd_experiments)
 
     return parser
@@ -852,10 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the sweeps read the environment at every dispatch site, so the
-    # flag translates to the knob once, before the subcommand runs
-    if args.stream is not None:
-        os.environ["REPRO_STREAM"] = args.stream
     return args.func(args)
 
 

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
-from ..bgpsim.cache import RoutingStateCache
+from ..bgpsim.parallel import propagate_origins
 from ..topology.asgraph import ASGraph
 
 
@@ -64,32 +64,31 @@ def collect_ribs(
     prefixes: dict[int, ipaddress.IPv4Network],
     origins: Optional[Sequence[int]] = None,
     rng: Optional[random.Random] = None,
-    cache: Optional[RoutingStateCache] = None,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    batch: Optional[int] = None,
 ) -> CollectorDump:
     """Simulate a collector RIB: each monitor's tied-best path per origin.
 
     Ties are broken by a deterministic walk over the best-path DAG (the
     supplied ``rng`` picks among tied parents), mirroring the fact that a
-    real monitor exports exactly one best path.  ``workers`` parallelizes
-    and ``batch`` bit-parallelizes the per-origin propagations (one sweep
-    per batch of origins); the tie-breaking walk stays serial and uses the
-    per-AS route accessor, so the RNG stream (and the dump) is identical
-    for any worker count, batch width, or engine.
+    real monitor exports exactly one best path.  The per-origin states
+    come from :func:`~repro.bgpsim.parallel.propagate_origins` (one
+    bit-parallel sweep per batch of origins on the compiled engine,
+    ``workers`` processes) and each is dropped once its paths are
+    walked, so the sweep holds one batch whatever the origin count.  The
+    walk stays serial and uses the per-AS route accessor, so the RNG
+    stream (and the dump) is identical for any worker count or engine.
     """
     rng = rng or random.Random(0)
-    if cache is None:
-        cache = RoutingStateCache(graph, engine=engine, batch=batch)
     monitors = sorted(set(monitors))
     if origins is None:
         origins = sorted(graph.nodes())
     dump = CollectorDump()
-    for origin, state in cache.states_for_many(
-        (origin for origin in origins if origin in prefixes),
+    for origin, state in propagate_origins(
+        graph,
+        [origin for origin in origins if origin in prefixes],
         workers=workers,
-        batch=batch,
+        engine=engine,
     ):
         for monitor in monitors:
             if monitor == origin:

@@ -30,7 +30,7 @@ from collections.abc import Collection, Iterable, Mapping, Sequence
 from typing import Optional
 
 from ..bgpsim.cache import RoutingStateCache
-from ..bgpsim.engine import propagate
+from ..bgpsim.engine import propagate, resolve_engine
 from ..bgpsim.metrics_kernel import (
     cross_fractions_kernel,
     cross_fractions_many_kernel,
@@ -228,11 +228,7 @@ def global_hegemony(
     rng: Optional[random.Random] = None,
     trim: float = TRIM,
     workers: int | str | None = None,
-    cache_size: Optional[int] = None,
     engine: Optional[str] = None,
-    batch: Optional[int] = None,
-    stream: bool | str | None = None,
-    cache: Optional[RoutingStateCache] = None,
 ) -> dict[int, float]:
     """``H(target)`` for each target, averaged over sampled origins.
 
@@ -240,79 +236,40 @@ def global_hegemony(
     one pass (the tied-best-path counts are shared across targets);
     ``workers`` fans the origins out across a process pool, and each
     worker returns one compact float array per origin rather than a
-    per-AS dict.  ``batch`` groups origins into bit-parallel multi-origin
-    sweeps (one propagation per batch; identical floats); it defaults
-    through ``REPRO_BATCH`` and is ignored on the reference engine.
-    ``cache_size`` is kept for API compatibility — the sweep streams one
-    state at a time and retains none.
-
-    ``stream`` (``REPRO_STREAM``; auto-on at paper scale) folds each
-    origin's hegemony row as its view is computed and drops the view
-    before the next arrives, so an all-origin sweep peaks at O(batch)
-    memory instead of one window of materialized views; scores are
-    bit-identical (the fold visits origins in the same order either
-    way).  ``cache`` (optional) supplies warm/precomputed states to the
-    streaming path.
+    per-AS dict.  On the compiled engine the origins run in
+    :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide bit-parallel
+    sweeps, each scored by one call of the batch metric kernel; the
+    reference engine, the oracle, propagates and scores each origin on
+    its own.  The floats are identical either way.
     """
-    del cache_size  # the streaming sweep holds no state cache
-    from ..bgpsim.engine import resolve_engine, resolve_stream
-    from ..bgpsim.multiorigin import resolve_batch
+    from ..bgpsim.multiorigin import batched
 
     rng = rng or random.Random(0)
     nodes = sorted(graph.nodes())
     if origins is None:
         origins = rng.sample(nodes, k=min(sample, len(nodes)))
     targets = tuple(targets)
-    try:
-        resolved = resolve_engine(engine)
-    except ValueError:
-        resolved = "reference"  # unknown engine: let the task raise
-    width = resolve_batch(batch)
-    if (
-        resolve_stream(stream, len(graph))
-        and resolved == "compiled"
-        and origins
-    ):
-        if cache is None:
-            cache = RoutingStateCache(graph, engine=engine, batch=batch)
-        states = cache.states_for_many(
-            list(origins), workers=workers, batch=batch, stream=True
-        )
-
-        def _stream_rows() -> Iterable[array]:
-            for origin, state in states:
-                yield _hegemony_values(state, origin, targets, trim)
-                # release this view (and its cached path counts) before
-                # pulling the next one
-                del state
-
-        rows: Iterable[array] = _stream_rows()
-    elif width > 1 and resolved == "compiled" and origins:
-        origin_list = list(origins)
-        chunks = [
-            tuple(origin_list[i : i + width])
-            for i in range(0, len(origin_list), width)
-        ]
-        row_lists = graph_map(
-            graph,
-            _hegemony_batch_task,
-            chunks,
-            workers=workers,
-            targets=targets,
-            trim=trim,
-            engine=engine,
-        )
-        rows: Iterable[array] = (row for rows_ in row_lists for row in rows_)
-    else:
-        rows = graph_map(
+    if resolve_engine(engine) == "reference":
+        rows: Iterable[array] = graph_map(
             graph,
             _hegemony_task,
             list(origins),
             workers=workers,
             targets=targets,
             trim=trim,
-            engine=engine,
+            engine="reference",
         )
+    else:
+        row_lists = graph_map(
+            graph,
+            _hegemony_batch_task,
+            batched(list(origins)),
+            workers=workers,
+            targets=targets,
+            trim=trim,
+            engine="compiled",
+        )
+        rows = (row for rows_ in row_lists for row in rows_)
     sums = [0.0] * len(targets)
     counts_per_target = [0] * len(targets)
     for row in rows:

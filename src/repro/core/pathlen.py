@@ -20,7 +20,7 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
-from ..bgpsim.engine import propagate
+from ..bgpsim.engine import propagate, resolve_engine
 from ..bgpsim.metrics_kernel import is_array_state, length_histogram_kernel
 from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState, Seed
@@ -283,74 +283,37 @@ def fig13_bars_sweep(
     users: Mapping[int, int],
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    batch: Optional[int] = None,
-    stream: bool | str | None = None,
-    cache=None,
 ) -> list[dict[str, PathLengthMix]]:
     """:func:`fig13_bars` for many origins; workers return compact bin
     triples (3 weightings × 3 bins per origin).
 
-    ``batch`` groups origins into bit-parallel multi-origin sweeps;
-    ``stream`` (``REPRO_STREAM``; auto-on at paper scale) folds each
-    origin's triples as its view arrives and drops the view before the
-    next one — O(batch) peak memory with bit-identical mixes either
-    way.  ``cache`` (optional) supplies warm/precomputed states to the
-    streaming path.
+    On the compiled engine the origins run in
+    :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide bit-parallel
+    sweeps, each view folded and dropped before the next is built; the
+    reference engine, the oracle, propagates each origin on its own.
+    The mixes are identical either way.
     """
-    from ..bgpsim.engine import resolve_engine, resolve_stream
-    from ..bgpsim.multiorigin import resolve_batch
+    from ..bgpsim.multiorigin import batched
 
     origin_list = list(origins)
-    try:
-        resolved = resolve_engine(engine)
-    except ValueError:
-        resolved = "reference"  # unknown engine: let the task raise
-    width = resolve_batch(batch)
-    if (
-        resolve_stream(stream, len(graph))
-        and resolved == "compiled"
-        and origin_list
-    ):
-        from ..bgpsim.cache import RoutingStateCache
-
-        if cache is None:
-            cache = RoutingStateCache(graph, engine=engine, batch=batch)
-        weightings = _fig13_weightings(users)
-        bars = []
-        for _, state in cache.states_for_many(
-            origin_list, workers=workers, batch=batch, stream=True
-        ):
-            bars.append(
-                _bars_from_triples(
-                    _fig13_triples_from_state(state, weightings)
-                )
-            )
-            del state  # release this view before pulling the next
-        return bars
-    if width > 1 and resolved == "compiled" and origin_list:
-        chunks = [
-            tuple(origin_list[i : i + width])
-            for i in range(0, len(origin_list), width)
-        ]
-        row_lists = graph_map(
+    if resolve_engine(engine) == "reference":
+        rows = graph_map(
             graph,
-            _fig13_batch_task,
-            chunks,
+            _fig13_task,
+            origin_list,
             workers=workers,
             users=dict(users),
-            engine=engine,
+            engine="reference",
         )
-        return [
-            _bars_from_triples(triples)
-            for rows_ in row_lists
-            for triples in rows_
-        ]
-    rows = graph_map(
+        return [_bars_from_triples(triples) for triples in rows]
+    row_lists = graph_map(
         graph,
-        _fig13_task,
-        list(origin_list),
+        _fig13_batch_task,
+        batched(origin_list),
         workers=workers,
         users=dict(users),
-        engine=engine,
+        engine="compiled",
     )
-    return [_bars_from_triples(triples) for triples in rows]
+    return [
+        _bars_from_triples(triples) for rows_ in row_lists for triples in rows_
+    ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..bgpsim.engine import propagate
+from ..bgpsim.engine import propagate, resolve_engine
 from ..bgpsim.metrics_kernel import (
     is_array_state,
     path_counts_kernel,
@@ -373,9 +373,6 @@ def reliance_summary_sweep(
     top_n: int = 3,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    batch: Optional[int] = None,
-    stream: bool | str | None = None,
-    cache=None,
 ) -> list[RelianceSummary]:
     """:class:`RelianceSummary` per (origin, excluded) pair, in input order.
 
@@ -383,102 +380,56 @@ def reliance_summary_sweep(
     returning, which keeps the per-item payload O(histogram) instead of
     O(ASes) — the shape Fig. 6 / Table 2 actually consume.
 
-    ``batch`` routes the sweep through the bit-parallel multi-origin
-    kernel: pairs sharing an excluded set are grouped (the kernel needs
-    one export predicate per sweep) and each group chunked to the batch
-    width, so e.g. an all-AS hierarchy-free sweep with a common excluded
-    set costs ``ceil(N / batch)`` propagations instead of ``N``.  It
-    defaults through ``REPRO_BATCH`` and is ignored on the reference
-    engine; results are identical either way.
-
-    ``stream`` (``REPRO_STREAM``; auto-on at paper scale) folds each
-    per-origin view through the summary kernel as it is computed and
-    drops it before the next arrives —
-    :meth:`~repro.bgpsim.cache.RoutingStateCache.states_for_many`'s
-    O(batch)-memory tier — instead of retaining a whole batch window of
-    views at once.  Summaries are bit-identical to the eager path
-    (asserted in ``tests/test_streaming_sweeps.py`` and in-bench).  A
-    ``cache`` with an attached shard store lets precomputed corpora
-    serve the no-excluded-set sweeps.
+    On the compiled engine the sweep runs through the bit-parallel
+    multi-origin kernel: pairs sharing an excluded set are grouped (the
+    kernel needs one export predicate per sweep) and each group chunked
+    to :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`, so e.g. an
+    all-AS hierarchy-free sweep with a common excluded set costs
+    ``ceil(N / batch)`` propagations instead of ``N``.  Each view is
+    folded and dropped before the next is built, so a task holds one
+    view at a time.  The reference engine, the oracle, propagates each
+    pair on its own; results are identical either way.
     """
-    from ..bgpsim.engine import resolve_engine, resolve_stream
-    from ..bgpsim.multiorigin import resolve_batch
+    from ..bgpsim.multiorigin import batched
 
     items = [
         (origin, frozenset(excluded)) for origin, excluded in origin_excluded
     ]
-    try:
-        resolved = resolve_engine(engine)
-    except ValueError:
-        resolved = "reference"  # unknown engine: let the task raise
-    width = resolve_batch(batch)
-    if (
-        resolve_stream(stream, len(graph))
-        and resolved == "compiled"
-        and items
-    ):
-        from ..bgpsim.cache import RoutingStateCache
-
-        if cache is None:
-            cache = RoutingStateCache(graph, engine=engine, batch=batch)
-        groups: dict[frozenset[int], list[int]] = {}
-        for position, (_, excluded) in enumerate(items):
-            groups.setdefault(excluded, []).append(position)
-        results: list[Optional[RelianceSummary]] = [None] * len(items)
-        for excluded, positions in groups.items():
-            states = cache.states_for_many(
-                (items[p][0] for p in positions),
+    if resolve_engine(engine) == "reference":
+        return list(
+            graph_map(
+                graph,
+                _reliance_summary_task,
+                items,
                 workers=workers,
-                batch=batch,
-                stream=True,
-                excluded=excluded,
+                bin_width=bin_width,
+                top_n=top_n,
+                engine="reference",
             )
-            for position, (_, state) in zip(positions, states):
-                results[position] = summarize_reliance_from_state(
-                    state, bin_width=bin_width, top_n=top_n
-                )
-                # release this view before pulling the next: the fold
-                # keeps one live view, not a window of them
-                del state
-        return results
-    if width > 1 and resolved == "compiled" and items:
-        groups: dict[frozenset[int], list[int]] = {}
-        for position, (_, excluded) in enumerate(items):
-            groups.setdefault(excluded, []).append(position)
-        tasks: list[tuple[tuple[int, ...], frozenset[int]]] = []
-        task_positions: list[list[int]] = []
-        for excluded, positions in groups.items():
-            for i in range(0, len(positions), width):
-                chunk = positions[i : i + width]
-                tasks.append(
-                    (tuple(items[p][0] for p in chunk), excluded)
-                )
-                task_positions.append(chunk)
-        results: list[Optional[RelianceSummary]] = [None] * len(items)
-        summaries_per_task = graph_map(
-            graph,
-            _reliance_summary_batch_task,
-            tasks,
-            workers=workers,
-            bin_width=bin_width,
-            top_n=top_n,
-            engine=engine,
         )
-        for positions, summaries in zip(task_positions, summaries_per_task):
-            for position, summary in zip(positions, summaries):
-                results[position] = summary
-        return results
-    return list(
-        graph_map(
-            graph,
-            _reliance_summary_task,
-            items,
-            workers=workers,
-            bin_width=bin_width,
-            top_n=top_n,
-            engine=engine,
-        )
+    groups: dict[frozenset[int], list[int]] = {}
+    for position, (_, excluded) in enumerate(items):
+        groups.setdefault(excluded, []).append(position)
+    tasks: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    task_positions: list[tuple[int, ...]] = []
+    for excluded, positions in groups.items():
+        for chunk in batched(positions):
+            tasks.append((tuple(items[p][0] for p in chunk), excluded))
+            task_positions.append(chunk)
+    results: list[Optional[RelianceSummary]] = [None] * len(items)
+    summaries_per_task = graph_map(
+        graph,
+        _reliance_summary_batch_task,
+        tasks,
+        workers=workers,
+        bin_width=bin_width,
+        top_n=top_n,
+        engine="compiled",
     )
+    for positions, summaries in zip(task_positions, summaries_per_task):
+        for position, summary in zip(positions, summaries):
+            results[position] = summary
+    return results
 
 
 def hierarchy_free_reliance_summaries(
@@ -489,9 +440,6 @@ def hierarchy_free_reliance_summaries(
     top_n: int = 3,
     workers: int | str | None = None,
     engine: Optional[str] = None,
-    batch: Optional[int] = None,
-    stream: bool | str | None = None,
-    cache=None,
 ) -> list[RelianceSummary]:
     """:func:`reliance_summary_sweep` under hierarchy-free constraints."""
     return reliance_summary_sweep(
@@ -504,7 +452,4 @@ def hierarchy_free_reliance_summaries(
         top_n=top_n,
         workers=workers,
         engine=engine,
-        batch=batch,
-        stream=stream,
-        cache=cache,
     )

@@ -50,8 +50,6 @@ def run(
     ctx_2015: ExperimentContext,
     workers: int | str | None = None,
     engine: str | None = None,
-    batch: int | None = None,
-    stream: bool | str | None = None,
 ) -> Fig13Result:
     bars: dict[int, dict[str, dict[str, PathLengthMix]]] = {}
     for year, ctx in ((2015, ctx_2015), (2020, ctx_2020)):
@@ -67,8 +65,6 @@ def run(
             ctx.scenario.users,
             workers=workers,
             engine=engine,
-            batch=batch,
-            stream=stream,
         )
         bars[year] = {
             name: group for (name, _), group in zip(clouds, groups)

@@ -90,8 +90,6 @@ def run(
     bin_width: int = 25,
     workers: int | str | None = None,
     engine: str | None = None,
-    batch: int | None = None,
-    stream: bool | str | None = None,
 ) -> Fig6Table2Result:
     graph, tiers = ctx.graph, ctx.tiers
     names = list(ctx.clouds.items())
@@ -102,8 +100,6 @@ def run(
         bin_width=bin_width,
         workers=workers,
         engine=engine,
-        batch=batch,
-        stream=stream,
     )
     clouds = [
         CloudReliance(name=name, asn=asn, summary=summary)

@@ -73,8 +73,6 @@ def run(
     seed: int = 41,
     workers: int | str | None = None,
     engine: str | None = None,
-    batch: int | None = None,
-    stream: bool | str | None = None,
 ) -> MetricsComparisonResult:
     graph, tiers = ctx.graph, ctx.tiers
     targets: list[tuple[str, int, str]] = [
@@ -93,8 +91,6 @@ def run(
         rng=random.Random(seed),
         workers=workers,
         engine=engine,
-        batch=batch,
-        stream=stream,
     )
     rows = [
         MetricsRow(

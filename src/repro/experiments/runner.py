@@ -37,22 +37,13 @@ def run_all(
     ctx_2015: ExperimentContext,
     leaks_per_config: int = 60,
     workers: int | str | None = None,
-    batch: int | None = None,
-    stream: bool | str | None = None,
 ) -> dict[str, object]:
     """Run every experiment; returns {experiment id: result}.
 
     ``workers`` parallelizes the propagation-heavy sweeps (reliance, route
-    leaks) across processes; ``batch`` selects the bit-parallel
-    multi-origin batch width for the all-AS sweeps (default: the
-    ``REPRO_BATCH`` environment variable).  ``stream`` folds the sweep
-    aggregations (Fig. 6, Fig. 13, hegemony) view by view at O(batch)
-    memory instead of retaining eager state windows (default:
-    ``REPRO_STREAM``; ``auto`` streams at paper scale).  Every
-    experiment's output is identical for any worker count, batch width
-    or stream mode (see ``tests/test_parallel_engine.py`` /
-    ``tests/test_multiorigin_engine.py`` /
-    ``tests/test_streaming_sweeps.py``).
+    leaks) across processes.  Every experiment's output is identical for
+    any worker count and on either engine (see
+    ``tests/test_parallel_engine.py`` / ``tests/test_sweep_oracle.py``).
     """
     results: dict[str, object] = {}
     results["sec4_5"] = sec45_validation.run(ctx_2020)
@@ -61,7 +52,7 @@ def run_all(
     results["fig3"] = fig3_cone_vs_hfr.run(ctx_2020)
     results["fig4"] = fig4_unreachable.run(ctx_2020)
     results["fig6_table2"] = fig6_table2_reliance.run(
-        ctx_2020, workers=workers, batch=batch, stream=stream
+        ctx_2020, workers=workers
     )
     results["fig7_8"] = fig7_10_leaks.run(
         ctx_2020, leaks_per_config=leaks_per_config, workers=workers
@@ -78,12 +69,8 @@ def run_all(
     results["appendixA"] = appendixA_paths.run(ctx_2020)
     results["appendixB"] = appendixB_tier1.run(ctx_2020)
     results["appendixD"] = appendixD_geolocation.run(ctx_2020)
-    results["fig13"] = fig13_pathlen.run(
-        ctx_2020, ctx_2015, workers=workers, batch=batch, stream=stream
-    )
-    results["metrics"] = metrics_comparison.run(
-        ctx_2020, workers=workers, batch=batch, stream=stream
-    )
+    results["fig13"] = fig13_pathlen.run(ctx_2020, ctx_2015, workers=workers)
+    results["metrics"] = metrics_comparison.run(ctx_2020, workers=workers)
     return results
 
 
@@ -131,24 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         index = argv.index("--engine")
         os.environ["REPRO_ENGINE"] = argv[index + 1]
         argv = argv[:index] + argv[index + 2 :]
-    batch: int | None = None
-    if "--batch" in argv:
-        # Exported (like --engine) so sweeps that resolve the width at
-        # call time — cache prefetches, pool workers — see it too, and
-        # additionally threaded through run_all for the explicit knobs.
-        index = argv.index("--batch")
-        batch = int(argv[index + 1])
-        os.environ["REPRO_BATCH"] = argv[index + 1]
-        argv = argv[:index] + argv[index + 2 :]
-    stream: str | None = None
-    if "--stream" in argv:
-        # Exported (like --engine/--batch) so call-time resolvers —
-        # RoutingStateCache defaults, pool workers — see it too, and
-        # additionally threaded through run_all for the explicit knobs.
-        index = argv.index("--stream")
-        stream = argv[index + 1]
-        os.environ["REPRO_STREAM"] = stream
-        argv = argv[:index] + argv[index + 2 :]
     profile_2020 = argv[0] if argv else "small"
     profile_2015 = companion_2015(profile_2020)
     started = time.time()
@@ -156,9 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     ctx_2020 = build_context(profile_2020)
     print(f"building {profile_2015} context...", flush=True)
     ctx_2015 = build_context(profile_2015)
-    results = run_all(
-        ctx_2020, ctx_2015, workers=workers, batch=batch, stream=stream
-    )
+    results = run_all(ctx_2020, ctx_2015, workers=workers)
     print(render_all(results))
     if csv_dir:
         from .export import export_results

@@ -172,8 +172,7 @@ class ScenarioRunner:
     ``cache`` defaults to a fresh compiled-engine
     :class:`RoutingStateCache` over ``graph``; a caller-provided cache
     must hold compiled array states (the hijack merge requires them).
-    ``workers`` fans per-origin work across processes and ``batch`` sets
-    the bit-parallel prefetch width.
+    ``workers`` fans per-origin work across processes.
 
     ``shards`` attaches a precomputed
     :class:`~repro.bgpsim.shards.ShardStore` as the cache's disk tier:
@@ -189,7 +188,6 @@ class ScenarioRunner:
         targets: Iterable[int] = (),
         cache: Optional[RoutingStateCache] = None,
         workers: int | str | None = None,
-        batch: Optional[int] = None,
         shards=None,
     ) -> None:
         self.graph = graph
@@ -198,9 +196,8 @@ class ScenarioRunner:
             raise ValueError("at least one origin required")
         self.targets = tuple(targets)
         self.workers = workers
-        self.batch = batch
         if cache is None:
-            cache = RoutingStateCache(graph, engine="compiled", batch=batch)
+            cache = RoutingStateCache(graph, engine="compiled")
         if shards is not None:
             cache.attach_shards(shards)
         self.cache = cache
@@ -210,9 +207,7 @@ class ScenarioRunner:
         and return the full metric series, baseline step included."""
         events = tuple(events)
         records: list[EventMetrics] = []
-        self.cache.prefetch(
-            self.origins, workers=self.workers, batch=self.batch
-        )
+        self.cache.prefetch(self.origins, workers=self.workers)
         for origin in self.origins:
             state = self.cache.state_for(origin)
             reachable, reliance, hegemony = _metric_row(

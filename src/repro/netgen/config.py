@@ -241,9 +241,9 @@ def full(seed: int = 20200901) -> ScenarioConfig:
     Class counts follow the same edge-heavy mix as :func:`large` scaled
     ~7×: the access + enterprise edge dominates (as in the real
     AS-level topology), with the curated Tier-1/Tier-2 sets used in
-    full.  Generating this profile takes minutes and the experiment
-    sweeps at this scale should run with ``stream`` aggregation
-    (``REPRO_STREAM=auto`` turns it on at this size).
+    full.  Generating this profile takes about a minute; the
+    all-origin sweeps hold one batch of routing state at a time, so
+    they run at this size with no memory setting.
     """
     return ScenarioConfig(
         name="full", seed=seed, n_tier1=16, n_tier2=21, n_regional=1800,

@@ -187,13 +187,10 @@ class QueryService:
         metrics="auto",
         maxsize: Optional[int] = DEFAULT_MAXSIZE,
         engine: Optional[str] = None,
-        batch: Optional[int] = None,
         trim: float = TRIM,
     ) -> None:
         if cache is None:
-            cache = RoutingStateCache(
-                graph, maxsize=maxsize, engine=engine, batch=batch
-            )
+            cache = RoutingStateCache(graph, maxsize=maxsize, engine=engine)
         if shards is not None:
             cache.attach_shards(shards)
         if metrics == "auto":
@@ -750,7 +747,6 @@ class ServiceSpec:
     shards: Optional[str] = None
     maxsize: Optional[int] = DEFAULT_MAXSIZE
     engine: Optional[str] = None
-    batch: Optional[int] = None
     trim: float = TRIM
 
     def build(self) -> QueryService:
@@ -771,7 +767,6 @@ class ServiceSpec:
             shards=store,
             maxsize=self.maxsize,
             engine=self.engine,
-            batch=self.batch,
             trim=self.trim,
         )
 

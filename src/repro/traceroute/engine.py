@@ -54,7 +54,6 @@ class TracerouteCampaign:
         workers: int | str | None = None,
         cache_size: Optional[int] = None,
         engine: Optional[str] = None,
-        batch: Optional[int] = None,
     ) -> None:
         self.scenario = scenario
         self.rng = random.Random(seed)
@@ -65,7 +64,7 @@ class TracerouteCampaign:
             rng=self.rng,
         )
         self._states = RoutingStateCache(
-            scenario.graph, maxsize=cache_size, engine=engine, batch=batch
+            scenario.graph, maxsize=cache_size, engine=engine
         )
         # exit distances depend only on (cloud, neighbor, VM city), not on
         # the destination — memoized across the whole campaign

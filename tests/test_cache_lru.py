@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from .conftest import assert_states_equal, build_mini
-from repro.bgpsim import RoutingStateCache
+from repro.bgpsim import RoutingStateCache, multiorigin
 
 
 @pytest.fixture
@@ -136,8 +136,9 @@ class TestPrefetch:
         cache = RoutingStateCache(graph)
         assert cache.prefetch([1, 1, 2, 2]) == 2
 
-    def test_prefetch_chunks_to_batch_width(self, graph):
-        cache = RoutingStateCache(graph, engine="compiled", batch=2)
+    def test_prefetch_chunks_to_batch_width(self, graph, monkeypatch):
+        monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 2)
+        cache = RoutingStateCache(graph, engine="compiled")
         origins = sorted(graph.nodes())[:5]
         assert cache.prefetch(origins) == 5
         stats = cache.stats()
@@ -145,47 +146,12 @@ class TestPrefetch:
         assert stats.prefetch_skipped == 0
 
     def test_prefetch_batch_capped_at_maxsize(self, graph):
-        cache = RoutingStateCache(
-            graph, maxsize=3, engine="compiled", batch=64
-        )
+        cache = RoutingStateCache(graph, maxsize=3, engine="compiled")
         origins = sorted(graph.nodes())[:5]
         assert cache.prefetch(origins) == 3
         stats = cache.stats()
-        # width is capped at the bound, so the 3 kept origins fit one chunk
+        # misses are truncated to the bound, so the 3 kept origins fit
+        # one chunk
         assert stats.prefetch_chunks == 1
         assert stats.prefetch_skipped == 2
         assert all(origin in cache for origin in origins[:3])
-
-
-class TestStatesForMany:
-    def test_streams_in_input_order(self, graph):
-        reference = RoutingStateCache(graph)
-        cache = RoutingStateCache(graph, maxsize=2, batch=2)
-        origins = sorted(graph.nodes())[:6]
-        pairs = list(cache.states_for_many(origins))
-        assert [origin for origin, _ in pairs] == origins
-        for origin, state in pairs:
-            assert_states_equal(
-                state, reference.state_for(origin), f"(origin={origin})"
-            )
-        # the over-maxsize sweep still ran as batched chunks, never more
-        # than maxsize states retained
-        assert len(cache) <= 2
-        assert cache.stats().prefetch_chunks >= 3
-
-    def test_mixes_hits_and_batched_misses(self, graph):
-        cache = RoutingStateCache(graph, batch=4)
-        warm = sorted(graph.nodes())[:2]
-        cache.prefetch(warm)
-        origins = sorted(graph.nodes())[:6]
-        pairs = dict(cache.states_for_many(origins))
-        assert set(pairs) == set(origins)
-        stats = cache.stats()
-        assert stats.hits == 2
-        assert stats.misses == 6  # 2 at prefetch + 4 in the sweep
-
-    def test_duplicate_origins_hit_after_first(self, graph):
-        cache = RoutingStateCache(graph, batch=4)
-        pairs = list(cache.states_for_many([1, 1, 2, 1]))
-        assert [origin for origin, _ in pairs] == [1, 1, 2, 1]
-        assert pairs[0][1] is pairs[1][1] is pairs[3][1]

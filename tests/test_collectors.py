@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.bgpsim import Seed, propagate
-from repro.bgpsim.cache import RoutingStateCache
 from repro.collectors import (
     CollectorDump,
     MrtFormatError,
@@ -68,23 +67,6 @@ class TestCollection:
     def test_prefixes_match_origin(self, scenario, dump):
         for entry in dump.entries[::53]:
             assert entry.prefix == scenario.prefixes[entry.origin]
-
-    def test_cache_is_shared(self, scenario):
-        from repro.bgpsim import resolve_stream
-
-        cache = RoutingStateCache(scenario.graph)
-        origins = sorted(scenario.graph.nodes())[:5]
-        collect_ribs(
-            scenario.graph, scenario.monitors, scenario.prefixes,
-            origins=origins, cache=cache,
-        )
-        if resolve_stream(None, len(scenario.graph)):
-            # streaming sweeps drop each state after use by design
-            assert len(cache) == 0
-        else:
-            assert len(cache) == len(origins)
-        cache.clear()
-        assert len(cache) == 0
 
     def test_restricted_origins(self, scenario):
         origins = sorted(scenario.graph.nodes())[:3]

@@ -20,6 +20,7 @@ from array import array
 import pytest
 
 from .conftest import netgen_graph, sample_origins
+from repro.bgpsim import multiorigin
 from repro.bgpsim.cache import RoutingStateCache
 from repro.bgpsim.shards import (
     MANIFEST_NAME,
@@ -216,14 +217,16 @@ def test_metric_precompute_reads_no_routing_records(tmp_path):
     )
 
 
-def test_metric_precompute_worker_count_changes_no_byte(tmp_path):
+def test_metric_precompute_worker_count_changes_no_byte(
+    tmp_path, monkeypatch
+):
     """Metric records are built in the workers and come back in input
     order: a corpus built by two processes equals a serial one."""
+    monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 64)
     graph = netgen_graph("small")
     corpora = [
         precompute_metric_shards(
-            graph, tmp_path / f"w{workers}", workers=workers, batch=64,
-            shard_size=200,
+            graph, tmp_path / f"w{workers}", workers=workers, shard_size=200
         )
         for workers in (1, 2)
     ]

@@ -10,8 +10,9 @@ module proves full-state equality on seeded synthetic-Internet scenarios
 ragged final batches, checks ``to_compiled()`` holds the per-origin
 kernel's exact arrays (typecodes and bytes) at mask widths around the
 64-bit word edges, checks metric-kernel outputs are bit-identical on
-batch views, verifies the sweep consumers produce identical artifacts
-batched and unbatched, and pins error parity and the views' laziness.
+batch views, and pins error parity and the views' laziness.  The sweep
+consumers are checked against the reference engine in
+``tests/test_sweep_oracle.py``.
 
 Set ``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs
 the harness at 2).
@@ -44,6 +45,7 @@ from repro.bgpsim import (
     path_counts_kernel,
     propagate_batch,
     propagate_compiled,
+    multiorigin,
     propagate_origins,
     reliance_kernel,
     resolve_batch,
@@ -64,30 +66,8 @@ SCENARIOS = [
 
 
 class TestResolveBatch:
-    def test_explicit_width(self):
-        assert resolve_batch(64) == 64
-        assert resolve_batch(5) == 5
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch(None) == DEFAULT_BATCH
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "96")
-        assert resolve_batch(None) == 96
-        # an explicit argument beats the environment
-        assert resolve_batch(8) == 8
-
-    def test_disabled_widths_collapse_to_one(self):
-        assert resolve_batch(1) == 1
-        assert resolve_batch(0) == 1
-
-    def test_rejects_negative(self, monkeypatch):
-        with pytest.raises(ValueError, match="batch"):
-            resolve_batch(-4)
-        monkeypatch.setenv("REPRO_BATCH", "-2")
-        with pytest.raises(ValueError, match="batch"):
-            resolve_batch(None)
+    def test_default(self):
+        assert resolve_batch() == DEFAULT_BATCH == 256
 
 
 class TestDifferentialNetgen:
@@ -205,12 +185,13 @@ class TestBatchWidths:
     """The sweep layer chunks correctly for any width, ragged tails incl."""
 
     @pytest.mark.parametrize("width", [1, 5, 64])
-    def test_propagate_origins_any_width(self, width):
+    def test_propagate_origins_any_width(self, width, monkeypatch):
+        monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", width)
         graph = netgen_graph("tiny", seed=7)
         # 23 origins: ragged final batch for widths 5 (23 = 4×5 + 3)
-        # and 64 (single under-full batch); width 1 disables batching
+        # and 64 (single under-full batch); width 1 is one bit per sweep
         origins = sample_origins(graph, 23, seed=9)
-        pairs = list(propagate_origins(graph, origins, batch=width))
+        pairs = list(propagate_origins(graph, origins))
         assert [origin for origin, _ in pairs] == list(origins)
         for origin, state in pairs:
             assert_states_equal(
@@ -219,19 +200,11 @@ class TestBatchWidths:
                 f"(width={width}, origin={origin})",
             )
 
-    def test_width_one_is_per_origin_compiled(self):
-        graph = netgen_graph("tiny", seed=8)
-        origins = sample_origins(graph, 4, seed=1)
-        pairs = propagate_origins(graph, origins, engine="compiled", batch=1)
-        for _, state in pairs:
-            assert type(state) is CompiledRoutingState
-
-    def test_parallel_workers_and_batching_compose(self):
+    def test_parallel_workers_and_batching_compose(self, monkeypatch):
+        monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 4)
         graph = netgen_graph("tiny", seed=8)
         origins = sample_origins(graph, 17, seed=5)
-        pairs = list(
-            propagate_origins(graph, origins, workers=WORKERS, batch=4)
-        )
+        pairs = list(propagate_origins(graph, origins, workers=WORKERS))
         assert [origin for origin, _ in pairs] == list(origins)
         for origin, state in pairs:
             assert_states_equal(
@@ -242,11 +215,7 @@ class TestBatchWidths:
 
     def test_reference_engine_falls_back_to_per_origin(self):
         graph, _ = build_mini()
-        pairs = list(
-            propagate_origins(
-                graph, [100, 301], engine="reference", batch=64
-            )
-        )
+        pairs = list(propagate_origins(graph, [100, 301], engine="reference"))
         for origin, state in pairs:
             assert not isinstance(state, CompiledRoutingState)
             assert_states_equal(
@@ -373,59 +342,14 @@ class TestErrorParity:
 
 
 class TestSweepConsumers:
-    """Batched sweeps produce artifacts identical to the unbatched path."""
+    """The cache's prefetch serves batched views equal to per-origin
+    states; the other sweeps are checked in ``test_sweep_oracle.py``."""
 
-    def _scenario(self):
+    def test_cache_prefetch_batched_states_identical(self, monkeypatch):
+        monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 8)
         graph = netgen_graph("tiny", seed=20200901)
-        monitors = sample_origins(graph, 5, seed=1)
         origins = sample_origins(graph, 24, seed=2)
-        prefixes = {
-            origin: f"10.{i}.0.0/16" for i, origin in enumerate(origins)
-        }
-        return graph, monitors, origins, prefixes
-
-    def test_collect_ribs_identical(self):
-        from repro.collectors import collect_ribs
-
-        graph, monitors, _, prefixes = self._scenario()
-        unbatched = collect_ribs(
-            graph, monitors, prefixes, rng=random.Random(7), batch=1
-        )
-        batched = collect_ribs(
-            graph, monitors, prefixes, rng=random.Random(7), batch=8
-        )
-        assert unbatched == batched
-
-    def test_global_hegemony_identical(self):
-        from repro.core.hegemony import global_hegemony
-
-        graph, _, origins, _ = self._scenario()
-        targets = origins[:4]
-        unbatched = global_hegemony(
-            graph, targets=targets, sample=25, rng=random.Random(3), batch=1
-        )
-        batched = global_hegemony(
-            graph, targets=targets, sample=25, rng=random.Random(3), batch=8
-        )
-        assert unbatched == batched  # bit-identical floats
-
-    def test_reliance_summaries_identical(self):
-        from repro.core.reliance import hierarchy_free_reliance_summaries
-        from repro.topology import infer_tiers
-
-        graph, _, origins, _ = self._scenario()
-        tiers = infer_tiers(graph, tier2_count=10, min_tier1_adjacency=1)
-        unbatched = hierarchy_free_reliance_summaries(
-            graph, origins[:5], tiers, batch=1
-        )
-        batched = hierarchy_free_reliance_summaries(
-            graph, origins[:5], tiers, batch=4
-        )
-        assert unbatched == batched
-
-    def test_cache_prefetch_batched_states_identical(self):
-        graph, _, origins, _ = self._scenario()
-        cache = RoutingStateCache(graph, batch=8)
+        cache = RoutingStateCache(graph)
         cache.prefetch(origins, workers=WORKERS)
         for origin in origins:
             assert_states_equal(

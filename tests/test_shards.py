@@ -19,7 +19,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -411,19 +410,6 @@ def test_prefetch_and_baseline_consult_disk(tiny_corpus):
     assert cache2.stats().disk_hits == 1 and cache2.stats().misses == 0
 
 
-def test_states_for_many_disk_and_stream(tiny_corpus):
-    graph, store = tiny_corpus
-    every = sorted(graph.nodes())
-    cache = RoutingStateCache(graph, shards=store)
-    out = dict(cache.states_for_many(every, batch=16, stream=True))
-    assert sorted(out) == every
-    assert len(cache) == 0  # stream mode never fills the LRU
-    stats = cache.stats()
-    assert stats.disk_hits == len(every) and stats.misses == 0
-    live = propagate_compiled(graph, (Seed(asn=every[3]),))
-    assert_states_equal(out[every[3]], live, "streamed disk state")
-
-
 def test_disk_tier_disabled_while_topology_mutated(tiny_corpus):
     graph, store = tiny_corpus
     cache = RoutingStateCache(graph, shards=store)
@@ -444,47 +430,6 @@ def test_disk_tier_disabled_while_topology_mutated(tiny_corpus):
     cache.invalidate()
     cache.state_for(a)
     assert cache.stats().disk_hits == 1
-
-
-# ---------------------------------------------------------------------------
-# streaming memory bound (satellite: O(batch) sweeps)
-# ---------------------------------------------------------------------------
-
-
-def _stream_peak(graph, origins, batch):
-    cache = RoutingStateCache(graph)
-    tracemalloc.start()
-    try:
-        for _origin, state in cache.states_for_many(
-            origins, batch=batch, stream=True
-        ):
-            state.path_length(origins[0])  # touch, then drop
-        _size, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(cache) == 0
-    return peak
-
-
-def test_streaming_sweep_memory_is_o_batch():
-    graph = netgen_graph("tiny")
-    graph.compile()  # charge one-time compile outside the measurement
-    every = sorted(graph.nodes())
-    # warm-up pass so interpreter/allocator one-time costs don't count
-    _stream_peak(graph, every[:8], batch=8)
-    quarter = _stream_peak(graph, every[: len(every) // 4], batch=8)
-    full = _stream_peak(graph, every, batch=8)
-    # 4x the origins must NOT mean 4x the peak: the window is the bound
-    assert full < 2 * quarter, (full, quarter)
-    # and streaming must be far below holding the whole sweep
-    cache = RoutingStateCache(graph)
-    tracemalloc.start()
-    try:
-        held = dict(cache.states_for_many(every, batch=8))
-        _size, hold_all = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held and full < hold_all / 2, (full, hold_all)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +472,7 @@ def test_precompute_resumes_partial_corpus(tmp_path):
             )
 
 
-def test_partial_corpus_streams_mixed_tiers(tmp_path):
+def test_partial_corpus_prefetch_mixes_tiers(tmp_path):
     graph = netgen_graph("tiny")
     every = sorted(graph.nodes())
     half = every[: len(every) // 2]
@@ -536,7 +481,7 @@ def test_partial_corpus_streams_mixed_tiers(tmp_path):
     )
     with ShardStore.open(target, graph=graph) as store:
         cache = RoutingStateCache(graph, shards=store)
-        out = dict(cache.states_for_many(every, batch=16, stream=True))
+        assert cache.prefetch(every) == len(every) - len(half)
         stats = cache.stats()
         # precomputed origins come off the map, the rest are propagated
         assert stats.disk_hits == len(half)
@@ -544,7 +489,7 @@ def test_partial_corpus_streams_mixed_tiers(tmp_path):
         for origin in sample_origins(graph, 8, seed=22):
             live = propagate_compiled(graph, (Seed(asn=origin),))
             assert_states_equal(
-                out[origin], live, f"(mixed-tier origin={origin})"
+                cache.state_for(origin), live, f"(mixed-tier origin={origin})"
             )
 
 
