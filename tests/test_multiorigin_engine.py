@@ -10,8 +10,9 @@ module proves full-state equality on seeded synthetic-Internet scenarios
 ragged final batches, checks ``to_compiled()`` holds the per-origin
 kernel's exact arrays (typecodes and bytes) at mask widths around the
 64-bit word edges, checks metric-kernel outputs are bit-identical on
-batch views, and pins error parity and the views' laziness.  The sweep
-consumers are checked against the reference engine in
+batch views, verifies the sweep consumers produce identical artifacts at
+batch widths 1 and 8, and pins error parity and the views' laziness.
+The sweep consumers are checked against the reference engine in
 ``tests/test_sweep_oracle.py``.
 
 Set ``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs
@@ -342,13 +343,80 @@ class TestErrorParity:
 
 
 class TestSweepConsumers:
-    """The cache's prefetch serves batched views equal to per-origin
-    states; the other sweeps are checked in ``test_sweep_oracle.py``."""
+    """Sweep artifacts do not depend on the batch width: one-bit batches
+    produce what 8-wide ones do, and the cache's prefetch serves batched
+    views equal to per-origin states.  The sweeps against the reference
+    engine are in ``test_sweep_oracle.py``."""
+
+    def _scenario(self):
+        graph = netgen_graph("tiny", seed=20200901)
+        monitors = sample_origins(graph, 5, seed=1)
+        origins = sample_origins(graph, 24, seed=2)
+        prefixes = {
+            origin: f"10.{i}.0.0/16" for i, origin in enumerate(origins)
+        }
+        return graph, monitors, origins, prefixes
+
+    @staticmethod
+    def _at_widths(monkeypatch, sweep):
+        """``sweep()`` at batch widths 1 and 8, on the compiled engine."""
+        results = []
+        for width in (1, 8):
+            monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", width)
+            results.append(sweep())
+        return results
+
+    def test_collect_ribs_identical(self, monkeypatch):
+        from repro.collectors import collect_ribs
+
+        graph, monitors, _, prefixes = self._scenario()
+        one_bit, batched = self._at_widths(
+            monkeypatch,
+            lambda: collect_ribs(
+                graph,
+                monitors,
+                prefixes,
+                rng=random.Random(7),
+                engine="compiled",
+            ),
+        )
+        assert len(one_bit) > 0
+        assert one_bit == batched
+
+    def test_global_hegemony_identical(self, monkeypatch):
+        from repro.core.hegemony import global_hegemony
+
+        graph, _, origins, _ = self._scenario()
+        targets = origins[:4]
+        one_bit, batched = self._at_widths(
+            monkeypatch,
+            lambda: global_hegemony(
+                graph,
+                targets=targets,
+                sample=25,
+                rng=random.Random(3),
+                engine="compiled",
+            ),
+        )
+        assert one_bit == batched  # bit-identical floats
+
+    def test_reliance_summaries_identical(self, monkeypatch):
+        from repro.core.reliance import hierarchy_free_reliance_summaries
+        from repro.topology import infer_tiers
+
+        graph, _, origins, _ = self._scenario()
+        tiers = infer_tiers(graph, tier2_count=10, min_tier1_adjacency=1)
+        one_bit, batched = self._at_widths(
+            monkeypatch,
+            lambda: hierarchy_free_reliance_summaries(
+                graph, origins[:12], tiers, engine="compiled"
+            ),
+        )
+        assert one_bit == batched
 
     def test_cache_prefetch_batched_states_identical(self, monkeypatch):
         monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 8)
-        graph = netgen_graph("tiny", seed=20200901)
-        origins = sample_origins(graph, 24, seed=2)
+        graph, _, origins, _ = self._scenario()
         cache = RoutingStateCache(graph)
         cache.prefetch(origins, workers=WORKERS)
         for origin in origins:

@@ -1,127 +1,106 @@
-"""Streaming-sweep conformance: O(batch) aggregation must be invisible.
+"""Streaming-sweep conformance: one live view at a time must be invisible.
 
-The streaming tier (``states_for_many(stream=True)`` and the ``stream``
-knob on the experiment aggregations) exists purely to bound memory at
-paper scale — every output must stay bit-identical to the eager path.
-This harness pins that equivalence across netgen seeds and profile
-sizes, the knob resolution semantics, and the edge cases where a
-streaming generator's laziness could leak state: empty sweeps, windows
-wider than the origin set, duplicated origins, abandonment mid-sweep.
-
-``REPRO_STREAM_PROFILES`` selects the profile sizes (comma-separated);
-CI's streaming leg sets it to exercise the ``mid`` profile.
+Every all-origin sweep streams: ``propagate_origins`` and the Fig. 6 /
+Table 2, Fig. 13 and hegemony sweeps fold each per-origin view of a
+``DEFAULT_BATCH``-wide batch and drop it before the next is built, so a
+sweep holds one batch and one view whatever its origin count.  That is
+purely a memory bound — every output must stay bit-identical to states
+propagated and held eagerly.  This harness pins that equivalence across
+netgen seeds and profile sizes, with the width narrowed so each sweep
+spans several batches, and the edge cases where a streaming generator's
+laziness could leak state: empty sweeps, batches wider than the origin
+set, duplicated origins, abandonment mid-sweep.  The sweeps against the
+reference engine are in ``tests/test_sweep_oracle.py``.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import tracemalloc
+import weakref
 
 import pytest
 
 from .conftest import assert_states_equal, netgen_graph, sample_origins
 from repro.bgpsim import (
-    DEFAULT_STREAM_THRESHOLD,
     RoutingStateCache,
+    Seed,
+    multiorigin,
+    propagate,
+    propagate_origins,
     resolve_stream,
 )
-from repro.core.hegemony import global_hegemony
-from repro.core.pathlen import fig13_bars_sweep
+from repro.core.hegemony import global_hegemony, local_hegemony
+from repro.core.pathlen import fig13_bars, fig13_bars_sweep
 from repro.core.reliance import (
+    hierarchy_free_reliance,
     hierarchy_free_reliance_summaries,
     reliance_summary_sweep,
+    summarize_reliance,
+    summarize_reliance_from_state,
 )
 
-PROFILES = tuple(
-    p.strip()
-    for p in os.environ.get("REPRO_STREAM_PROFILES", "tiny,small").split(",")
-    if p.strip()
-)
+PROFILES = ("tiny", "small")
 SEEDS = (20200901, 7, 1234)
 
+#: narrowed batch width: the 24-origin sweeps below span three batches
+WIDTH = 8
 
-def _scenario(profile_name: str, seed: int = 20200901):
-    from repro.netgen import build_scenario, profile
 
-    return build_scenario(profile(profile_name, seed=seed))
+@pytest.fixture
+def narrow(monkeypatch):
+    monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", WIDTH)
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    """The largest requested profile drives the consumer-level checks."""
-    return _scenario(PROFILES[-1])
+    """The largest profile drives the consumer-level checks."""
+    from repro.netgen import build_scenario, profile
+
+    return build_scenario(profile(PROFILES[-1]))
 
 
 # ---------------------------------------------------------------------------
-# knob resolution
+# the run-record shim
 # ---------------------------------------------------------------------------
 
 
 class TestResolveStream:
-    def test_explicit_bool_wins(self, monkeypatch):
+    def test_shim_is_always_off(self, monkeypatch):
+        # no tier to choose any more, and the old knob is not read
         monkeypatch.setenv("REPRO_STREAM", "on")
-        assert resolve_stream(False, 10**6) is False
-        monkeypatch.setenv("REPRO_STREAM", "off")
-        assert resolve_stream(True, 1) is True
-
-    @pytest.mark.parametrize("knob", ["on", "1", "true", "yes", "ON", " On "])
-    def test_true_spellings(self, knob):
-        assert resolve_stream(knob) is True
-
-    @pytest.mark.parametrize("knob", ["off", "0", "false", "no", "OFF"])
-    def test_false_spellings(self, knob):
-        assert resolve_stream(knob, 10**6) is False
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        assert resolve_stream(None) is True
-        monkeypatch.setenv("REPRO_STREAM", "0")
-        assert resolve_stream(None, 10**6) is False
-
-    def test_auto_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        assert resolve_stream(None, DEFAULT_STREAM_THRESHOLD - 1) is False
-        assert resolve_stream(None, DEFAULT_STREAM_THRESHOLD) is True
-        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "100")
-        assert resolve_stream("auto", 100) is True
-        assert resolve_stream("auto", 99) is False
-
-    def test_auto_without_size_stays_eager(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        assert resolve_stream(None, None) is False
-
-    def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_stream("sometimes")
+        assert resolve_stream() is False
+        assert resolve_stream(True, 10**6) is False
 
 
 # ---------------------------------------------------------------------------
-# cache-level equivalence: 3 seeds x the requested profile sizes
+# state-level equivalence: 3 seeds x 2 profile sizes
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("profile_name", PROFILES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_stream_matches_eager_states(profile_name, seed):
+def test_stream_matches_eager_states(profile_name, seed, monkeypatch):
     graph = netgen_graph(profile_name, seed=seed)
     origins = sample_origins(graph, 24, seed=seed)
-    eager = dict(
-        RoutingStateCache(graph, engine="compiled", batch=8).states_for_many(
-            origins, stream=False
-        )
-    )
-    cache = RoutingStateCache(graph, engine="compiled", batch=8)
-    streamed = list(cache.states_for_many(origins, stream=True))
-    assert [o for o, _ in streamed] == origins
-    for origin, state in streamed:
+    # eager: one full-width batch whose views the cache holds
+    eager = RoutingStateCache(graph, engine="compiled")
+    assert eager.prefetch(origins) == len(origins)
+    # streamed: three narrow batches, each view dropped once passed
+    monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", WIDTH)
+    refs = []
+    for origin, state in propagate_origins(graph, origins, engine="compiled"):
         assert_states_equal(
             state,
-            eager[origin],
+            eager.state_for(origin),
             f"({profile_name} seed={seed} origin={origin})",
         )
-    # stream mode must not have retained the sweep
-    assert len(cache) == 0
+        refs.append((origin, weakref.ref(state)))
+    del state
+    assert [o for o, _ in refs] == origins
+    # the sweep retained nothing: each view died with the last reference
+    # the consumer held, by refcount alone
+    assert [o for o, ref in refs if ref() is not None] == []
 
 
 # ---------------------------------------------------------------------------
@@ -132,50 +111,56 @@ def test_stream_matches_eager_states(profile_name, seed):
 class TestStreamEdgeCases:
     def test_empty_origin_iterable(self):
         graph = netgen_graph("tiny")
+        assert list(propagate_origins(graph, iter(()), engine="compiled")) == []
         cache = RoutingStateCache(graph, engine="compiled")
-        assert list(cache.states_for_many(iter(()), stream=True)) == []
+        assert cache.prefetch(iter(())) == 0
         stats = cache.stats()
         assert (stats.misses, stats.prefetch_chunks) == (0, 0)
 
-    def test_batch_wider_than_origin_set(self):
+    def test_batch_wider_than_origin_set(self, monkeypatch):
+        monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 64)
         graph = netgen_graph("tiny")
         origins = sample_origins(graph, 5)
-        cache = RoutingStateCache(graph, engine="compiled")
-        pairs = list(cache.states_for_many(origins, batch=64, stream=True))
+        pairs = list(propagate_origins(graph, origins, engine="compiled"))
         assert [o for o, _ in pairs] == origins
-        assert cache.stats().prefetch_chunks == 1
-        reference = RoutingStateCache(graph)
+        reference = RoutingStateCache(graph, engine="reference")
         for origin, state in pairs:
             assert_states_equal(
                 state, reference.state_for(origin), f"(origin={origin})"
             )
+        cache = RoutingStateCache(graph, engine="compiled")
+        assert cache.prefetch(origins) == len(origins)
+        assert cache.stats().prefetch_chunks == 1
 
-    def test_duplicate_origins_share_one_view(self):
+    def test_duplicate_origins_share_one_view(self, narrow):
         graph = netgen_graph("tiny")
         a, b = sample_origins(graph, 2)
         cache = RoutingStateCache(graph, engine="compiled")
-        pairs = list(
-            cache.states_for_many([a, a, b, a], batch=8, stream=True)
-        )
-        assert [o for o, _ in pairs] == [a, a, b, a]
-        assert pairs[0][1] is pairs[1][1] is pairs[3][1]
-        # the duplicated origin was propagated once, not three times
+        # the duplicated origin is propagated once, not three times
+        assert cache.prefetch([a, a, b, a]) == 2
         assert cache.stats().misses == 2
+        assert cache.state_for(a) is cache.state_for(a)
+        # a sweep yields every occurrence, in order, each an equal state
+        pairs = list(propagate_origins(graph, [a, a, b, a], engine="compiled"))
+        assert [o for o, _ in pairs] == [a, a, b, a]
+        for position in (0, 1, 3):
+            assert_states_equal(
+                pairs[position][1], cache.state_for(a), f"(at {position})"
+            )
 
-    def test_abandoned_generator_releases_views(self):
+    def test_abandoned_generator_releases_views(self, narrow):
         graph = netgen_graph("tiny")
         graph.compile()
         origins = sorted(graph.nodes())
-        cache = RoutingStateCache(graph)
         # warm-up: one-time allocator/interpreter costs stay unmeasured
-        for _origin, _state in cache.states_for_many(
-            origins[:8], batch=8, stream=True
+        for _origin, _state in propagate_origins(
+            graph, origins[:WIDTH], engine="compiled"
         ):
             pass
         gc.collect()
         tracemalloc.start()
         try:
-            sweep = cache.states_for_many(origins, batch=8, stream=True)
+            sweep = propagate_origins(graph, origins, engine="compiled")
             for _ in range(3):
                 next(sweep)
             sweep.close()
@@ -184,37 +169,32 @@ class TestStreamEdgeCases:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # abandoning mid-window must drop the window: the residual live
-        # allocations are a small fraction of the in-flight peak, and the
-        # cache kept nothing
-        assert len(cache) == 0
+        # abandoning mid-batch must drop the batch: the residual live
+        # allocations are a small fraction of the in-flight peak
         assert peak > 0 and current < peak / 2, (current, peak)
 
-    def test_excluded_sweep_bypasses_tiers(self):
+    def test_excluded_sweep_matches_eager(self, narrow):
         graph = netgen_graph("tiny")
-        origins = sample_origins(graph, 6)
+        origins = sample_origins(graph, 20)
         excluded = frozenset(sample_origins(graph, 40)[-2:]) - set(origins)
-        cache = RoutingStateCache(graph, engine="compiled")
-        cache.prefetch(origins)  # warm LRU with the *plain* states
-        before = cache.stats()
+        assert excluded
         streamed = list(
-            cache.states_for_many(
-                origins, batch=4, stream=True, excluded=excluded
+            propagate_origins(
+                graph, origins, excluded=excluded, engine="compiled"
             )
         )
-        after = cache.stats()
-        # subgraph states must never be served from (or inserted into)
-        # the plain-origin tiers
-        assert after.hits == before.hits
-        assert len(cache) == len(origins)  # only the prefetched states
-        eager = dict(
-            RoutingStateCache(graph, engine="compiled").states_for_many(
-                origins, batch=4, stream=False, excluded=excluded
-            )
-        )
+        assert [o for o, _ in streamed] == origins
         for origin, state in streamed:
+            assert not state.reachable_ases() & excluded
             assert_states_equal(
-                state, eager[origin], f"(excluded origin={origin})"
+                state,
+                propagate(
+                    graph,
+                    Seed(asn=origin),
+                    excluded=excluded,
+                    engine="reference",
+                ),
+                f"(excluded origin={origin})",
             )
 
 
@@ -224,93 +204,86 @@ class TestStreamEdgeCases:
 
 
 class TestConsumersStreamEqualsEager:
-    def test_reliance_summary_sweep_common_excluded(self, scenario):
+    """Each streamed sweep equals its one-origin function applied to
+    states propagated one origin at a time on the compiled engine."""
+
+    def test_reliance_summary_sweep_common_excluded(self, scenario, narrow):
         graph = scenario.graph
         origins = sample_origins(graph, 16, seed=2)
         common = scenario.tiers.hierarchy
         items = [(o, common - {o}) for o in origins]
-        eager = reliance_summary_sweep(
-            graph, items, engine="compiled", batch=8, stream=False
-        )
-        streamed = reliance_summary_sweep(
-            graph, items, engine="compiled", batch=8, stream="on"
-        )
+        eager = [
+            summarize_reliance_from_state(
+                propagate(
+                    graph,
+                    Seed(asn=o, key="origin"),
+                    excluded=excluded,
+                    engine="compiled",
+                )
+            )
+            for o, excluded in items
+        ]
+        streamed = reliance_summary_sweep(graph, items, engine="compiled")
         assert streamed == eager
 
-    def test_hierarchy_free_summaries(self, scenario):
+    def test_hierarchy_free_summaries(self, scenario, narrow):
         graph = scenario.graph
-        origins = sample_origins(graph, 8, seed=3)
-        eager = hierarchy_free_reliance_summaries(
-            graph, origins, scenario.tiers, engine="compiled", stream=False
-        )
+        origins = sample_origins(graph, 12, seed=3)
+        eager = [
+            summarize_reliance(
+                hierarchy_free_reliance(
+                    graph, o, scenario.tiers, engine="compiled"
+                )
+            )
+            for o in origins
+        ]
         streamed = hierarchy_free_reliance_summaries(
-            graph, origins, scenario.tiers, engine="compiled", stream="on"
+            graph, origins, scenario.tiers, engine="compiled"
         )
         assert streamed == eager
 
-    def test_global_hegemony(self, scenario):
+    def test_global_hegemony(self, scenario, narrow):
         graph = scenario.graph
         targets = sample_origins(graph, 6, seed=4)
-        origins = sample_origins(graph, 20, seed=5)
-        eager = global_hegemony(
-            graph,
-            targets,
-            origins=origins,
-            engine="compiled",
-            batch=8,
-            stream=False,
-        )
+        origins = sample_origins(graph, 20, seed=5) + targets[:1]
+        cache = RoutingStateCache(graph, engine="compiled")
+        cache.prefetch(origins)
+        eager = {}
+        for target in targets:
+            # the sweep's order of additions, so the floats match exactly
+            total, count = 0.0, 0
+            for origin in origins:
+                if origin != target:
+                    total += local_hegemony(graph, origin, target, cache=cache)
+                    count += 1
+            eager[target] = total / count
         streamed = global_hegemony(
-            graph,
-            targets,
-            origins=origins,
-            engine="compiled",
-            batch=8,
-            stream="on",
+            graph, targets, origins=origins, engine="compiled"
         )
         assert streamed == eager
 
     def test_global_hegemony_empty_origins(self, scenario):
         graph = scenario.graph
         targets = sample_origins(graph, 4, seed=6)
-        eager = global_hegemony(
-            graph, targets, origins=[], engine="compiled", stream=False
-        )
         streamed = global_hegemony(
-            graph, targets, origins=[], engine="compiled", stream="on"
+            graph, targets, origins=[], engine="compiled"
         )
-        assert streamed == eager
+        assert streamed == dict.fromkeys(targets, 0.0)
 
-    def test_fig13_bars_sweep(self, scenario):
+    def test_fig13_bars_sweep(self, scenario, narrow):
         graph = scenario.graph
-        origins = sample_origins(graph, 12, seed=7)
-        eager = fig13_bars_sweep(
-            graph,
-            origins,
-            scenario.users,
-            engine="compiled",
-            batch=8,
-            stream=False,
-        )
+        origins = sample_origins(graph, 20, seed=7)
+        eager = [
+            fig13_bars(graph, o, scenario.users, engine="compiled")
+            for o in origins
+        ]
         streamed = fig13_bars_sweep(
-            graph,
-            origins,
-            scenario.users,
-            engine="compiled",
-            batch=8,
-            stream="on",
+            graph, origins, scenario.users, engine="compiled"
         )
         assert streamed == eager
 
     def test_fig13_empty_origins(self, scenario):
-        assert (
-            fig13_bars_sweep(
-                scenario.graph, [], scenario.users, stream="on"
-            )
-            == []
-        )
+        assert fig13_bars_sweep(scenario.graph, [], scenario.users) == []
 
     def test_reliance_empty_items(self, scenario):
-        assert (
-            reliance_summary_sweep(scenario.graph, [], stream="on") == []
-        )
+        assert reliance_summary_sweep(scenario.graph, []) == []
