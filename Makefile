@@ -21,8 +21,8 @@ test-fast:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Propagation-engine ablation (reference / compiled-serial /
-# compiled-parallel); writes benchmarks/bench_compiled_engine.json.
+# Propagation-engine ablation (reference / compiled); writes
+# benchmarks/bench_compiled_engine.json.
 bench-engine:
 	pytest benchmarks/test_bench_engine_ablation.py --benchmark-only
 

@@ -1,26 +1,18 @@
-"""Ablation — the bitset cone engine vs the exact valley-free BFS, the
-serial vs parallel propagation sweep, and the three-way propagation-engine
-ablation (reference / compiled-serial / compiled-parallel).
+"""Ablation — the bitset cone engine vs the exact valley-free BFS, and
+the propagation-engine ablation (reference / compiled).
 
 DESIGN.md calls out the all-AS sweep fast path as a design choice; this
 benchmark measures both implementations on the same sweep and checks they
-agree exactly.  The propagation-sweep pair additionally records a
-machine-readable comparison in ``benchmarks/bench_parallel_engine.json``
-(serial and parallel wall-clock, speedup, worker/CPU counts) so perf
-regressions in the parallel path are visible in review.  The
-parallel-beats-serial assertion only applies on multi-CPU hosts — on a
-single CPU a process pool can only add overhead.
+agree exactly.
 
 The engine ablation times the same all-origin sweep under the reference
-dict-of-objects engine, the compiled CSR kernel, and the compiled kernel
-fanned out over ``REPRO_BENCH_WORKERS`` processes; it records wall time,
+dict-of-objects engine and the compiled CSR kernel; it records wall time,
 tracemalloc peak for the retained states, and the pickled payload sizes
-(dict-of-sets ``ASGraph`` vs CSR ``CompiledGraph``) in
-``benchmarks/bench_compiled_engine.json``.  The compiled-beats-reference
-assertion holds on any host; the parallel one is gated like PR1's.
+(dict-of-sets ``ASGraph`` vs CSR ``CompiledGraph``, the form a process
+pool ships to its workers) in ``benchmarks/bench_compiled_engine.json``.
+The compiled-beats-reference assertion holds on any host.
 """
 
-import os
 import pickle
 import time
 import tracemalloc
@@ -33,9 +25,7 @@ from repro.bgpsim import propagate_many
 from repro.core import ConeEngine, hierarchy_free_reachability
 from repro.core.metrics import hierarchy_free_sweep
 
-BENCH_JSON = Path(__file__).resolve().parent / "bench_parallel_engine.json"
 COMPILED_JSON = Path(__file__).resolve().parent / "bench_compiled_engine.json"
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 
 
 @pytest.fixture(scope="module")
@@ -82,83 +72,21 @@ def propagation_origins(ctx2020):
     return nodes[:: max(1, len(nodes) // 80)]
 
 
-_sweep_timings: dict[str, float] = {}
-
-
-def test_bench_propagate_sweep_serial(benchmark, ctx2020, propagation_origins):
-    graph = ctx2020.graph
-
-    def sweep():
-        return list(propagate_many(graph, propagation_origins, workers=1))
-
-    started = time.perf_counter()
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    _sweep_timings["serial_s"] = time.perf_counter() - started
-    assert len(result) == len(propagation_origins)
-
-
-def test_bench_propagate_sweep_parallel(
-    benchmark, ctx2020, propagation_origins
-):
-    graph = ctx2020.graph
-
-    def sweep():
-        return list(
-            propagate_many(graph, propagation_origins, workers=BENCH_WORKERS)
-        )
-
-    started = time.perf_counter()
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    parallel_s = time.perf_counter() - started
-
-    # exactness: the parallel sweep returns identical states
-    serial = propagate_many(graph, propagation_origins, workers=1)
-    for par_state, ser_state in zip(result, serial):
-        assert par_state.routes.keys() == ser_state.routes.keys()
-        for asn, ser_route in ser_state.routes.items():
-            par_route = par_state.routes[asn]
-            assert (
-                par_route.route_class == ser_route.route_class
-                and par_route.length == ser_route.length
-                and par_route.parents == ser_route.parents
-            )
-
-    serial_s = _sweep_timings.get("serial_s")
-    cpus = os.cpu_count() or 1
-    record = {
-        "origins": len(propagation_origins),
-        "ases": len(graph),
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": (serial_s / parallel_s) if serial_s else None,
-    }
-    write_bench_json(BENCH_JSON, record, workers=BENCH_WORKERS)
-    if serial_s is not None and cpus >= 2 and BENCH_WORKERS >= 2:
-        assert parallel_s < serial_s, (
-            f"parallel sweep ({parallel_s:.3f}s, workers={BENCH_WORKERS}) "
-            f"did not beat serial ({serial_s:.3f}s) on a {cpus}-CPU host"
-        )
-
-
 # ---------------------------------------------------------------------------
-# three-way engine ablation: reference / compiled-serial / compiled-parallel
+# engine ablation: reference / compiled
 # ---------------------------------------------------------------------------
 
 _engine_ablation: dict[str, dict] = {}
 
 
-def _timed_sweep(graph, origins, *, engine, workers=1):
+def _timed_sweep(graph, origins, *, engine):
     started = time.perf_counter()
-    states = list(
-        propagate_many(graph, origins, workers=workers, engine=engine)
-    )
+    states = list(propagate_many(graph, origins, engine=engine))
     wall_s = time.perf_counter() - started
     # peak memory of computing + retaining the whole sweep's states
     # (measured outside the timed run — tracing slows the kernel itself)
     tracemalloc.start()
-    retained = list(
-        propagate_many(graph, origins, workers=workers, engine=engine)
-    )
+    retained = list(propagate_many(graph, origins, engine=engine))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del retained
@@ -198,7 +126,7 @@ def test_bench_engine_ablation_compiled_serial(
 
     # exactness: the compiled kernel returns identical states
     reference = propagate_many(
-        graph, propagation_origins, workers=1, engine="reference"
+        graph, propagation_origins, engine="reference"
     )
     for comp_state, ref_state in zip(result, reference):
         assert comp_state.routes.keys() == ref_state.routes.keys()
@@ -211,43 +139,20 @@ def test_bench_engine_ablation_compiled_serial(
                 and comp_route.origins == ref_route.origins
             )
 
-
-def test_bench_engine_ablation_compiled_parallel(
-    benchmark, ctx2020, propagation_origins
-):
-    graph = ctx2020.graph
-
-    def sweep():
-        states, record = _timed_sweep(
-            graph,
-            propagation_origins,
-            engine="compiled",
-            workers=BENCH_WORKERS,
-        )
-        record["workers"] = BENCH_WORKERS
-        _engine_ablation["compiled_parallel"] = record
-        return states
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert len(result) == len(propagation_origins)
-
     graph_bytes = len(pickle.dumps(graph))
     compiled_bytes = len(pickle.dumps(graph.compile()))
-    cpus = os.cpu_count() or 1
     reference_s = _engine_ablation["reference"]["wall_s"]
     compiled_s = _engine_ablation["compiled_serial"]["wall_s"]
-    parallel_s = _engine_ablation["compiled_parallel"]["wall_s"]
     record = {
         "origins": len(propagation_origins),
         "ases": len(graph),
         "engines": _engine_ablation,
         "speedup_compiled_vs_reference": reference_s / compiled_s,
-        "speedup_parallel_vs_reference": reference_s / parallel_s,
         "pickled_asgraph_bytes": graph_bytes,
         "pickled_compiled_graph_bytes": compiled_bytes,
         "payload_reduction_factor": graph_bytes / compiled_bytes,
     }
-    write_bench_json(COMPILED_JSON, record, workers=BENCH_WORKERS)
+    write_bench_json(COMPILED_JSON, record)
 
     assert compiled_bytes < graph_bytes, (
         f"CompiledGraph pickled to {compiled_bytes} bytes, not smaller "
@@ -257,12 +162,6 @@ def test_bench_engine_ablation_compiled_parallel(
         f"compiled sweep ({compiled_s:.3f}s) did not beat the reference "
         f"engine ({reference_s:.3f}s)"
     )
-    if cpus >= 2 and BENCH_WORKERS >= 2:
-        assert parallel_s < compiled_s, (
-            f"parallel compiled sweep ({parallel_s:.3f}s, "
-            f"workers={BENCH_WORKERS}) did not beat serial compiled "
-            f"({compiled_s:.3f}s) on a {cpus}-CPU host"
-        )
 
 
 def test_bench_measurement_pipeline(benchmark):

@@ -188,7 +188,7 @@ def test_bench_serving_tiers(benchmark, ctx2020, tmp_path):
 
     # -- precompute the shard corpus (the `repro precompute` cost) -------
     precompute_started = time.perf_counter()
-    corpus = precompute_shards(graph, tmp_path, workers=1)
+    corpus = precompute_shards(graph, tmp_path)
     precompute_s = time.perf_counter() - precompute_started
     # metric rows too (`repro precompute --metrics`), with the workload
     # target guaranteed a fused hegemony column
@@ -207,7 +207,7 @@ def test_bench_serving_tiers(benchmark, ctx2020, tmp_path):
     )
     # -- warm: prewarmed LRU ---------------------------------------------
     cache = RoutingStateCache(graph)
-    cache.prefetch(origins, workers=1)
+    cache.prefetch(origins)
     warm_ns, warm_answers = _drive(cache.state_for, origins, target)
     # -- precomputed: zero-copy mmap reads -------------------------------
     disk_ns, disk_answers = _drive(store.state_for, origins, target)
@@ -272,7 +272,7 @@ def test_bench_serving_tiers(benchmark, ctx2020, tmp_path):
     metric_service = QueryService(graph, shards=store)
     assert metric_service.metrics is not None
     baseline = QueryService(graph, shards=store, metrics=None)
-    baseline.cache.prefetch(m_origins, workers=1)  # time the kernel, not
+    baseline.cache.prefetch(m_origins)  # time the kernel, not
     # the propagation: the baseline reads warm states and recomputes the
     # reliance/hegemony kernels on every request
     rel_metric_ns, rel_metric = _drive_endpoint(

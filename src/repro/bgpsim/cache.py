@@ -216,18 +216,14 @@ class RoutingStateCache:
                 self._states.popitem(last=False)
                 self._evictions += 1
 
-    def prefetch(
-        self,
-        origins: Iterable[int],
-        workers: int | str | None = None,
-    ) -> int:
+    def prefetch(self, origins: Iterable[int]) -> int:
         """Warm the cache for ``origins``; returns how many were computed.
 
         Missing origins are served from the disk tier when a shard store
         is attached, and otherwise propagated — batched through the
-        bit-parallel multi-origin kernel, in parallel when ``workers``
-        asks for it — and inserted in input order.  With a bounded cache
-        only the *first* ``maxsize`` missing origins are computed
+        bit-parallel multi-origin kernel — and inserted in input order.
+        With a bounded cache only the *first* ``maxsize`` missing origins
+        are computed
         (consumers drain prefetched sweeps in input order, so these are
         the ones read before any eviction) and the rest are skipped
         rather than computed-then-evicted unread; the skip/chunk
@@ -259,7 +255,7 @@ class RoutingStateCache:
             else len(missing)
         )
         for origin, state in propagate_origins(
-            self.graph, missing, workers=workers, engine=self.engine
+            self.graph, missing, engine=self.engine
         ):
             self._misses += 1
             self._insert(origin, state)

@@ -63,8 +63,8 @@ def _signed_typecode(maxval: int) -> str:
 
 
 def _concrete_buffers(state: dict) -> dict:
-    """Replace ``memoryview`` values (zero-copy views of a shared-memory
-    arena, see :mod:`repro.bgpsim.shm`) with picklable owned copies."""
+    """Replace ``memoryview`` values (zero-copy views of a shard file's
+    map, see :mod:`repro.bgpsim.shards`) with picklable owned copies."""
     for key, value in state.items():
         if isinstance(value, memoryview):
             state[key] = (

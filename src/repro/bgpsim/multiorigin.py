@@ -115,9 +115,10 @@ class BatchRoutingState:
     column *r* of ``_tie_masks`` (``(W, R)``, like ``_masks``).  Rows are
     sorted by (child, parent, level).
 
-    The compiled graph is carried only as a reference for the views and
-    the metric kernel; pickling drops it (workers return batches to
-    the parent, which re-binds its own copy via :meth:`bind_graph`).
+    ``graph`` is the compiled graph the sweep ran on, which the views
+    and the batch metric kernel read.  The batch keeps no views: each
+    :meth:`view_at` builds a fresh one, so a batch is freed by refcount
+    as soon as neither it nor any of its views is referenced.
     """
 
     def __init__(
@@ -133,7 +134,7 @@ class BatchRoutingState:
         tie_level,
         tie_masks,
     ) -> None:
-        self._graph: Optional[CompiledGraph] = cgraph
+        self.graph = cgraph
         self.origins = origins
         self._nodes = nodes
         self._classes = classes
@@ -146,58 +147,31 @@ class BatchRoutingState:
         self._bit_of: dict[int, int] = {}
         for b, origin in enumerate(origins):
             self._bit_of.setdefault(origin, b)
-        self._views: dict[int, "BatchOriginView"] = {}
 
     @property
     def width(self) -> int:
         """The batch width B (number of origin bits)."""
         return len(self.origins)
 
-    @property
-    def graph(self) -> CompiledGraph:
-        if self._graph is None:
-            raise RuntimeError(
-                "BatchRoutingState is unbound (it crossed a process "
-                "boundary); call bind_graph(graph) before taking views"
-            )
-        return self._graph
-
-    def bind_graph(self, graph) -> "BatchRoutingState":
-        """Re-attach a compiled graph after unpickling; returns ``self``."""
-        self._graph = graph.compile()
-        return self
-
     # -- per-origin views ------------------------------------------------
     def view_at(self, bit: int) -> "BatchOriginView":
-        """The lazy per-origin view for bit ``bit`` (cached)."""
-        view = self._views.get(bit)
-        if view is None:
-            view = BatchOriginView(self, bit)
-            self._views[bit] = view
-        return view
+        """A fresh lazy per-origin view for bit ``bit``."""
+        return BatchOriginView(self, bit)
 
     def view(self, origin: int) -> "BatchOriginView":
-        """The lazy view for ``origin`` (its first bit, if repeated)."""
-        return self.view_at(self._bit_of[origin])
+        """A fresh lazy view for ``origin`` (its first bit, if repeated)."""
+        return BatchOriginView(self, self._bit_of[origin])
 
     def views(self) -> Iterator[tuple[int, "BatchOriginView"]]:
         """``(origin, view)`` pairs in batch (input) order.
 
-        Each view leaves the batch's cache once the consumer moves past
-        it, so a consumer that releases its view frees that view's
-        arrays at once (refcount alone, no gc): a sweep holds the batch
-        buckets plus one live view, whatever its origin count.
+        The batch keeps none of them, so a consumer that releases each
+        view before taking the next frees that view's arrays at once: a
+        sweep holds the batch buckets plus one live view, whatever its
+        origin count.
         """
         for bit, origin in enumerate(self.origins):
-            yield origin, self.view_at(bit)
-            self._views.pop(bit, None)
-
-    # -- pickling: drop the graph reference and the view cache ------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_graph"] = None
-        state["_views"] = {}
-        return state
+            yield origin, BatchOriginView(self, bit)
 
 
 def _restore_compiled(state: dict) -> CompiledRoutingState:

@@ -1,38 +1,40 @@
-"""Parallel per-origin route propagation.
+"""The process pool, and the plain serial sweeps.
 
-Every headline analysis in the paper — hierarchy-free reachability (§6),
-reliance (§7), route-leak resilience (§8), and the traceroute campaigns
-(§4) — sweeps :func:`~repro.bgpsim.engine.propagate` over many origins on
-the *same* immutable :class:`~repro.topology.asgraph.ASGraph`.  The
-per-origin runs are independent, which makes the sweep embarrassingly
-parallel: this module fans the calls out across a
-:class:`concurrent.futures.ProcessPoolExecutor`.
+Every headline analysis in the paper sweeps a propagation over many
+origins on the *same* immutable :class:`~repro.topology.asgraph.ASGraph`.
+The per-origin runs are independent, so :func:`graph_map` can fan them
+out across a :class:`concurrent.futures.ProcessPoolExecutor`.  Only two
+sweeps do, because only there do two workers measurably beat one
+(EXPERIMENTS.md, "serial against two workers"): the §8 route-leak
+sweeps (:mod:`repro.core.leaks`), which run one multi-seed propagation
+per leaker, and the metric pass of
+:func:`~repro.bgpsim.shards.precompute_metric_shards`, whose batch metric
+kernel dominates its cost.  Every other all-origin sweep is a batched
+bit-parallel sweep that finishes too fast for a pool to pay off, and runs
+in-process: :func:`propagate_origins` and :func:`propagate_many` below,
+and the per-item loops of the consumers.
 
-Design rules (all load-bearing for determinism and throughput):
+Design rules of :func:`graph_map` (all load-bearing for determinism):
 
 * **The graph ships once per worker, not once per task.**  Workers receive
-  the graph through a pool *initializer* and stash it in a module global;
-  each task then pickles only its item (an origin ASN, a seed, a leaker).
-  Under the default ``fork`` start method the initializer argument is
-  inherited copy-on-write, so even the one-time transfer is nearly free.
-* **The compiled form ships, not the adjacency dicts.**  When the sweep
-  runs the compiled engine (the default), the pool ships the graph's
-  compact :class:`~repro.bgpsim.compiled.CompiledGraph` — CSR arrays,
-  several times smaller pickled than the dict-of-sets ``ASGraph`` (the
-  ablation benchmark records the exact factor).  ``CompiledGraph``
-  implements the read-only ``ASGraph`` query API, so task functions are
-  oblivious to which form they received.
-* **Results come back as an ordered iterator.**  ``graph_map`` yields
-  results in input order regardless of worker scheduling, so a parallel
-  sweep is a drop-in replacement for the serial loop and callers stay
-  bit-for-bit deterministic (the differential harness in
-  ``tests/test_parallel_engine.py`` asserts exactly this).
+  the graph and the shared kwargs through the pool *initializer* and
+  stash them in module globals; each task then pickles only its item (a
+  batch of origins, a leaker).  Under the default ``fork`` start method
+  the workers inherit the initializer arguments; other start methods
+  pickle them once per worker.
+* **The compiled form ships, not the adjacency dicts.**  When the tasks
+  run the compiled engine (the default), the pool ships the graph's
+  compact :class:`~repro.bgpsim.compiled.CompiledGraph`, which implements
+  the read-only ``ASGraph`` query API, so task functions are oblivious to
+  which form they received.
+* **Results come back as an ordered iterator**, in input order whatever
+  the worker scheduling, so a pooled sweep is bit-for-bit the serial
+  loop (``tests/test_parallel_engine.py``).
 * **``workers=None``/``0``/``1`` runs serially in-process** through the
-  very same task function — no pool, no pickling, no behavioural fork
-  between the two paths.
-* **Worker exceptions surface in the parent.**  A task that raises inside
-  a worker re-raises the original exception type at the point the caller
-  consumes that result, and the pool shuts down cleanly.
+  very same task function: no pool, no pickling.
+* **Worker exceptions surface in the parent**, re-raised with their
+  original type where the caller consumes that result; the pool shuts
+  down cleanly.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Optional
 
 from ..topology.asgraph import ASGraph
-from . import shm
 from .engine import propagate, resolve_engine
 from .routes import RoutingState, Seed
 
@@ -84,13 +85,9 @@ def _init_worker(
     graph: ASGraph, func: Callable[..., Any], shared: dict[str, Any]
 ) -> None:
     global _WORKER_GRAPH, _WORKER_FUNC, _WORKER_SHARED
-    # shared-memory payloads arrive as tiny refs; attach and rebuild the
-    # real objects once per worker (plain payloads pass through)
-    _WORKER_GRAPH = shm.restore_payload(graph)
+    _WORKER_GRAPH = graph
     _WORKER_FUNC = func
-    _WORKER_SHARED = {
-        key: shm.restore_payload(value) for key, value in shared.items()
-    }
+    _WORKER_SHARED = shared
 
 
 def _run_task(item: Any) -> Any:
@@ -104,7 +101,6 @@ def graph_map(
     items: Iterable[Any],
     *,
     workers: int | str | None = None,
-    chunksize: Optional[int] = None,
     **shared: Any,
 ) -> Iterator[Any]:
     """Apply ``func(graph, item, **shared)`` to every item, in input order.
@@ -128,8 +124,7 @@ def graph_map(
     if not item_list:
         return iter(())
     count = min(count, len(item_list))
-    if chunksize is None:
-        chunksize = max(1, -(-len(item_list) // (count * 8)))
+    chunksize = max(1, -(-len(item_list) // (count * 8)))
 
     # Ship the compact compiled form when the tasks will run the compiled
     # engine anyway (an ``engine`` shared kwarg, or the session default).
@@ -143,39 +138,19 @@ def graph_map(
         except ValueError:
             pass  # unknown engine string: let the task raise it
 
-    # Move the big constant arrays (the CSR graph, per-sweep baseline
-    # states) into shared-memory segments: the initializer then ships
-    # only tiny refs and every worker attaches the same pages instead of
-    # unpickling its own copy.  A platform that fails the shared-memory
-    # probe keeps the plain pickle path — still shipped once per worker
-    # via the initializer, never per batch.
-    arenas: list[shm.ShmArena] = []
-    if shm.shm_available():
-        payload = shm.share_payload(payload, arenas)
-        shared = {
-            key: shm.share_payload(value, arenas)
-            for key, value in shared.items()
-        }
-
     def _parallel() -> Iterator[Any]:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=count,
-                initializer=_init_worker,
-                initargs=(payload, func, shared),
-            ) as pool:
-                yield from pool.map(
-                    _run_task, item_list, chunksize=chunksize
-                )
-        finally:
-            for arena in arenas:
-                arena.close()
+        with ProcessPoolExecutor(
+            max_workers=count,
+            initializer=_init_worker,
+            initargs=(payload, func, shared),
+        ) as pool:
+            yield from pool.map(_run_task, item_list, chunksize=chunksize)
 
     return _parallel()
 
 
 # ---------------------------------------------------------------------------
-# propagation sweeps
+# serial propagation sweeps
 # ---------------------------------------------------------------------------
 
 def _coerce_seeds(task: Any) -> tuple[Seed, ...]:
@@ -186,74 +161,36 @@ def _coerce_seeds(task: Any) -> tuple[Seed, ...]:
     return tuple(s if isinstance(s, Seed) else Seed(asn=s) for s in task)
 
 
-def _propagate_task(
-    graph: ASGraph,
-    task: Any,
-    excluded: Collection[int] = frozenset(),
-    peer_locked: Collection[int] = frozenset(),
-    locked_origin: Optional[int] = None,
-    engine: Optional[str] = None,
-) -> RoutingState:
-    return propagate(
-        graph,
-        _coerce_seeds(task),
-        excluded=excluded,
-        peer_locked=peer_locked,
-        locked_origin=locked_origin,
-        engine=engine,
-    )
-
-
 def propagate_many(
     graph: ASGraph,
     tasks: Iterable[int | Seed | Iterable[Seed]],
     *,
-    workers: int | str | None = None,
     excluded: Collection[int] = frozenset(),
     peer_locked: Collection[int] = frozenset(),
     locked_origin: Optional[int] = None,
-    chunksize: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> Iterator[RoutingState]:
     """Propagate each task over ``graph``, yielding states in input order.
 
     A task is an origin ASN, a :class:`Seed`, or an iterable of seeds (the
     multi-seed form used by leak simulations).  ``excluded``,
-    ``peer_locked``, ``locked_origin`` and ``engine`` apply to every task
-    and ship to the workers once; with ``engine="compiled"`` (the
-    default) the workers receive the compact compiled graph.
+    ``peer_locked``, ``locked_origin`` and ``engine`` apply to every task.
     """
-    return graph_map(
-        graph,
-        _propagate_task,
-        tasks,
-        workers=workers,
-        chunksize=chunksize,
-        excluded=frozenset(excluded),
-        peer_locked=frozenset(peer_locked),
-        locked_origin=locked_origin,
-        engine=engine,
-    )
-
-
-def _propagate_batch_task(
-    graph: ASGraph,
-    origins: tuple[int, ...],
-    excluded: Collection[int] = frozenset(),
-    engine: Optional[str] = None,
-):
-    """One bit-parallel sweep per batch of origins (worker-side)."""
-    from .multiorigin import propagate_batch
-
-    del engine  # the batch kernel *is* the compiled engine
-    return propagate_batch(graph, origins, excluded=excluded)
+    for task in tasks:
+        yield propagate(
+            graph,
+            _coerce_seeds(task),
+            excluded=excluded,
+            peer_locked=peer_locked,
+            locked_origin=locked_origin,
+            engine=engine,
+        )
 
 
 def propagate_origins(
     graph: ASGraph,
     origins: Iterable[int],
     *,
-    workers: int | str | None = None,
     excluded: Collection[int] = frozenset(),
     engine: Optional[str] = None,
 ) -> Iterator[tuple[int, RoutingState]]:
@@ -265,36 +202,21 @@ def propagate_origins(
     costing one graph sweep instead of one per origin; the yielded
     states are per-origin views equivalent to the per-origin engines'
     results, so callers are oblivious.  The reference engine, the
-    oracle, propagates each origin on its own.  Process-parallelism
-    composes: with ``workers`` the chunks fan out across the pool, each
-    worker running whole batches.  An unknown ``engine`` raises
-    ``ValueError`` here.
+    oracle, propagates each origin on its own.  An unknown ``engine``
+    raises ``ValueError`` here.
     """
-    from .multiorigin import batched
+    from .multiorigin import batched, propagate_batch
 
     origin_list = list(origins)
     if resolve_engine(engine) == "reference":
         states = propagate_many(
-            graph,
-            origin_list,
-            workers=workers,
-            excluded=excluded,
-            engine="reference",
+            graph, origin_list, excluded=excluded, engine="reference"
         )
         return zip(origin_list, states)
-    batches = graph_map(
-        graph,
-        _propagate_batch_task,
-        batched(origin_list),
-        workers=workers,
-        excluded=frozenset(excluded),
-        engine="compiled",
-    )
+    chunks = batched(origin_list)
 
     def _views() -> Iterator[tuple[int, RoutingState]]:
-        for result in batches:
-            if result._graph is None:  # returned from a pool worker
-                result.bind_graph(graph)
-            yield from result.views()
+        for chunk in chunks:
+            yield from propagate_batch(graph, chunk, excluded=excluded).views()
 
     return _views()

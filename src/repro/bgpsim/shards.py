@@ -8,10 +8,9 @@ persists them, and the metric answers computed from them, as *shards*:
 append-only files of per-origin records that a reader maps once and
 decodes **zero-copy** — every array it hands out is a ``memoryview``
 slice aliased onto the map, exactly the buffer-protocol objects the
-numpy kernels ``np.frombuffer`` (the same trick :mod:`repro.bgpsim.shm`
-plays with worker payloads, and the same packing rule,
-:func:`~repro.bgpsim.shm.layout`).  Both record kinds share one sealed
-container (little-endian, every array 8-byte aligned):
+numpy kernels ``np.frombuffer``, packed and cast back by :func:`layout`
+and :func:`view_of`.  Both record kinds share one sealed container
+(little-endian, every array 8-byte aligned):
 
 .. code-block:: text
 
@@ -47,11 +46,12 @@ to rebuild.
 :class:`ShardStore` manages a *content-addressed results directory* —
 ``<root>/<digest16>/manifest.json`` plus shard files — built by
 :func:`precompute_shards` (the bit-parallel sweeps of
-:func:`~repro.bgpsim.parallel.propagate_origins`) and
+:func:`~repro.bgpsim.parallel.propagate_origins`, in-process) and
 :func:`precompute_metric_shards` (one bit-parallel sweep and one batch
 metric kernel call per batch of origins, mapped over
-:func:`~repro.bgpsim.parallel.graph_map`; it reads no routing shard);
-both hold one batch in memory at a time and resume partial corpora.
+:func:`~repro.bgpsim.parallel.graph_map`, optionally across worker
+processes; it reads no routing shard); both hold one batch in memory at
+a time and resume partial corpora.
 A corpus also carries *leases* (``leases/<pid>-<token>.lease``): every
 serving process that opens the store with ``lease=True`` registers its
 pid, and :meth:`ShardStore.compact` / :func:`gc_corpora` refuse to
@@ -76,7 +76,6 @@ from typing import Any, Optional
 
 from .compiled import CompiledGraph, CompiledRoutingState
 from .routes import Seed
-from .shm import layout, view_of
 
 __all__ = [
     "DEFAULT_METRIC_TARGETS",
@@ -178,6 +177,28 @@ def graph_digest(graph) -> str:
 # ---------------------------------------------------------------------------
 # the sealed container: one writer, one reader, two record schemas
 # ---------------------------------------------------------------------------
+
+
+def layout(buffers, start: int = 0) -> tuple[list[tuple], int]:
+    """Lay ``buffers`` out back to back from ``start``.
+
+    Returns one ``(format char, 8-byte-aligned offset, nbytes)`` entry
+    per buffer and the end offset, so :func:`view_of` can cast every
+    entry back to its element format.
+    """
+    entries = []
+    end = start
+    for buf in buffers:
+        mv = memoryview(buf)
+        offset = (end + 7) & ~7
+        entries.append((mv.format, offset, mv.nbytes))
+        end = offset + mv.nbytes
+    return entries, end
+
+
+def view_of(buf, fmt: str, offset: int, nbytes: int) -> memoryview:
+    """The zero-copy view of one :func:`layout` entry inside ``buf``."""
+    return buf[offset : offset + nbytes].cast(fmt)
 
 
 def _pack(head: bytes, buffers: Sequence) -> bytearray:
@@ -1171,18 +1192,17 @@ def precompute_shards(
     graph,
     out_root: str | os.PathLike,
     origins: Optional[Sequence[int]] = None,
-    workers: int | str | None = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
     force: bool = False,
     progress=None,
 ) -> Path:
     """Precompute routing shards for ``origins`` (default: every AS).
 
-    Fans the origin set through the bit-parallel batched sweeps of
-    :func:`~repro.bgpsim.parallel.propagate_origins` (``workers``
-    processes, :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide
-    batches; always the compiled engine, whatever ``REPRO_ENGINE``
-    says, since a shard holds only compiled array states) and streams
+    Runs the origin set through the bit-parallel batched sweeps of
+    :func:`~repro.bgpsim.parallel.propagate_origins`
+    (:data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide batches;
+    always the compiled engine, whatever ``REPRO_ENGINE`` says, since a
+    shard holds only compiled array states) and streams
     the per-origin states into shard files of ``shard_size`` origins
     under the content-addressed directory ``<out_root>/<digest16>/``,
     consuming each batch as it completes — peak memory stays O(batch)
@@ -1236,12 +1256,7 @@ def precompute_shards(
 
     first = len(existing_infos)
     shard_infos = existing_infos + _write_rolling(
-        propagate_origins(
-            graph,
-            origin_list,
-            workers=workers,
-            engine="compiled",
-        ),
+        propagate_origins(graph, origin_list, engine="compiled"),
         lambda k: ShardWriter(target / f"shard-{first + k:05d}.shard", cg),
         ShardWriter.add,
         shard_size,
@@ -1249,7 +1264,7 @@ def precompute_shards(
         len(origin_list),
     )
 
-    manifest = _new_manifest(cg, digest, workers, shard_size)
+    manifest = _new_manifest(cg, digest, shard_size)
     manifest.update(
         origins=covered + len(origin_list), shards=shard_infos, **carried
     )
@@ -1257,12 +1272,12 @@ def precompute_shards(
     return target
 
 
-def _new_manifest(cg, digest: str, workers, shard_size: int) -> dict:
+def _new_manifest(cg, digest: str, shard_size: int, workers=None) -> dict:
     """A manifest naming no shard files yet, stamped with the settings
-    the corpus is built under."""
+    the corpus is built under (``workers``: the pass that creates it;
+    the routing pass runs in-process)."""
     from .multiorigin import resolve_batch
     from .parallel import resolve_workers
-    from .shm import resolve_shm
 
     return {
         "format": "repro.bgpsim.shards",
@@ -1273,7 +1288,6 @@ def _new_manifest(cg, digest: str, workers, shard_size: int) -> dict:
         "engine": "compiled",
         "workers": resolve_workers(workers),
         "batch": resolve_batch(),
-        "shm": resolve_shm(),
         "shard_size": shard_size,
         "shards": [],
     }
@@ -1456,7 +1470,8 @@ def precompute_metric_shards(
     Maps :func:`_metric_batch_task` over
     :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide chunks of the
     origins with :func:`~repro.bgpsim.parallel.graph_map` (``workers``
-    processes), as the routing pass maps propagation: each task runs one
+    processes; the metric kernel dominates this pass, so unlike the
+    routing pass it gains from a second worker): each task runs one
     bit-parallel sweep and the batch metric kernel, and returns its
     records in input order, so the files do not depend on ``workers``.
     The pass never reads the routing shards.  Each origin's reliance
@@ -1577,7 +1592,7 @@ def precompute_metric_shards(
         if routing_store is not None:
             routing_store.close()
 
-    manifest = manifest or _new_manifest(cg, digest, workers, shard_size)
+    manifest = manifest or _new_manifest(cg, digest, shard_size, workers)
     manifest["metric_shards"] = shard_infos
     manifest["metric_targets"] = list(target_tuple)
     manifest["metric_trim"] = trim_value

@@ -212,7 +212,6 @@ def cmd_precompute(args: argparse.Namespace) -> int:
         graph,
         args.output,
         origins=origins,
-        workers=args.workers,
         shard_size=args.shard_size,
         force=args.force,
         progress=progress if not args.quiet else None,
@@ -499,7 +498,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         graph,
         origins=[args.origin],
         targets=targets,
-        workers=args.workers,
         shards=shards,
     )
     try:
@@ -647,12 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated ASNs to report reliance/hegemony toward",
     )
     timeline.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=None,
-        help="propagation worker processes (int, or 'auto' for all CPUs)",
-    )
-    timeline.add_argument(
         "--shards",
         help="precomputed shard directory (repro precompute) serving "
         "pre-event baselines from mmap instead of propagating",
@@ -678,8 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_parse_workers,
         default=None,
-        help="worker processes for the routing and metric passes (int, "
-        "or 'auto' for all CPUs)",
+        help="worker processes for the metric pass (int, or 'auto' for "
+        "all CPUs); the routing pass runs in-process",
     )
     precompute.add_argument(
         "--shard-size",
@@ -792,7 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_parse_workers,
         default=None,
-        help="propagation worker processes (int, or 'auto' for all CPUs)",
+        help="worker processes for the route-leak sweeps of Figs. 7-10 "
+        "(int, or 'auto' for all CPUs); every other figure runs "
+        "in-process",
     )
     experiments.add_argument(
         "--engine",

@@ -64,7 +64,6 @@ def collect_ribs(
     prefixes: dict[int, ipaddress.IPv4Network],
     origins: Optional[Sequence[int]] = None,
     rng: Optional[random.Random] = None,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> CollectorDump:
     """Simulate a collector RIB: each monitor's tied-best path per origin.
@@ -73,11 +72,11 @@ def collect_ribs(
     supplied ``rng`` picks among tied parents), mirroring the fact that a
     real monitor exports exactly one best path.  The per-origin states
     come from :func:`~repro.bgpsim.parallel.propagate_origins` (one
-    bit-parallel sweep per batch of origins on the compiled engine,
-    ``workers`` processes) and each is dropped once its paths are
-    walked, so the sweep holds one batch whatever the origin count.  The
-    walk stays serial and uses the per-AS route accessor, so the RNG
-    stream (and the dump) is identical for any worker count or engine.
+    bit-parallel sweep per batch of origins on the compiled engine) and
+    each is dropped once its paths are walked, so the sweep holds one
+    batch whatever the origin count.  The walk uses the per-AS route
+    accessor, so the RNG stream (and the dump) is identical on either
+    engine.
     """
     rng = rng or random.Random(0)
     monitors = sorted(set(monitors))
@@ -87,7 +86,6 @@ def collect_ribs(
     for origin, state in propagate_origins(
         graph,
         [origin for origin in origins if origin in prefixes],
-        workers=workers,
         engine=engine,
     ):
         for monitor in monitors:

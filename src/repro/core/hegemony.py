@@ -37,7 +37,6 @@ from ..bgpsim.metrics_kernel import (
     is_array_state,
     metric_sweep,
 )
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState, Seed
 from ..topology.asgraph import ASGraph
 from .reliance import path_counts
@@ -182,34 +181,19 @@ def local_hegemony(
     return _hegemony_of_state(state, origin, target, trim, counts=counts)
 
 
-def _hegemony_task(
-    graph: ASGraph,
-    origin: int,
-    targets: tuple[int, ...] = (),
-    trim: float = TRIM,
-    engine: Optional[str] = None,
-) -> array:
-    """One origin's local hegemony toward every target, as a compact
-    float array (NaN where target == origin)."""
-    state = propagate(graph, Seed(asn=origin), engine=engine)
-    return _hegemony_values(state, origin, targets, trim)
-
-
-def _hegemony_batch_task(
+def _hegemony_batch_rows(
     graph: ASGraph,
     origins: tuple[int, ...],
-    targets: tuple[int, ...] = (),
-    trim: float = TRIM,
-    engine: Optional[str] = None,
+    targets: tuple[int, ...],
+    trim: float,
 ) -> list[array]:
-    """:func:`_hegemony_task` rows for a whole batch of origins, served
+    """:func:`_hegemony_values` rows for a whole batch of origins, served
     by one bit-parallel sweep and one call of the batch metric kernel
     (every float bit-identical to the per-origin path); an origin past
     the kernel's exact-float range takes the per-state path."""
     from ..bgpsim.multiorigin import propagate_batch
     from ..bgpsim.vectorized import build_metric_dag_vector
 
-    del engine  # the batch kernel is the compiled engine
     batch_state = propagate_batch(graph, origins)
     rows = build_metric_dag_vector(batch_state, targets, trim)
     return [
@@ -227,16 +211,14 @@ def global_hegemony(
     sample: int = 50,
     rng: Optional[random.Random] = None,
     trim: float = TRIM,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> dict[int, float]:
     """``H(target)`` for each target, averaged over sampled origins.
 
     Each origin is propagated once and evaluated against every target in
-    one pass (the tied-best-path counts are shared across targets);
-    ``workers`` fans the origins out across a process pool, and each
-    worker returns one compact float array per origin rather than a
-    per-AS dict.  On the compiled engine the origins run in
+    one pass (the tied-best-path counts are shared across targets), into
+    one compact float array per origin rather than a per-AS dict.  On
+    the compiled engine the origins run in
     :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide bit-parallel
     sweeps, each scored by one call of the batch metric kernel; the
     reference engine, the oracle, propagates and scores each origin on
@@ -250,26 +232,21 @@ def global_hegemony(
         origins = rng.sample(nodes, k=min(sample, len(nodes)))
     targets = tuple(targets)
     if resolve_engine(engine) == "reference":
-        rows: Iterable[array] = graph_map(
-            graph,
-            _hegemony_task,
-            list(origins),
-            workers=workers,
-            targets=targets,
-            trim=trim,
-            engine="reference",
+        rows: Iterable[array] = (
+            _hegemony_values(
+                propagate(graph, Seed(asn=origin), engine="reference"),
+                origin,
+                targets,
+                trim,
+            )
+            for origin in origins
         )
     else:
-        row_lists = graph_map(
-            graph,
-            _hegemony_batch_task,
-            batched(list(origins)),
-            workers=workers,
-            targets=targets,
-            trim=trim,
-            engine="compiled",
+        rows = (
+            row
+            for chunk in batched(list(origins))
+            for row in _hegemony_batch_rows(graph, chunk, targets, trim)
         )
-        rows = (row for rows_ in row_lists for row in rows_)
     sums = [0.0] * len(targets)
     counts_per_target = [0] * len(targets)
     for row in rows:

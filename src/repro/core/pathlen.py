@@ -10,8 +10,8 @@ All weightings are projections of one per-path-length weight histogram,
 so a Fig. 13 bar group costs a single propagation; on array-backed states
 the histogram is read straight off the compiled length array
 (:func:`repro.bgpsim.metrics_kernel.length_histogram_kernel`) without
-materializing ``routes``.  Sweeps accept the same ``engine=`` /
-``workers=`` knobs as every other consumer.
+materializing ``routes``.  Sweeps accept the same ``engine=`` knob as
+every other consumer.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Optional
 
 from ..bgpsim.engine import propagate, resolve_engine
 from ..bgpsim.metrics_kernel import is_array_state, length_histogram_kernel
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState, Seed
 from ..topology.asgraph import ASGraph
 
@@ -155,46 +154,23 @@ def path_length_mix(
     )
 
 
-def _pathlen_task(
-    graph: ASGraph,
-    origin: int,
-    weights: Mapping[int, float] | None = None,
-    restrict_to: Optional[frozenset[int]] = None,
-    excluded: Collection[int] = frozenset(),
-    engine: Optional[str] = None,
-) -> tuple[float, float, float]:
-    totals = path_length_weights(
-        graph, origin, weights, restrict_to, excluded=excluded, engine=engine
-    )
-    return (totals["1"], totals["2"], totals["3+"])
-
-
 def path_length_distribution(
     graph: ASGraph,
     origins: Iterable[int],
     weights: Mapping[int, float] | None = None,
     restrict_to: Collection[int] | None = None,
     excluded: Collection[int] = frozenset(),
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[dict[str, float]]:
-    """Per-origin bin totals for many origins, in input order.
-
-    Fans the per-origin propagations out with ``workers`` (each worker
-    returns a compact 3-tuple, not a per-AS structure) and threads
-    ``engine`` through, matching every other sweep.
-    """
-    rows = graph_map(
-        graph,
-        _pathlen_task,
-        list(origins),
-        workers=workers,
-        weights=dict(weights) if weights is not None else None,
-        restrict_to=frozenset(restrict_to) if restrict_to is not None else None,
-        excluded=frozenset(excluded),
-        engine=engine,
-    )
-    return [dict(zip(BINS, row)) for row in rows]
+    """Per-origin bin totals (:func:`path_length_weights`) for many
+    origins, in input order."""
+    return [
+        path_length_weights(
+            graph, origin, weights, restrict_to, excluded=excluded,
+            engine=engine,
+        )
+        for origin in origins
+    ]
 
 
 #: the three weightings of one Fig. 13 bar group, in render order
@@ -222,37 +198,6 @@ def _fig13_triples_from_state(
     return tuple(triples)
 
 
-def _fig13_task(
-    graph: ASGraph,
-    origin: int,
-    users: Mapping[int, int] = {},
-    engine: Optional[str] = None,
-) -> tuple[tuple[float, float, float], ...]:
-    """All three Fig. 13 weightings from a single propagation."""
-    state = propagate(graph, Seed(asn=origin, key="origin"), engine=engine)
-    return _fig13_triples_from_state(state, _fig13_weightings(users))
-
-
-def _fig13_batch_task(
-    graph: ASGraph,
-    origins: tuple[int, ...],
-    users: Mapping[int, int] = {},
-    engine: Optional[str] = None,
-) -> list[tuple[tuple[float, float, float], ...]]:
-    """:func:`_fig13_task` rows for a batch of origins from one
-    bit-parallel sweep (the views feed the same histogram kernel, so
-    every float is bit-identical to the per-origin path)."""
-    from ..bgpsim.multiorigin import propagate_batch
-
-    del engine  # the batch kernel is the compiled engine
-    weightings = _fig13_weightings(users)
-    batch_state = propagate_batch(graph, origins)
-    return [
-        _fig13_triples_from_state(state, weightings)
-        for _, state in batch_state.views()
-    ]
-
-
 def _bars_from_triples(
     triples: tuple[tuple[float, float, float], ...],
 ) -> dict[str, PathLengthMix]:
@@ -274,46 +219,40 @@ def fig13_bars(
     networks; ``population``: user-hosting networks weighted by users.
     One propagation serves all three weightings.
     """
-    return _bars_from_triples(_fig13_task(graph, origin, users, engine))
+    state = propagate(graph, Seed(asn=origin, key="origin"), engine=engine)
+    return _bars_from_triples(
+        _fig13_triples_from_state(state, _fig13_weightings(users))
+    )
 
 
 def fig13_bars_sweep(
     graph: ASGraph,
     origins: Iterable[int],
     users: Mapping[int, int],
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[dict[str, PathLengthMix]]:
-    """:func:`fig13_bars` for many origins; workers return compact bin
-    triples (3 weightings × 3 bins per origin).
+    """:func:`fig13_bars` for many origins, in input order.
 
     On the compiled engine the origins run in
     :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`-wide bit-parallel
-    sweeps, each view folded and dropped before the next is built; the
-    reference engine, the oracle, propagates each origin on its own.
-    The mixes are identical either way.
+    sweeps, each view folded into its three bin triples and dropped
+    before the next is built; the reference engine, the oracle,
+    propagates each origin on its own.  The mixes are identical either
+    way.
     """
-    from ..bgpsim.multiorigin import batched
+    from ..bgpsim.multiorigin import batched, propagate_batch
 
     origin_list = list(origins)
     if resolve_engine(engine) == "reference":
-        rows = graph_map(
-            graph,
-            _fig13_task,
-            origin_list,
-            workers=workers,
-            users=dict(users),
-            engine="reference",
-        )
-        return [_bars_from_triples(triples) for triples in rows]
-    row_lists = graph_map(
-        graph,
-        _fig13_batch_task,
-        batched(origin_list),
-        workers=workers,
-        users=dict(users),
-        engine="compiled",
-    )
-    return [
-        _bars_from_triples(triples) for rows_ in row_lists for triples in rows_
-    ]
+        return [
+            fig13_bars(graph, origin, users, engine="reference")
+            for origin in origin_list
+        ]
+    weightings = _fig13_weightings(users)
+    bars: list[dict[str, PathLengthMix]] = []
+    for chunk in batched(origin_list):
+        bars += [
+            _bars_from_triples(_fig13_triples_from_state(view, weightings))
+            for _, view in propagate_batch(graph, chunk).views()
+        ]
+    return bars

@@ -29,7 +29,6 @@ from ..bgpsim.metrics_kernel import (
     reliance_kernel,
     reliance_mass_kernel,
 )
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState, Seed
 from ..topology.asgraph import ASGraph
 from ..topology.tiers import TierAssignment
@@ -138,38 +137,17 @@ def reliance(
     return reliance_from_state(state, exact=exact)
 
 
-def _reliance_task(
-    graph: ASGraph,
-    item: tuple[int, frozenset[int]],
-    exact: bool = False,
-    engine: Optional[str] = None,
-) -> dict[int, float]:
-    origin, excluded = item
-    return reliance(graph, origin, excluded, exact=exact, engine=engine)
-
-
 def reliance_sweep(
     graph: ASGraph,
     origin_excluded: Iterable[tuple[int, Collection[int]]],
     exact: bool = False,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[dict[int, float]]:
-    """:func:`reliance` for many (origin, excluded) pairs, in input order.
-
-    The propagation per origin is the dominant cost; with ``workers`` the
-    pairs fan out across a process pool (the graph ships once per worker).
-    ``workers=None`` runs the identical computations serially.
-    """
-    items = [
-        (origin, frozenset(excluded)) for origin, excluded in origin_excluded
+    """:func:`reliance` for many (origin, excluded) pairs, in input order."""
+    return [
+        reliance(graph, origin, excluded, exact=exact, engine=engine)
+        for origin, excluded in origin_excluded
     ]
-    return list(
-        graph_map(
-            graph, _reliance_task, items, workers=workers, exact=exact,
-            engine=engine,
-        )
-    )
 
 
 def hierarchy_free_reliance_sweep(
@@ -177,20 +155,13 @@ def hierarchy_free_reliance_sweep(
     origins: Iterable[int],
     tiers: TierAssignment,
     exact: bool = False,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[dict[int, float]]:
     """:func:`hierarchy_free_reliance` for many origins (Fig. 6's sweep)."""
-    return reliance_sweep(
-        graph,
-        (
-            (origin, (graph.providers(origin) | tiers.hierarchy) - {origin})
-            for origin in origins
-        ),
-        exact=exact,
-        workers=workers,
-        engine=engine,
-    )
+    return [
+        hierarchy_free_reliance(graph, origin, tiers, exact=exact, engine=engine)
+        for origin in origins
+    ]
 
 
 def hierarchy_free_reliance(
@@ -241,9 +212,9 @@ class RelianceSummary:
     """Everything Fig. 6 / Table 2 keep from one origin's reliance values.
 
     A full reliance dict holds one float per relied-on AS; the figures
-    only aggregate it (counts, a histogram, the top rows).  Sweep workers
-    return this compact record instead, so a parallel sweep ships a few
-    dozen numbers per origin rather than a per-AS dict.
+    only aggregate it (counts, a histogram, the top rows), so a sweep
+    keeps this compact record per origin instead: a few dozen numbers
+    rather than a per-AS dict.
     """
 
     networks: int  #: number of ASes with nonzero reliance
@@ -330,55 +301,18 @@ def summarize_reliance_from_state(
     )
 
 
-def _reliance_summary_task(
-    graph: ASGraph,
-    item: tuple[int, frozenset[int]],
-    bin_width: int = 25,
-    top_n: int = 3,
-    engine: Optional[str] = None,
-) -> RelianceSummary:
-    origin, excluded = item
-    state = propagate(
-        graph, Seed(asn=origin, key="origin"), excluded=excluded, engine=engine
-    )
-    return summarize_reliance_from_state(state, bin_width=bin_width, top_n=top_n)
-
-
-def _reliance_summary_batch_task(
-    graph: ASGraph,
-    item: tuple[tuple[int, ...], frozenset[int]],
-    bin_width: int = 25,
-    top_n: int = 3,
-    engine: Optional[str] = None,
-) -> list[RelianceSummary]:
-    """Summaries for a batch of origins sharing one excluded set, served
-    by one bit-parallel sweep (the views feed the same fused kernel
-    aggregation, so every float is bit-identical to the per-origin path).
-    """
-    from ..bgpsim.multiorigin import propagate_batch
-
-    del engine  # the batch kernel is the compiled engine
-    origins, excluded = item
-    batch_state = propagate_batch(graph, origins, excluded=excluded)
-    return [
-        summarize_reliance_from_state(view, bin_width=bin_width, top_n=top_n)
-        for _, view in batch_state.views()
-    ]
-
-
 def reliance_summary_sweep(
     graph: ASGraph,
     origin_excluded: Iterable[tuple[int, Collection[int]]],
     bin_width: int = 25,
     top_n: int = 3,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[RelianceSummary]:
     """:class:`RelianceSummary` per (origin, excluded) pair, in input order.
 
-    Like :func:`reliance_sweep` but each worker aggregates before
-    returning, which keeps the per-item payload O(histogram) instead of
-    O(ASes) — the shape Fig. 6 / Table 2 actually consume.
+    Like :func:`reliance_sweep` but each origin's reliance is aggregated
+    as soon as it is computed, which keeps O(histogram) per origin
+    instead of O(ASes) — the shape Fig. 6 / Table 2 actually consume.
 
     On the compiled engine the sweep runs through the bit-parallel
     multi-origin kernel: pairs sharing an excluded set are grouped (the
@@ -386,49 +320,48 @@ def reliance_summary_sweep(
     to :data:`~repro.bgpsim.multiorigin.DEFAULT_BATCH`, so e.g. an
     all-AS hierarchy-free sweep with a common excluded set costs
     ``ceil(N / batch)`` propagations instead of ``N``.  Each view is
-    folded and dropped before the next is built, so a task holds one
-    view at a time.  The reference engine, the oracle, propagates each
-    pair on its own; results are identical either way.
+    folded and dropped before the next is built (the views feed the
+    same fused kernel aggregation, so every float is bit-identical to
+    the per-origin path).  The reference engine, the oracle, propagates
+    each pair on its own; results are identical either way.
     """
-    from ..bgpsim.multiorigin import batched
+    from ..bgpsim.multiorigin import batched, propagate_batch
 
     items = [
         (origin, frozenset(excluded)) for origin, excluded in origin_excluded
     ]
     if resolve_engine(engine) == "reference":
-        return list(
-            graph_map(
-                graph,
-                _reliance_summary_task,
-                items,
-                workers=workers,
+        return [
+            summarize_reliance_from_state(
+                propagate(
+                    graph,
+                    Seed(asn=origin, key="origin"),
+                    excluded=excluded,
+                    engine="reference",
+                ),
                 bin_width=bin_width,
                 top_n=top_n,
-                engine="reference",
             )
-        )
+            for origin, excluded in items
+        ]
     groups: dict[frozenset[int], list[int]] = {}
     for position, (_, excluded) in enumerate(items):
         groups.setdefault(excluded, []).append(position)
-    tasks: list[tuple[tuple[int, ...], frozenset[int]]] = []
-    task_positions: list[tuple[int, ...]] = []
+    results: list[Optional[RelianceSummary]] = [None] * len(items)
     for excluded, positions in groups.items():
         for chunk in batched(positions):
-            tasks.append((tuple(items[p][0] for p in chunk), excluded))
-            task_positions.append(chunk)
-    results: list[Optional[RelianceSummary]] = [None] * len(items)
-    summaries_per_task = graph_map(
-        graph,
-        _reliance_summary_batch_task,
-        tasks,
-        workers=workers,
-        bin_width=bin_width,
-        top_n=top_n,
-        engine="compiled",
-    )
-    for positions, summaries in zip(task_positions, summaries_per_task):
-        for position, summary in zip(positions, summaries):
-            results[position] = summary
+            # the comprehension's scope holds the batch: it is freed
+            # before the next one is propagated
+            summaries = [
+                summarize_reliance_from_state(
+                    view, bin_width=bin_width, top_n=top_n
+                )
+                for _, view in propagate_batch(
+                    graph, [items[p][0] for p in chunk], excluded=excluded
+                ).views()
+            ]
+            for position, summary in zip(chunk, summaries):
+                results[position] = summary
     return results
 
 
@@ -438,7 +371,6 @@ def hierarchy_free_reliance_summaries(
     tiers: TierAssignment,
     bin_width: int = 25,
     top_n: int = 3,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[RelianceSummary]:
     """:func:`reliance_summary_sweep` under hierarchy-free constraints."""
@@ -450,6 +382,5 @@ def hierarchy_free_reliance_summaries(
         ),
         bin_width=bin_width,
         top_n=top_n,
-        workers=workers,
         engine=engine,
     )

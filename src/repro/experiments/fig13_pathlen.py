@@ -48,7 +48,6 @@ class Fig13Result:
 def run(
     ctx_2020: ExperimentContext,
     ctx_2015: ExperimentContext,
-    workers: int | str | None = None,
     engine: str | None = None,
 ) -> Fig13Result:
     bars: dict[int, dict[str, dict[str, PathLengthMix]]] = {}
@@ -63,7 +62,6 @@ def run(
             ctx.graph,
             [asn for _, asn in clouds],
             ctx.scenario.users,
-            workers=workers,
             engine=engine,
         )
         bars[year] = {

@@ -19,9 +19,8 @@ from .report import format_table
 class CloudReliance:
     """One cloud's aggregated reliance record (a named summary).
 
-    Sweep workers return the compact :class:`RelianceSummary` — the
-    per-AS reliance dict never leaves the worker, since the figure and
-    table only aggregate it.
+    The sweep keeps the compact :class:`RelianceSummary`: the figure and
+    table only aggregate the per-AS reliance dict, so it is never built.
     """
 
     name: str
@@ -88,7 +87,6 @@ class Fig6Table2Result:
 def run(
     ctx: ExperimentContext,
     bin_width: int = 25,
-    workers: int | str | None = None,
     engine: str | None = None,
 ) -> Fig6Table2Result:
     graph, tiers = ctx.graph, ctx.tiers
@@ -98,7 +96,6 @@ def run(
         [asn for _, asn in names],
         tiers,
         bin_width=bin_width,
-        workers=workers,
         engine=engine,
     )
     clouds = [

@@ -71,7 +71,6 @@ def run(
     ctx: ExperimentContext,
     hegemony_sample: int = 40,
     seed: int = 41,
-    workers: int | str | None = None,
     engine: str | None = None,
 ) -> MetricsComparisonResult:
     graph, tiers = ctx.graph, ctx.tiers
@@ -89,7 +88,6 @@ def run(
         targets=[asn for _, asn, _ in targets],
         sample=hegemony_sample,
         rng=random.Random(seed),
-        workers=workers,
         engine=engine,
     )
     rows = [

@@ -40,8 +40,9 @@ def run_all(
 ) -> dict[str, object]:
     """Run every experiment; returns {experiment id: result}.
 
-    ``workers`` parallelizes the propagation-heavy sweeps (reliance, route
-    leaks) across processes.  Every experiment's output is identical for
+    ``workers`` runs the route-leak sweeps (Figs. 7-10) across that many
+    processes, the only figures a second worker speeds up; every other
+    figure runs in-process.  Every experiment's output is identical for
     any worker count and on either engine (see
     ``tests/test_parallel_engine.py`` / ``tests/test_sweep_oracle.py``).
     """
@@ -51,9 +52,7 @@ def run_all(
     results["table1"] = table1_top20.run(ctx_2020, ctx_2015)
     results["fig3"] = fig3_cone_vs_hfr.run(ctx_2020)
     results["fig4"] = fig4_unreachable.run(ctx_2020)
-    results["fig6_table2"] = fig6_table2_reliance.run(
-        ctx_2020, workers=workers
-    )
+    results["fig6_table2"] = fig6_table2_reliance.run(ctx_2020)
     results["fig7_8"] = fig7_10_leaks.run(
         ctx_2020, leaks_per_config=leaks_per_config, workers=workers
     )
@@ -69,8 +68,8 @@ def run_all(
     results["appendixA"] = appendixA_paths.run(ctx_2020)
     results["appendixB"] = appendixB_tier1.run(ctx_2020)
     results["appendixD"] = appendixD_geolocation.run(ctx_2020)
-    results["fig13"] = fig13_pathlen.run(ctx_2020, ctx_2015, workers=workers)
-    results["metrics"] = metrics_comparison.run(ctx_2020, workers=workers)
+    results["fig13"] = fig13_pathlen.run(ctx_2020, ctx_2015)
+    results["metrics"] = metrics_comparison.run(ctx_2020)
     return results
 
 

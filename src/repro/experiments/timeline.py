@@ -25,9 +25,10 @@ installs the post-event states as the next event's baselines.  Seed
 events (hijack, leak) are transient: the baseline topology is untouched,
 so the cache is left alone.
 
-Per-origin work fans out through
-:func:`~repro.bgpsim.parallel.graph_map` (``workers``), and the initial
-baseline warm-up uses the cache's bit-parallel batched ``prefetch``.
+Every (event, origin) runs in-process, in timeline order: two worker
+processes made a 16-origin × 26-event timeline slower, not faster
+(EXPERIMENTS.md).  The initial baseline warm-up uses the cache's
+bit-parallel batched ``prefetch``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from ..bgpsim.events import (
     propagate_event,
 )
 from ..bgpsim.metrics_kernel import reliance_kernel, routed_count_kernel
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState
 from ..core.hegemony import TRIM, path_cross_fractions, trimmed_mean
 from ..topology.asgraph import ASGraph
@@ -121,18 +121,9 @@ def _metric_row(
     return reachable, reliance, hegemony
 
 
-def _event_task(
-    graph: ASGraph,
-    origin: int,
-    *,
-    applied=None,
-    baselines=None,
-    targets: tuple[int, ...] = (),
-):
-    """One origin's post-event state + metric row (module-level so
-    ``graph_map`` can ship it to worker processes; ``applied``/
-    ``baselines`` ride along as per-worker shared state)."""
-    baseline = baselines[origin]
+def _post_event(graph: ASGraph, origin: int, baseline, applied):
+    """One origin's post-event state, and for a seed event the number of
+    ASes routing on the hijacker's/leaker's announcement."""
     event = applied.event
     if (
         (isinstance(event, Hijack) and event.hijacker == origin)
@@ -149,21 +140,12 @@ def _event_task(
     ):
         # per-prefix no-ops: an AS "hijacking"/"leaking" the prefix it
         # legitimately originates, or re-announcing a route it never had
-        row = _metric_row(baseline, origin, targets)
-        return (origin, None, row, 0)
+        return baseline, 0
     state = propagate_event(graph, baseline, applied)
     captured = None
     if isinstance(event, (Hijack, RouteLeak)):
         captured = len(state.ases_with_origin(event.key))
-    row = _metric_row(state, origin, targets)
-    # seed-event states are transient (never re-installed as baselines),
-    # so skip shipping them back over the worker pipe
-    return (
-        origin,
-        state if applied.mutates_topology else None,
-        row,
-        captured,
-    )
+    return state, captured
 
 
 class ScenarioRunner:
@@ -172,7 +154,6 @@ class ScenarioRunner:
     ``cache`` defaults to a fresh compiled-engine
     :class:`RoutingStateCache` over ``graph``; a caller-provided cache
     must hold compiled array states (the hijack merge requires them).
-    ``workers`` fans per-origin work across processes.
 
     ``shards`` attaches a precomputed
     :class:`~repro.bgpsim.shards.ShardStore` as the cache's disk tier:
@@ -187,7 +168,6 @@ class ScenarioRunner:
         origins: Iterable[int],
         targets: Iterable[int] = (),
         cache: Optional[RoutingStateCache] = None,
-        workers: int | str | None = None,
         shards=None,
     ) -> None:
         self.graph = graph
@@ -195,7 +175,6 @@ class ScenarioRunner:
         if not self.origins:
             raise ValueError("at least one origin required")
         self.targets = tuple(targets)
-        self.workers = workers
         if cache is None:
             cache = RoutingStateCache(graph, engine="compiled")
         if shards is not None:
@@ -207,7 +186,7 @@ class ScenarioRunner:
         and return the full metric series, baseline step included."""
         events = tuple(events)
         records: list[EventMetrics] = []
-        self.cache.prefetch(self.origins, workers=self.workers)
+        self.cache.prefetch(self.origins)
         for origin in self.origins:
             state = self.cache.state_for(origin)
             reachable, reliance, hegemony = _metric_row(
@@ -220,23 +199,17 @@ class ScenarioRunner:
             # baselines must predate the mutation — apply() changes graph
             baselines = {o: self.cache.state_for(o) for o in self.origins}
             applied = event.apply(self.graph)
-            rows = list(
-                graph_map(
-                    self.graph,
-                    _event_task,
-                    self.origins,
-                    workers=self.workers,
-                    applied=applied,
-                    baselines=baselines,
-                    targets=self.targets,
-                )
-            )
             if applied.mutates_topology:
                 self.cache.invalidate()
-            for origin, state, row, captured in rows:
-                if state is not None:
+            for origin in self.origins:
+                state, captured = _post_event(
+                    self.graph, origin, baselines[origin], applied
+                )
+                if applied.mutates_topology:
                     self.cache.install(origin, state)
-                reachable, reliance, hegemony = row
+                reachable, reliance, hegemony = _metric_row(
+                    state, origin, self.targets
+                )
                 records.append(
                     EventMetrics(
                         step,

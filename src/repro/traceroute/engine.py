@@ -38,10 +38,10 @@ def vantage_points(
 class TracerouteCampaign:
     """Runs (and caches routing state for) a full measurement campaign.
 
-    ``workers`` parallelizes the per-destination route propagations (the
-    campaign's dominant cost) across processes; the measurement walk itself
-    stays serial so the RNG stream — and therefore every emitted traceroute
-    — is identical for any worker count.  ``cache_size`` bounds the
+    Each cloud's destinations are propagated up front in bit-parallel
+    batches (the cache's ``prefetch``); the measurement walk then draws
+    from one RNG stream in a fixed order, so every emitted traceroute is
+    deterministic for a given seed.  ``cache_size`` bounds the
     routing-state cache (see :class:`~repro.bgpsim.cache.RoutingStateCache`);
     the default keeps every destination's state, matching the historical
     behaviour.
@@ -51,13 +51,11 @@ class TracerouteCampaign:
         self,
         scenario: InternetScenario,
         seed: int = 1,
-        workers: int | str | None = None,
         cache_size: Optional[int] = None,
         engine: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
         self.rng = random.Random(seed)
-        self.workers = workers
         self.artifacts = ArtifactModel(
             scenario=scenario,
             rates=scenario.config.artifacts,
@@ -216,8 +214,7 @@ class TracerouteCampaign:
                 asn for asn in scenario.graph if asn != cloud_asn
             )
         self._states.prefetch(
-            (dst for dst in destinations if dst != cloud_asn),
-            workers=self.workers,
+            dst for dst in destinations if dst != cloud_asn
         )
         traces: list[Traceroute] = []
         for dst in destinations:

@@ -185,6 +185,17 @@ class TestParser:
             main(["leak", "--help"])
         assert "{compiled,reference}" in capsys.readouterr().out
 
+    def test_workers_only_where_a_pool_runs(self, capsys):
+        # a timeline runs in-process; precompute pools its metric pass
+        with pytest.raises(SystemExit):
+            main(["timeline", "--help"])
+        out = capsys.readouterr().out
+        assert "--workers" not in out and "--shm" not in out
+        with pytest.raises(SystemExit):
+            main(["precompute", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "worker processes for the metric pass" in out
+
 
 class TestVerify:
     @pytest.fixture(scope="class")

@@ -8,16 +8,12 @@ synthetic-Internet scenarios across several seeds and two sizes,
 exercises multi-seed leak configurations with ``peer_locked`` /
 ``excluded`` / restricted ``export_to`` seeds, verifies error parity on
 bad inputs, checks the ``CompiledRoutingState`` fast paths against the
-materialized routes, and runs the parallel sweep with the compiled
-engine against the serial reference.
-
-Set ``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs
-the harness at 2).
+materialized routes, and runs the compiled sweeps and the routing-state
+cache against the reference engine.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import random
 
@@ -42,8 +38,6 @@ from repro.bgpsim import (
     resolve_engine,
 )
 from repro.topology import ASGraph
-
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "4"))
 
 #: (profile, scenario seed) — ≥3 seeds × 2 sizes, per the acceptance bar.
 SCENARIOS = [
@@ -262,7 +256,7 @@ class TestCompiledStateAPI:
 
 
 class TestParallelCompiled:
-    """Parallel compiled sweep ≡ serial reference sweep."""
+    """Compiled sweeps ≡ the reference engine."""
 
     def test_propagate_many(self):
         graph = netgen_graph("small", seed=7)
@@ -270,20 +264,16 @@ class TestParallelCompiled:
         reference = [
             propagate_reference(graph, (Seed(asn=o),)) for o in origins
         ]
-        parallel = list(
-            propagate_many(
-                graph, origins, workers=WORKERS, engine="compiled"
-            )
-        )
-        for origin, r, p in zip(origins, reference, parallel):
-            assert isinstance(p, CompiledRoutingState)
-            assert_states_equal(r, p, f"(parallel compiled, origin={origin})")
+        compiled = list(propagate_many(graph, origins, engine="compiled"))
+        for origin, r, c in zip(origins, reference, compiled):
+            assert isinstance(c, CompiledRoutingState)
+            assert_states_equal(r, c, f"(compiled sweep, origin={origin})")
 
     def test_cache_stores_compact_states(self):
         graph = netgen_graph("tiny", seed=8)
         origins = sample_origins(graph, 10, seed=4)
         cache = RoutingStateCache(graph, engine="compiled")
-        cache.prefetch(origins, workers=WORKERS)
+        cache.prefetch(origins)
         for origin in origins:
             state = cache.state_for(origin)
             assert isinstance(state, CompiledRoutingState)

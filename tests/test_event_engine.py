@@ -20,19 +20,16 @@ the patching too:
   customer-cone routes that transited it (and re-converge the survivors
   through peers);
 * **timeline level** — ``ScenarioRunner`` emits the metric rows of a
-  replay on the reference engine and the dict metrics, at every worker
-  count, and drops cached baselines on every topology-mutating event
-  (``baseline_invalidations``).
+  replay on the reference engine and the dict metrics, with baselines
+  propagated or read off a shard corpus, and drops cached baselines on
+  every topology-mutating event (``baseline_invalidations``).
 
 Hijacks are checked against an *independent* merge of two reference
-propagations rather than the engine's own merge.  Set
-``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs the
-harness at 2).
+propagations rather than the engine's own merge.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -68,8 +65,6 @@ from repro.core.pathlen import path_length_histogram
 from repro.core.reliance import _reliance_from_routes
 from repro.experiments.timeline import ScenarioRunner, parse_events
 from repro.topology import ASGraph
-
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "4"))
 
 #: (profile, scenario seed) — ≥3 seeds × 2 sizes, per the acceptance bar.
 SCENARIOS = [
@@ -443,18 +438,33 @@ class TestScenarioRunner:
             oracle_graph, [100, 301], [11, 12], _mini_timeline()
         )
 
-    def test_rows_identical_across_workers(self):
-        results = {}
-        for workers in (None, WORKERS):
-            graph, _ = build_mini()
+    def test_shard_backed_baselines(self, tmp_path):
+        # step-0 baselines come off a shard corpus (memoryview arrays on
+        # the map): every leak, hijack and link event answers as with
+        # propagated baselines
+        from repro.bgpsim import ShardStore, precompute_shards
+
+        graph = netgen_graph("tiny")
+        target = precompute_shards(graph, tmp_path)
+        nodes = sorted(graph.nodes())
+        origins, leakers = nodes[:4], nodes[4:10]
+        stub = next(a for a in nodes[10:] if graph.is_stub(a))
+        spec = ",".join(
+            [f"leak:{leaker}" for leaker in leakers]
+            + [f"hijack:{nodes[11]}",
+               f"down:{min(graph.providers(stub))}-{stub}"]
+        )
+        propagated = ScenarioRunner(
+            graph.copy(), origins, targets=nodes[:2]
+        ).run(parse_events(spec))
+        with ShardStore.open(target, graph=graph) as store:
             runner = ScenarioRunner(
-                graph,
-                origins=[100, 301],
-                targets=[11, 12],
-                workers=workers,
+                graph.copy(), origins, targets=nodes[:2], shards=store
             )
-            results[workers] = runner.run(_mini_timeline())
-        assert results[None] == results[WORKERS]
+            from_disk = runner.run(parse_events(spec))
+            assert runner.cache.stats().disk_hits == len(origins)
+        assert any(r.captured for r in from_disk.records)
+        assert from_disk == propagated
 
     @pytest.mark.parametrize("engine", ("compiled", "reference"))
     def test_topology_events_invalidate_baselines(self, engine, monkeypatch):
@@ -542,9 +552,7 @@ class TestScenarioRunner:
             f"down:{hub}-{sorted(graph.customers(hub))[0]},"
             f"fail:{victim},hijack:{by_degree[3]},leak:{by_degree[4]}"
         )
-        runner = ScenarioRunner(
-            graph, origins, targets=by_degree[:2], workers=WORKERS
-        )
+        runner = ScenarioRunner(graph, origins, targets=by_degree[:2])
         got = _rows(runner.run(parse_events(spec)))
         assert got == _oracle_rows(
             netgen_graph(profile, seed=seed), origins, by_degree[:2],

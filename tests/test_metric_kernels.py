@@ -16,13 +16,12 @@ the dict reference implementations exactly.  This module proves it:
   orders (the shuffled-insertion regression below);
 * **plumbing level** — the DAG and counts are cached per state and
   dropped on pickling, ``routes`` is never materialized by a kernel
-  pass, and the engine/worker knobs threaded through the pathlen and
-  hegemony sweeps change nothing but wall-clock.
+  pass, and the engine knob threaded through the pathlen and hegemony
+  sweeps changes nothing but wall-clock.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import random
 
@@ -58,8 +57,6 @@ from repro.core.reliance import (
     summarize_reliance,
     summarize_reliance_from_state,
 )
-
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
 #: (profile, scenario seed) — ≥3 seeds × 2 sizes, per the acceptance bar.
 SCENARIOS = [
@@ -286,7 +283,7 @@ class TestDagCaching:
 
 
 # ---------------------------------------------------------------------------
-# engine / worker knobs on the sweeps (satellite: pathlen + hegemony)
+# the engine knob on the sweeps (pathlen + hegemony)
 # ---------------------------------------------------------------------------
 
 class TestSweepKnobs:
@@ -299,27 +296,14 @@ class TestSweepKnobs:
         )
         assert ref == compiled
 
-    def test_pathlen_distribution_worker_invariant(self):
-        graph = netgen_graph("tiny", seed=20200901)
-        origins = sample_origins(graph, 4, seed=2)
-        serial = path_length_distribution(graph, origins)
-        parallel = path_length_distribution(
-            graph, origins, workers=WORKERS
-        )
-        assert serial == parallel
-
-    def test_global_hegemony_engine_and_worker_invariant(self):
+    def test_global_hegemony_engine_invariant(self):
         graph = netgen_graph("tiny", seed=7)
         targets = sample_origins(graph, 5, seed=3)
         kwargs = dict(sample=6, rng=random.Random(5))
         base = global_hegemony(graph, targets, engine="compiled", **kwargs)
         kwargs = dict(sample=6, rng=random.Random(5))
         ref = global_hegemony(graph, targets, engine="reference", **kwargs)
-        kwargs = dict(sample=6, rng=random.Random(5))
-        parallel = global_hegemony(
-            graph, targets, workers=WORKERS, **kwargs
-        )
-        assert base == ref == parallel
+        assert base == ref
 
     def test_cross_fractions_counts_reuse_is_identical(self):
         """Passing precomputed counts down the dict path (the quadratic →

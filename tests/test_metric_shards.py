@@ -44,7 +44,7 @@ def corpus(tmp_path_factory):
     so compaction and multi-file stores are exercised)."""
     graph = netgen_graph("tiny")
     root = tmp_path_factory.mktemp("metric-corpus")
-    precompute_shards(graph, root, workers=1, shard_size=32)
+    precompute_shards(graph, root, shard_size=32)
     precompute_metric_shards(graph, root, shard_size=32)
     store = ShardStore.open(root, graph=graph)
     yield graph, root, store
@@ -195,7 +195,7 @@ def test_metric_precompute_reads_no_routing_records(tmp_path):
     as into an empty corpus."""
     graph = netgen_graph("tiny")
     root = tmp_path / "corpus"
-    precompute_shards(graph, root, workers=1)
+    precompute_shards(graph, root)
     import repro.bgpsim.shards as shards_mod
 
     calls = []
@@ -396,7 +396,7 @@ def test_service_falls_back_for_uncovered_queries(tmp_path):
     every = sorted(graph.nodes())
     half = every[: len(every) // 2]
     root = tmp_path / "corpus"
-    precompute_shards(graph, root, workers=1)
+    precompute_shards(graph, root)
     precompute_metric_shards(graph, root, origins=half)
     with ShardStore.open(root, graph=graph) as store:
         service = QueryService(graph, shards=store)
@@ -476,7 +476,7 @@ def test_service_metric_tier_gated_on_topology_mutation(corpus):
 def test_service_without_metrics_unchanged(tmp_path):
     graph = netgen_graph("tiny")
     root = tmp_path / "corpus"
-    precompute_shards(graph, root, workers=1)  # routing shards only
+    precompute_shards(graph, root)  # routing shards only
     with ShardStore.open(root, graph=graph) as store:
         assert store.metrics is None
         service = QueryService(graph, shards=store)

@@ -14,14 +14,10 @@ batch views, verifies the sweep consumers produce identical artifacts at
 batch widths 1 and 8, and pins error parity and the views' laziness.
 The sweep consumers are checked against the reference engine in
 ``tests/test_sweep_oracle.py``.
-
-Set ``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs
-the harness at 2).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import random
 
@@ -36,7 +32,6 @@ from .conftest import (
 from repro.bgpsim import (
     DEFAULT_BATCH,
     BatchOriginView,
-    BatchRoutingState,
     CompiledRoutingState,
     RoutingStateCache,
     Seed,
@@ -52,8 +47,6 @@ from repro.bgpsim import (
     resolve_batch,
     routed_count_kernel,
 )
-
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "4"))
 
 #: (profile, scenario seed) — ≥3 seeds × 2 sizes, per the acceptance bar.
 SCENARIOS = [
@@ -201,19 +194,6 @@ class TestBatchWidths:
                 f"(width={width}, origin={origin})",
             )
 
-    def test_parallel_workers_and_batching_compose(self, monkeypatch):
-        monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 4)
-        graph = netgen_graph("tiny", seed=8)
-        origins = sample_origins(graph, 17, seed=5)
-        pairs = list(propagate_origins(graph, origins, workers=WORKERS))
-        assert [origin for origin, _ in pairs] == list(origins)
-        for origin, state in pairs:
-            assert_states_equal(
-                state,
-                propagate_compiled(graph, (Seed(asn=origin),)),
-                f"(parallel batched, origin={origin})",
-            )
-
     def test_reference_engine_falls_back_to_per_origin(self):
         graph, _ = build_mini()
         pairs = list(propagate_origins(graph, [100, 301], engine="reference"))
@@ -307,18 +287,6 @@ class TestBatchStateAPI:
             "(to_compiled)",
         )
 
-    def test_batch_pickle_drops_graph_and_rebinds(self):
-        graph, origins, batch = self._batch()
-        clone = pickle.loads(pickle.dumps(batch))
-        assert isinstance(clone, BatchRoutingState)
-        with pytest.raises(RuntimeError, match="bind_graph"):
-            clone.view(origins[0])
-        clone.bind_graph(graph)
-        assert_states_equal(
-            clone.view(origins[0]),
-            propagate_compiled(graph, (Seed(asn=origins[0]),)),
-            "(batch pickle)",
-        )
 
 
 class TestErrorParity:
@@ -418,7 +386,7 @@ class TestSweepConsumers:
         monkeypatch.setattr(multiorigin, "DEFAULT_BATCH", 8)
         graph, _, origins, _ = self._scenario()
         cache = RoutingStateCache(graph)
-        cache.prefetch(origins, workers=WORKERS)
+        cache.prefetch(origins)
         for origin in origins:
             assert_states_equal(
                 cache.state_for(origin),

@@ -1,13 +1,15 @@
-"""Differential harness: parallel propagation ≡ serial propagation.
+"""Differential harness: the process pool ≡ the serial loop.
 
-The parallel sweep in ``repro.bgpsim.parallel`` is only safe to use if it
-is *bit-for-bit* equivalent to the serial engine.  This module proves it
-on randomized synthetic-Internet scenarios across several seeds and two
-sizes, checks the valley-free invariant on every emitted path, exercises
-multi-seed / excluded / peer-locked configurations, and asserts that the
-experiment-level consumers produce identical outputs at ``workers=1`` and
-``workers=N``.  Worker-failure behaviour (original exception surfaces,
-pool shuts down cleanly) is covered at the end.
+:func:`repro.bgpsim.graph_map` is the one pool primitive; the route-leak
+sweeps and the metric precompute pass run through it.  It is only safe to
+use if a pooled sweep is *bit-for-bit* the serial loop.  This module
+proves it for propagation tasks on randomized synthetic-Internet
+scenarios across several seeds and two sizes, with shared
+excluded / peer-locked kwargs and multi-seed leak tasks; asserts that the
+leak consumers produce identical outputs at ``workers=1`` and
+``workers=N``; checks the valley-free invariant on the serial batched
+sweep; and covers worker failure (original exception surfaces, results
+before the failure arrive, the next pool works).
 
 Set ``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs
 the harness at 2).
@@ -31,7 +33,6 @@ from repro.bgpsim import (
     RoutingStateCache,
     Seed,
     graph_map,
-    propagate,
     propagate_many,
     propagate_origins,
     resolve_workers,
@@ -57,6 +58,18 @@ def sample_origins(graph, count: int, seed: int = 0) -> list[int]:
     return sorted(random.Random(seed).sample(nodes, count))
 
 
+def _propagate_task(graph, task, **options):
+    """One propagation per pooled item (an origin, a seed or seeds)."""
+    return next(propagate_many(graph, [task], **options))
+
+
+def pooled(graph, tasks, **options):
+    """``tasks`` propagated through a ``WORKERS``-process pool."""
+    return list(
+        graph_map(graph, _propagate_task, tasks, workers=WORKERS, **options)
+    )
+
+
 class TestResolveWorkers:
     def test_serial_spellings(self):
         assert resolve_workers(None) == 1
@@ -72,14 +85,15 @@ class TestResolveWorkers:
 
 
 class TestDifferentialNetgen:
-    """Serial vs parallel on seeded synthetic-Internet scenarios."""
+    """Serial vs pooled on seeded synthetic-Internet scenarios."""
 
     @pytest.mark.parametrize("profile_name,seed", SCENARIOS)
     def test_states_identical(self, profile_name, seed):
         graph = netgen_graph(profile_name, seed=seed)
         origins = sample_origins(graph, 40, seed=seed)
-        serial = list(propagate_many(graph, origins, workers=1))
-        parallel = list(propagate_many(graph, origins, workers=WORKERS))
+        serial = list(propagate_many(graph, origins))
+        parallel = pooled(graph, origins)
+        assert len(parallel) == len(origins)
         for origin, s, p in zip(origins, serial, parallel):
             assert_states_equal(
                 s, p, f"({profile_name}, seed={seed}, origin={origin})"
@@ -89,9 +103,7 @@ class TestDifferentialNetgen:
     def test_emitted_paths_valley_free(self, profile_name, seed):
         graph = netgen_graph(profile_name, seed=seed)
         origins = sample_origins(graph, 10, seed=seed + 1)
-        for origin, state in propagate_origins(
-            graph, origins, workers=WORKERS
-        ):
+        for origin, state in propagate_origins(graph, origins):
             receivers = sample_origins(graph, 15, seed=origin)
             for receiver in receivers:
                 if not state.has_route(receiver):
@@ -105,14 +117,14 @@ class TestDifferentialNetgen:
         rng = random.Random(seed)
         graph = random_internet(rng, n_tier1=4, n_transit=8, n_edge=40)
         origins = sorted(graph.nodes())
-        serial = list(propagate_many(graph, origins, workers=1))
-        parallel = list(propagate_many(graph, origins, workers=WORKERS))
+        serial = list(propagate_many(graph, origins))
+        parallel = pooled(graph, origins)
         for origin, s, p in zip(origins, serial, parallel):
             assert_states_equal(s, p, f"(random seed={seed}, origin={origin})")
 
 
 class TestDifferentialConfigurations:
-    """Excluded sets, peer locking and multi-seed leak tasks."""
+    """Shared excluded / locked kwargs and multi-seed leak tasks."""
 
     def test_excluded_and_locked(self):
         graph = netgen_graph("tiny", seed=7)
@@ -123,15 +135,11 @@ class TestDifferentialConfigurations:
         locked = frozenset(rng.sample(origins, 3))
         serial = list(
             propagate_many(
-                graph, origins, workers=1,
-                excluded=excluded, peer_locked=locked,
+                graph, origins, excluded=excluded, peer_locked=locked
             )
         )
-        parallel = list(
-            propagate_many(
-                graph, origins, workers=WORKERS,
-                excluded=excluded, peer_locked=locked,
-            )
+        parallel = pooled(
+            graph, origins, excluded=excluded, peer_locked=locked
         )
         for origin, s, p in zip(origins, serial, parallel):
             assert_states_equal(s, p, f"(excluded/locked, origin={origin})")
@@ -149,22 +157,23 @@ class TestDifferentialConfigurations:
                     Seed(asn=leaker, key="leak", initial_length=2),
                 )
             )
-        serial = list(propagate_many(graph, tasks, workers=1))
-        parallel = list(propagate_many(graph, tasks, workers=WORKERS))
+        serial = list(propagate_many(graph, tasks))
+        parallel = pooled(graph, tasks)
         for task, s, p in zip(tasks, serial, parallel):
             assert_states_equal(s, p, f"(leak task {task[0].asn}/{task[1].asn})")
 
     def test_ordered_iterator(self):
         graph, _ = build_mini()
         origins = sorted(graph.nodes(), reverse=True)
-        for origin, state in propagate_origins(
-            graph, origins, workers=WORKERS
-        ):
-            assert state.seed_asns == {origin}
+        states = pooled(graph, origins)
+        assert [state.seed_asns for state in states] == [
+            {origin} for origin in origins
+        ]
 
 
 class TestConsumersIdentical:
-    """workers=1 and workers=N produce identical experiment outputs."""
+    """The leak sweeps give identical outputs at workers=1 and
+    workers=N; the serial sweeps equal their per-origin computations."""
 
     def test_resilience_curve(self, mini):
         from repro.core import resilience_curve
@@ -198,46 +207,17 @@ class TestConsumersIdentical:
 
         graph, tiers = mini
         origins = [100, 201, 301]
-        serial = [
+        single = [
             hierarchy_free_reliance(graph, origin, tiers)
             for origin in origins
         ]
-        parallel = hierarchy_free_reliance_sweep(
-            graph, origins, tiers, workers=WORKERS
-        )
-        assert serial == parallel
-
-    def test_collector_dump(self):
-        from repro.collectors import collect_ribs, dumps_mrt
-        from repro.netgen import build_scenario, profile
-
-        scenario = build_scenario(profile("tiny", seed=7))
-        serial = collect_ribs(
-            scenario.graph, scenario.monitors, scenario.prefixes,
-            rng=random.Random(3),
-        )
-        parallel = collect_ribs(
-            scenario.graph, scenario.monitors, scenario.prefixes,
-            rng=random.Random(3), workers=WORKERS,
-        )
-        assert dumps_mrt(serial) == dumps_mrt(parallel)
-
-    def test_traceroute_campaign(self):
-        from repro.netgen import build_scenario, profile
-        from repro.traceroute import TracerouteCampaign
-
-        scenario = build_scenario(profile("tiny", seed=7))
-        serial = TracerouteCampaign(scenario, seed=5).run_all()
-        parallel = TracerouteCampaign(
-            scenario, seed=5, workers=WORKERS
-        ).run_all()
-        assert serial == parallel
+        assert hierarchy_free_reliance_sweep(graph, origins, tiers) == single
 
     def test_cache_prefetch_matches_serial_compute(self):
         graph = netgen_graph("tiny", seed=9)
         origins = sample_origins(graph, 20, seed=1)
         warm = RoutingStateCache(graph)
-        warm.prefetch(origins, workers=WORKERS)
+        warm.prefetch(origins)
         cold = RoutingStateCache(graph)
         for origin in origins:
             assert_states_equal(
@@ -255,11 +235,7 @@ class TestWorkerFailure:
     def test_propagate_error_surfaces(self, mini_graph):
         missing = 987654
         with pytest.raises(KeyError, match=str(missing)):
-            list(
-                propagate_many(
-                    mini_graph, [1, missing, 2], workers=WORKERS
-                )
-            )
+            pooled(mini_graph, [1, missing, 2])
 
     def test_custom_task_error_surfaces(self, mini_graph):
         with pytest.raises(RuntimeError, match="worker exploded on 2"):
@@ -267,23 +243,23 @@ class TestWorkerFailure:
 
     def test_serial_path_raises_identically(self, mini_graph):
         with pytest.raises(KeyError):
-            list(propagate_many(mini_graph, [987654], workers=1))
+            list(propagate_many(mini_graph, [987654]))
         with pytest.raises(RuntimeError, match="worker exploded"):
             list(graph_map(mini_graph, _explode, [2], workers=1))
 
     def test_pool_usable_after_failure(self, mini_graph):
         with pytest.raises(KeyError):
-            list(propagate_many(mini_graph, [987654], workers=WORKERS))
-        states = list(propagate_many(mini_graph, [1, 2], workers=WORKERS))
+            pooled(mini_graph, [987654])
+        states = pooled(mini_graph, [1, 2])
         assert len(states) == 2
         for state, origin in zip(states, (1, 2)):
             assert state.seed_asns == {origin}
 
     def test_results_before_failure_are_delivered(self, mini_graph):
-        # chunksize=1 so the good task and the failing task are separate
-        # work items; the iterator yields the first result, then raises.
-        iterator = propagate_many(
-            mini_graph, [1, 987654], workers=WORKERS, chunksize=1
+        # two items make two work items (a small list is chunked one item
+        # per task), so the iterator yields the first result, then raises
+        iterator = graph_map(
+            mini_graph, _propagate_task, [1, 987654], workers=WORKERS
         )
         first = next(iterator)
         assert first.seed_asns == {1}

@@ -113,7 +113,7 @@ def test_error_statuses(tiny):
 
 def test_stats_endpoint_reports_tiers(tiny, tmp_path):
     graph, nodes = tiny
-    target = precompute_shards(graph, tmp_path, workers=1)
+    target = precompute_shards(graph, tmp_path)
     with ShardStore.open(target, graph=graph) as store:
         service = QueryService(graph, shards=store)
         service.answer(
@@ -216,6 +216,6 @@ def test_concurrent_requests_batch_cold_origins(tiny):
 def test_smoke_check_passes_with_and_without_shards(tiny, tmp_path):
     graph, _nodes = tiny
     assert smoke_check(QueryService(graph)) == []
-    target = precompute_shards(graph, tmp_path, workers=1)
+    target = precompute_shards(graph, tmp_path)
     with ShardStore.open(target, graph=graph) as store:
         assert smoke_check(QueryService(graph, shards=store)) == []

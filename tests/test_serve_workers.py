@@ -42,7 +42,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 def corpus(tmp_path_factory):
     graph = netgen_graph("tiny")
     root = tmp_path_factory.mktemp("worker-corpus")
-    precompute_shards(graph, root, workers=1)
+    precompute_shards(graph, root)
     precompute_metric_shards(graph, root)
     return graph, root
 

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,9 @@ from repro.bgpsim.shards import (
     ShardReader,
     ShardStore,
     ShardWriter,
+    layout,
     precompute_metric_shards,
+    view_of,
 )
 
 
@@ -96,6 +99,33 @@ def assert_same_routing(disk, live, context=""):
 # ---------------------------------------------------------------------------
 
 
+def test_layout_round_trip():
+    """Buffers packed by ``layout`` cast back by ``view_of`` in their
+    element formats."""
+    buffers = [
+        array("i", [1, -2, 3]),
+        array("q", [1 << 40, -5]),
+        bytearray(b"\x00\x01\x02"),
+    ]
+    entries, end = layout(buffers)
+    block = bytearray(end)
+    for (_, offset, nbytes), buf in zip(entries, buffers):
+        block[offset : offset + nbytes] = memoryview(buf).cast("B")
+    views = [view_of(memoryview(block), *entry) for entry in entries]
+    assert list(views[0]) == [1, -2, 3]
+    assert list(views[1]) == [1 << 40, -5]
+    assert bytes(views[2]) == b"\x00\x01\x02"
+    assert [v.format for v in views] == ["i", "q", "B"]
+
+
+def test_layout_entries_are_8_byte_aligned():
+    entries, end = layout([bytearray(b"xyz"), array("q", [7])], start=5)
+    assert [offset for _, offset, _ in entries] == [8, 16]
+    assert end == 24  # the 8-byte entry ends the block
+    entries, _ = layout([bytearray(b"xyz"), array("q", [7])])
+    assert [offset for _, offset, _ in entries] == [0, 8]
+
+
 def test_header_and_offset_index_round_trip(tmp_path):
     graph = netgen_graph("tiny")
     origins = sample_origins(graph, 12, seed=1)
@@ -126,13 +156,18 @@ def test_mmap_states_equal_pickled_states(tmp_path, seed):
             assert_states_equal(disk, pickled, f"origin={origin} seed={seed}")
             # the arrays really are aliases onto the map, not copies
             assert disk._length.obj is reader._mm
+            # and a pickled disk state owns its arrays
+            clone = pickle.loads(pickle.dumps(disk))
+            assert not isinstance(clone._length, memoryview)
+            assert clone._length.typecode == pickled._length.typecode
+            assert_states_equal(clone, pickled, f"(disk pickle {origin})")
 
 
 def test_full_small_profile_differential(tmp_path):
     """Acceptance: precompute + read back the *full* small-profile
     origin set; every state equals ``propagate_compiled`` output."""
     graph = netgen_graph("small")
-    target = precompute_shards(graph, tmp_path / "out", workers=1)
+    target = precompute_shards(graph, tmp_path / "out")
     with ShardStore.open(target, graph=graph) as store:
         every = sorted(graph.nodes())
         assert sorted(store.origins()) == every
@@ -153,7 +188,7 @@ def test_precompute_is_idempotent_and_sharded(tmp_path):
     graph = netgen_graph("tiny")
     origins = sample_origins(graph, 10, seed=2)
     target = precompute_shards(
-        graph, tmp_path / "out", origins=origins, workers=1, shard_size=4
+        graph, tmp_path / "out", origins=origins, shard_size=4
     )
     manifest = json.loads((target / MANIFEST_NAME).read_text())
     assert manifest["graph_digest"] == graph_digest(graph)
@@ -162,7 +197,7 @@ def test_precompute_is_idempotent_and_sharded(tmp_path):
     stamps = {p.name: p.stat().st_mtime_ns for p in target.iterdir()}
     # a second run over a subset reuses the complete corpus untouched
     again = precompute_shards(
-        graph, tmp_path / "out", origins=origins[:4], workers=1
+        graph, tmp_path / "out", origins=origins[:4]
     )
     assert again == target
     assert {p.name: p.stat().st_mtime_ns for p in target.iterdir()} == stamps
@@ -216,7 +251,6 @@ def test_graph_digest_mismatch_rejected(tmp_path):
         graph,
         tmp_path / "out",
         origins=sample_origins(graph, 4, seed=5),
-        workers=1,
     )
     with pytest.raises(ShardError, match="precomputed for graph"):
         ShardStore.open(target, graph=other)
@@ -269,7 +303,7 @@ def test_truncated_shard_rejected(tmp_path):
 
 def test_flipped_bit_in_a_record_is_rejected(tmp_path):
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path, workers=1, shard_size=64)
+    target = precompute_shards(graph, tmp_path, shard_size=64)
     shard = target / "shard-00001.shard"
     with ShardReader(shard) as reader:
         victim = reader.origins[3]
@@ -374,7 +408,7 @@ def test_store_open_failures(tmp_path):
 @pytest.fixture
 def tiny_corpus(tmp_path):
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path / "corpus", workers=1)
+    target = precompute_shards(graph, tmp_path / "corpus")
     store = ShardStore.open(target, graph=graph)
     yield graph, store
     store.close()
@@ -442,7 +476,7 @@ def test_precompute_resumes_partial_corpus(tmp_path):
     every = sorted(graph.nodes())
     half = every[: len(every) // 2]
     target = precompute_shards(
-        graph, tmp_path / "corpus", origins=half, workers=1, shard_size=16
+        graph, tmp_path / "corpus", origins=half, shard_size=16
     )
     manifest = json.loads((target / "manifest.json").read_text())
     base_shards = [s["file"] for s in manifest["shards"]]
@@ -451,7 +485,7 @@ def test_precompute_resumes_partial_corpus(tmp_path):
     # extending to the full origin set keeps every existing shard file
     # untouched and appends only the missing origins
     again = precompute_shards(
-        graph, tmp_path / "corpus", workers=1, shard_size=16
+        graph, tmp_path / "corpus", shard_size=16
     )
     assert again == target
     merged = json.loads((target / "manifest.json").read_text())
@@ -477,7 +511,7 @@ def test_partial_corpus_prefetch_mixes_tiers(tmp_path):
     every = sorted(graph.nodes())
     half = every[: len(every) // 2]
     target = precompute_shards(
-        graph, tmp_path / "corpus", origins=half, workers=1
+        graph, tmp_path / "corpus", origins=half
     )
     with ShardStore.open(target, graph=graph) as store:
         cache = RoutingStateCache(graph, shards=store)
@@ -497,12 +531,12 @@ def test_forced_rebuild_leaves_mapped_files_intact(tmp_path):
     graph = netgen_graph("tiny")
     every = sorted(graph.nodes())
     target = precompute_shards(
-        graph, tmp_path, origins=every[::-1], workers=1, shard_size=4
+        graph, tmp_path, origins=every[::-1], shard_size=4
     )
     with ShardStore.open(target, graph=graph, lease=True) as held:
         early = held.state_for(every[0])
         precompute_shards(
-            graph, tmp_path, workers=1, shard_size=4, force=True
+            graph, tmp_path, shard_size=4, force=True
         )
         for origin in every:
             live = propagate_compiled(graph, (Seed(asn=origin),))
@@ -552,11 +586,11 @@ def test_precompute_force_rebuilds_partial(tmp_path):
     graph = netgen_graph("tiny")
     every = sorted(graph.nodes())
     target = precompute_shards(
-        graph, tmp_path / "corpus", origins=every[:8], workers=1
+        graph, tmp_path / "corpus", origins=every[:8]
     )
     first = json.loads((target / "manifest.json").read_text())["origins"]
     assert first == 8
-    precompute_shards(graph, tmp_path / "corpus", workers=1, force=True)
+    precompute_shards(graph, tmp_path / "corpus", force=True)
     rebuilt = json.loads((target / "manifest.json").read_text())
     assert rebuilt["origins"] == len(every)
 
@@ -568,7 +602,7 @@ def test_precompute_force_rebuilds_partial(tmp_path):
 
 def test_open_discovers_renamed_corpus(tmp_path):
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path, workers=1)
+    target = precompute_shards(graph, tmp_path)
     renamed = tmp_path / "nightly-2020-09-01"
     target.rename(renamed)
     with ShardStore.open(tmp_path, graph=graph) as store:
@@ -583,7 +617,7 @@ def test_open_picks_newest_matching_corpus(tmp_path):
     import shutil as _shutil
 
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path, workers=1)
+    target = precompute_shards(graph, tmp_path)
     older = tmp_path / "older"
     newer = tmp_path / "newer"
     _shutil.copytree(target, older)
@@ -597,7 +631,7 @@ def test_open_picks_newest_matching_corpus(tmp_path):
 def test_open_without_matching_corpus_names_digests(tmp_path):
     graph = netgen_graph("tiny")
     other = netgen_graph("tiny", seed=7)
-    precompute_shards(other, tmp_path, workers=1)
+    precompute_shards(other, tmp_path)
     with pytest.raises(ShardError) as exc:
         ShardStore.open(tmp_path, graph=graph)
     message = str(exc.value)
@@ -611,7 +645,7 @@ def test_compact_merges_rolling_files_bit_identical(tmp_path):
     from repro.bgpsim.shards import precompute_metric_shards
 
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path, shard_size=4, workers=1)
+    target = precompute_shards(graph, tmp_path, shard_size=4)
     precompute_metric_shards(graph, tmp_path, shard_size=4)
     with ShardStore.open(target, graph=graph, lease=True) as store:
         assert len(store.manifest["shards"]) > 1
@@ -650,9 +684,39 @@ def test_compact_merges_rolling_files_bit_identical(tmp_path):
                 assert float(got_heg).hex() == float(heg).hex()
 
 
+def test_manifest_with_shm_key_opens_serves_and_compacts(tmp_path):
+    """Corpora written while pools shipped payloads through shared
+    memory carry ``"shm": true`` in their manifest; they still open,
+    serve and compact."""
+    graph = netgen_graph("tiny")
+    target = precompute_shards(graph, tmp_path, shard_size=4)
+    precompute_metric_shards(graph, tmp_path, shard_size=4)
+    manifest_path = target / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    assert "shm" not in manifest
+    manifest["shm"] = True
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    origins = sample_origins(graph, 6, seed=41)
+    with ShardStore.open(target, graph=graph) as store:
+        heg_target = store.metrics.targets[0]
+        before = {o: store.metrics.hegemony(o, heg_target) for o in origins}
+        assert store.compact(shard_size=10_000)["merged"]
+    with ShardStore.open(target, graph=graph) as store:
+        assert len(store.manifest["shards"]) == 1
+        for origin in origins:
+            live = propagate_compiled(graph, (Seed(asn=origin),))
+            assert_states_equal(
+                store.state_for(origin), live, f"(legacy manifest {origin})"
+            )
+            got = store.metrics.hegemony(origin, heg_target)
+            assert (got is None) == (before[origin] is None)
+            if got is not None:
+                assert float(got).hex() == float(before[origin]).hex()
+
+
 def test_compact_refuses_to_carry_a_corrupt_record(tmp_path):
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path, shard_size=16, workers=1)
+    target = precompute_shards(graph, tmp_path, shard_size=16)
     precompute_metric_shards(graph, tmp_path, shard_size=16)
     # the routing files merge first, so a finished merged file must go too
     shard = sorted(target.glob("metrics-*.mshard"))[-1]
@@ -671,7 +735,7 @@ def test_compact_refuses_to_carry_a_corrupt_record(tmp_path):
 
 def test_compact_interrupted_before_manifest_replace(tmp_path, monkeypatch):
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path, shard_size=16, workers=1)
+    target = precompute_shards(graph, tmp_path, shard_size=16)
     precompute_metric_shards(graph, tmp_path, shard_size=16)
     before = file_digests(target)
 
@@ -698,7 +762,7 @@ def test_compact_interrupted_before_manifest_replace(tmp_path, monkeypatch):
 
 def test_compact_refuses_while_other_store_is_live(tmp_path):
     graph = netgen_graph("tiny")
-    target = precompute_shards(graph, tmp_path, shard_size=4, workers=1)
+    target = precompute_shards(graph, tmp_path, shard_size=4)
     holder = ShardStore.open(target, graph=graph, lease=True)
     try:
         compactor = ShardStore.open(target, graph=graph, lease=True)
@@ -719,8 +783,8 @@ def test_gc_corpora_keep_remove_refuse(tmp_path):
 
     g1 = netgen_graph("tiny")
     g2 = netgen_graph("tiny", seed=7)
-    c1 = precompute_shards(g1, tmp_path, workers=1)
-    c2 = precompute_shards(g2, tmp_path, workers=1)
+    c1 = precompute_shards(g1, tmp_path)
+    c2 = precompute_shards(g2, tmp_path)
     holder = ShardStore.open(c2, graph=g2, lease=True)
     try:
         removed, kept, refused = gc_corpora(tmp_path, [graph_digest(g1)])

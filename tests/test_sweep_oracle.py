@@ -9,16 +9,13 @@ engine, the oracle.  This module pins the two equal on ``tiny`` and
 and ends on a ragged one; checks that an unknown engine raises; and
 checks, under tracemalloc, that a sweep holds one batch of views
 whatever its origin count.
-
-Set ``REPRO_TEST_WORKERS`` to run the compiled sweeps across that many
-processes (CI runs this module at 2).
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import random
+import weakref
 import tracemalloc
 
 import pytest
@@ -32,8 +29,6 @@ from repro.core.reliance import (
     hierarchy_free_reliance_summaries,
     reliance_summary_sweep,
 )
-
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "1"))
 
 #: narrowed batch width: 19 origins span three batches, the last ragged
 WIDTH = 8
@@ -62,13 +57,19 @@ class TestBatched:
     def test_resolve_batch_is_the_width(self, narrow):
         assert multiorigin.resolve_batch() == WIDTH
 
-    def test_views_drop_each_view_once_passed(self, mini_graph):
+    def test_batch_freed_by_refcount_after_view_at(self, mini_graph):
+        # a view taken with view_at (as the big-int metric fallbacks do)
+        # must not tie the batch into a cycle only the cyclic GC frees
         batch = propagate_batch(mini_graph, sorted(mini_graph.nodes()))
-        for bit, (origin, view) in enumerate(batch.views()):
-            # only the view in hand is cached on the batch
-            assert set(batch._views) == {bit}
-            assert view.seed_asns == {origin}
-        assert batch._views == {}
+        alive = weakref.ref(batch)
+        gc.disable()
+        try:
+            view = batch.view_at(1)
+            assert view.route_class(view.seeds[0].asn) is not None
+            del batch, view
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestSweepsMatchOracle:
@@ -79,9 +80,7 @@ class TestSweepsMatchOracle:
         graph = scenario.graph
         origins = sample_origins(graph, ORIGINS, seed=1)
         compiled = list(
-            propagate_origins(
-                graph, origins, workers=WORKERS, engine="compiled"
-            )
+            propagate_origins(graph, origins, engine="compiled")
         )
         reference = list(
             propagate_origins(graph, origins, engine="reference")
@@ -98,9 +97,7 @@ class TestSweepsMatchOracle:
         items = [(o, common - {o}) for o in origins]
         # a second excluded set makes a second group of batches
         items += [(o, frozenset()) for o in origins[:5]]
-        compiled = reliance_summary_sweep(
-            graph, items, workers=WORKERS, engine="compiled"
-        )
+        compiled = reliance_summary_sweep(graph, items, engine="compiled")
         reference = reliance_summary_sweep(graph, items, engine="reference")
         assert compiled == reference
 
@@ -108,7 +105,7 @@ class TestSweepsMatchOracle:
         graph = scenario.graph
         origins = sample_origins(graph, ORIGINS, seed=3)
         compiled = hierarchy_free_reliance_summaries(
-            graph, origins, scenario.tiers, workers=WORKERS, engine="compiled"
+            graph, origins, scenario.tiers, engine="compiled"
         )
         reference = hierarchy_free_reliance_summaries(
             graph, origins, scenario.tiers, engine="reference"
@@ -120,7 +117,7 @@ class TestSweepsMatchOracle:
         targets = sample_origins(graph, 6, seed=4)
         origins = sample_origins(graph, ORIGINS, seed=5) + targets[:1]
         compiled = global_hegemony(
-            graph, targets, origins=origins, workers=WORKERS, engine="compiled"
+            graph, targets, origins=origins, engine="compiled"
         )
         reference = global_hegemony(
             graph, targets, origins=origins, engine="reference"
@@ -131,7 +128,7 @@ class TestSweepsMatchOracle:
         graph = scenario.graph
         origins = sample_origins(graph, ORIGINS, seed=6)
         compiled = fig13_bars_sweep(
-            graph, origins, scenario.users, workers=WORKERS, engine="compiled"
+            graph, origins, scenario.users, engine="compiled"
         )
         reference = fig13_bars_sweep(
             graph, origins, scenario.users, engine="reference"
@@ -147,10 +144,9 @@ class TestSweepsMatchOracle:
                 scenario.prefixes,
                 origins=origins,
                 rng=random.Random(7),
-                workers=workers,
                 engine=engine,
             )
-            for engine, workers in (("compiled", WORKERS), ("reference", 1))
+            for engine in ("compiled", "reference")
         ]
         assert len(dumps[0]) > 0
         assert dumps_mrt(dumps[0]) == dumps_mrt(dumps[1])
