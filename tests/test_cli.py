@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import hashlib
+import json
 import shutil
 
 import pytest
@@ -90,6 +92,16 @@ class TestLeak:
         out = capsys.readouterr().out
         assert "announce_all" in out
         assert "t1t2_lock" not in out
+
+    def test_leak_workers_match_serial(self, generated, capsys):
+        rel, _ = generated
+        argv = ["leak", str(rel), "15169", "--leakers", "8"]
+        outputs = []
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "announce_all" in outputs[0]
+        assert outputs[1] == outputs[0]
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +207,39 @@ class TestParser:
             main(["precompute", "--help"])
         out = " ".join(capsys.readouterr().out.split())
         assert "worker processes for the metric pass" in out
+
+
+def _corpus_digests(root):
+    """``{file name: sha256}`` of every shard file under ``root``."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for pattern in ("*/*.shard", "*/*.mshard")
+        for path in root.glob(pattern)
+    }
+
+
+class TestPrecompute:
+    def test_metric_pass_workers_change_no_byte(
+        self, generated, tmp_path, capsys
+    ):
+        # --workers pools the metric pass only; the routing pass that
+        # writes the manifest runs in-process
+        rel, _ = generated
+        roots = {}
+        for workers in ("1", "2"):
+            root = tmp_path / f"w{workers}"
+            argv = ["precompute", str(rel), "-o", str(root), "--metrics",
+                    "-q", "--shard-size", "64", "--workers", workers]
+            assert main(argv) == 0
+            roots[workers] = root
+        serial, parallel = (_corpus_digests(r) for r in roots.values())
+        assert any(name.endswith(".mshard") for name in serial)
+        assert parallel == serial
+        for root in roots.values():
+            manifest_path = next(root.glob("*/manifest.json"))
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["workers"] == 1
+            assert "shm" not in manifest
 
 
 class TestVerify:

@@ -3,6 +3,8 @@ produces results with the paper's structure."""
 
 import pytest
 
+from repro.experiments import runner
+
 from repro.experiments import (
     appendixA_paths,
     appendixB_tier1,
@@ -144,7 +146,73 @@ class TestIndividualExperiments:
         assert "Microsoft" not in result.bars[2015]
 
 
+class TestLeakWorkers:
+    """The leak figures run their sweeps through a process pool; two
+    workers give the serial results."""
+
+    def test_fig9(self, ctx):
+        serial = fig7_10_leaks.run_fig9(ctx, leaks_per_config=8)
+        parallel = fig7_10_leaks.run_fig9(ctx, leaks_per_config=8, workers=2)
+        assert parallel.users_curves and parallel == serial
+
+    def test_fig10(self, ctx, ctx2015):
+        serial = fig7_10_leaks.run_fig10(ctx, ctx2015, leaks_per_config=8)
+        parallel = fig7_10_leaks.run_fig10(
+            ctx, ctx2015, leaks_per_config=8, workers=2
+        )
+        assert parallel.curve_2015 and parallel == serial
+
+
+#: every ``run_all`` step, as ``(experiment module, function)``
+RUN_ALL_STEPS = [
+    ("sec45_validation", "run"),
+    ("fig2_reachability", "run"),
+    ("table1_top20", "run"),
+    ("fig3_cone_vs_hfr", "run"),
+    ("fig4_unreachable", "run"),
+    ("fig6_table2_reliance", "run"),
+    ("fig7_10_leaks", "run"),
+    ("fig7_10_leaks", "run_fig9"),
+    ("fig7_10_leaks", "run_fig10"),
+    ("fig11_map", "run"),
+    ("fig12_coverage", "run"),
+    ("table3_rdns", "run"),
+    ("appendixA_paths", "run"),
+    ("appendixB_tier1", "run"),
+    ("appendixD_geolocation", "run"),
+    ("fig13_pathlen", "run"),
+    ("metrics_comparison", "run"),
+]
+
+
 class TestRunner:
+    def test_workers_reach_only_the_leak_figures(self, monkeypatch):
+        received = {}
+
+        def recorder(step):
+            def run(*args, **kwargs):
+                received[step] = kwargs
+                return step
+            return run
+
+        for module, function in RUN_ALL_STEPS:
+            step = f"{module}.{function}"
+            monkeypatch.setattr(
+                getattr(runner, module), function, recorder(step)
+            )
+        results = run_all(None, None, leaks_per_config=6, workers=2)
+        assert len(received) == len(results) == len(RUN_ALL_STEPS)
+        pooled = {
+            step: kwargs["workers"]
+            for step, kwargs in received.items()
+            if "workers" in kwargs
+        }
+        assert pooled == {
+            "fig7_10_leaks.run": 2,
+            "fig7_10_leaks.run_fig9": 2,
+            "fig7_10_leaks.run_fig10": 2,
+        }
+
     def test_run_all_and_render(self, ctx, ctx2015):
         results = run_all(ctx, ctx2015, leaks_per_config=6)
         assert len(results) == 17

@@ -57,6 +57,23 @@ class TestBatched:
     def test_resolve_batch_is_the_width(self, narrow):
         assert multiorigin.resolve_batch() == WIDTH
 
+    def test_views_drop_each_view_once_passed(self, mini_graph):
+        # the batch keeps no view: each one is freed, by refcount alone,
+        # as soon as the sweep moves past it
+        batch = propagate_batch(mini_graph, sorted(mini_graph.nodes()))
+        passed = []
+        gc.disable()
+        try:
+            for origin, view in batch.views():
+                assert view.seed_asns == {origin}
+                assert view.route_class(origin) is not None
+                passed.append(weakref.ref(view))
+                del view
+                assert all(ref() is None for ref in passed)
+        finally:
+            gc.enable()
+        assert len(passed) == len(batch.origins)
+
     def test_batch_freed_by_refcount_after_view_at(self, mini_graph):
         # a view taken with view_at (as the big-int metric fallbacks do)
         # must not tie the batch into a cycle only the cyclic GC frees
