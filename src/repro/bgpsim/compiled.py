@@ -369,6 +369,25 @@ class CompiledRoutingState(RoutingState):
             self._origins_for(i, tuple(s.key for s in self.seeds)),
         )
 
+    def sorted_parents(self, asn: int) -> Optional[tuple[int, ...]]:
+        if self._materialized is not None:
+            return super().sorted_parents(asn)
+        i = self._idx(asn)
+        if i is None or self._route_class[i] == _NO_ROUTE:
+            return None
+        pool_parent, pool_next, asns = (
+            self._pool_parent,
+            self._pool_next,
+            self._asns,
+        )
+        parents = []
+        h = self._parent_head[i]
+        while h >= 0:
+            parents.append(asns[pool_parent[h]])
+            h = pool_next[h]
+        parents.sort()
+        return tuple(parents)
+
     def route_class(self, asn: int) -> Optional[RouteClass]:
         if self._materialized is not None:
             node = self._materialized.get(asn)

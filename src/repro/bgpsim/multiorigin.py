@@ -144,6 +144,8 @@ class BatchRoutingState:
         self._tie_parent = tie_parent
         self._tie_level = tie_level
         self._tie_masks = tie_masks
+        #: where each node's tie rows start (built on first use)
+        self._tie_starts: Optional[array] = None
         self._bit_of: dict[int, int] = {}
         for b, origin in enumerate(origins):
             self._bit_of.setdefault(origin, b)
@@ -152,6 +154,22 @@ class BatchRoutingState:
     def width(self) -> int:
         """The batch width B (number of origin bits)."""
         return len(self.origins)
+
+    def tied_parents(self, bit: int, i: int) -> tuple[int, ...]:
+        """Node *i*'s tied parents for bit ``bit``, as ascending ASNs: the
+        tie rows with child *i* that carry the bit (rows run in (child,
+        parent) order, and each parent ties at one level per bit)."""
+        starts = self._tie_starts
+        if starts is None:
+            starts = self._tie_starts = array(
+                "q", self._tie_child.searchsorted(range(self.graph.n + 1))
+            )
+        lo, hi = starts[i], starts[i + 1]
+        # one vectorised pass: a cloud or a tier-1 has hundreds of rows
+        hit = (self._tie_masks[bit >> 6, lo:hi] >> (bit & 63)) & 1
+        parents = self._tie_parent[lo:hi][hit.astype(bool)].tolist()
+        asns = self.graph.asns
+        return tuple([asns[p] for p in parents])
 
     # -- per-origin views ------------------------------------------------
     def view_at(self, bit: int) -> "BatchOriginView":
@@ -234,6 +252,9 @@ class BatchOriginView(CompiledRoutingState):
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
+    def _idx(self, asn: int) -> Optional[int]:
+        return self._batch.graph.index.get(asn)
+
     def _columns(self) -> tuple[bytearray, array]:
         """This bit's ``(route class, path length)`` columns (cached)."""
         column = self._column
@@ -280,6 +301,14 @@ class BatchOriginView(CompiledRoutingState):
         if key != self.seeds[0].key:
             return frozenset()
         return self.reachable_ases() | self.seed_asns
+
+    def sorted_parents(self, asn: int) -> Optional[tuple[int, ...]]:
+        """Read off the batch's tie rows for this bit, so a walk that
+        touches a handful of ASes never pays for :meth:`_build_arrays`."""
+        i = self._idx(asn)
+        if i is None or self._columns()[0][i] == _NO_ROUTE:
+            return None
+        return self._batch.tied_parents(self._bit, i)
 
     # -- lazy per-origin array reconstruction ------------------------------
     def _build_arrays(self) -> None:

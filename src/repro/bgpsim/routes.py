@@ -80,6 +80,14 @@ class RoutingState:
     def route(self, asn: int) -> Optional[NodeRoute]:
         return self.routes.get(asn)
 
+    def sorted_parents(self, asn: int) -> Optional[tuple[int, ...]]:
+        """``asn``'s tied-best next hops, ascending; ``None`` when
+        ``asn`` has no route (a seed's tuple is empty).  Array-backed
+        subclasses answer from their parent pools without building a
+        :class:`NodeRoute`."""
+        node = self.routes.get(asn)
+        return None if node is None else tuple(sorted(node.parents))
+
     def route_class(self, asn: int) -> Optional[RouteClass]:
         """Route class at ``asn`` (None when unrouted); array-backed
         subclasses answer this without materializing ``routes``."""
@@ -163,13 +171,13 @@ class RoutingState:
     def contains_path(self, path: tuple[int, ...]) -> bool:
         """True if ``path`` (receiver first, origin last) is a tied-best path.
 
-        Reads each hop through :meth:`route`, so array-backed subclasses
-        answer without materializing the full ``routes`` dict.
+        Reads each hop through :meth:`sorted_parents`, so array-backed
+        subclasses answer without materializing the full ``routes`` dict.
         """
         if len(path) < 1 or path[-1] not in self.seed_asns:
             return False
         for node, parent in zip(path, path[1:]):
-            route = self.route(node)
-            if route is None or parent not in route.parents:
+            parents = self.sorted_parents(node)
+            if parents is None or parent not in parents:
                 return False
         return True

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bgpsim.engine import propagate
-from ..bgpsim.routes import RoutingState, Seed
+from ..bgpsim.parallel import propagate_origins
 from .context import ExperimentContext
 from .report import format_table, percent
 
@@ -51,27 +50,38 @@ class AppendixAResult:
 
 
 def run(ctx: ExperimentContext, max_traces_per_cloud: int = 4000) -> AppendixAResult:
+    """Check each cloud's first ``max_traces_per_cloud`` traceroutes.
+
+    The traces are grouped by destination, so every destination is
+    propagated once, in batches, and its state is dropped as soon as its
+    traces are checked.
+    """
     graph = ctx.graph
-    rows = []
-    states: dict[int, RoutingState] = {}
+    totals = dict.fromkeys(ctx.clouds, 0)
+    matched = dict.fromkeys(ctx.clouds, 0)
+    # destination → (cloud name, AS path) of every trace toward it
+    by_dst: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
     for name, asn in ctx.clouds.items():
-        matched = 0
-        total = 0
-        for trace in ctx.traceroutes.get(asn, [])[:max_traces_per_cloud]:
-            if not trace.reached or not trace.true_as_path:
+        traces = ctx.traceroutes.get(asn)
+        if traces is None or asn not in graph:
+            continue
+        for t in range(min(len(traces), max_traces_per_cloud)):
+            dst = traces.dst_asn[t]
+            if not traces.reached[t] or dst not in graph:
                 continue
-            dst = trace.dst_asn
-            if dst not in graph or asn not in graph:
-                continue
-            total += 1
-            state = states.get(dst)
-            if state is None:
-                state = propagate(graph, Seed(asn=dst))
-                states[dst] = state
-            # the traceroute path runs cloud→dst, which is exactly the
-            # receiver→origin orientation of the simulation's best-path DAG
-            # when the destination is the announcement origin
-            if state.contains_path(trace.true_as_path):
-                matched += 1
-        rows.append(PathMatchRow(name=name, asn=asn, matched=matched, total=total))
+            totals[name] += 1
+            by_dst.setdefault(dst, []).append((name, traces.as_path(t)))
+    for dst, state in propagate_origins(graph, list(by_dst)):
+        # the traceroute path runs cloud→dst, which is exactly the
+        # receiver→origin orientation of the simulation's best-path DAG
+        # when the destination is the announcement origin
+        for name, path in by_dst.pop(dst):
+            if state.contains_path(path):
+                matched[name] += 1
+    rows = [
+        PathMatchRow(
+            name=name, asn=asn, matched=matched[name], total=totals[name]
+        )
+        for name, asn in ctx.clouds.items()
+    ]
     return AppendixAResult(rows=rows)

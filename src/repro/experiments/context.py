@@ -23,7 +23,7 @@ from ..neighbors import (
 )
 from ..neighbors.validation import ValidationReport
 from ..topology import ASGraph, AugmentationReport, augment_with_neighbors
-from ..traceroute import Traceroute, TracerouteCampaign
+from ..traceroute import TraceTable, TracerouteCampaign
 
 #: Profile used when none is requested (override with REPRO_PROFILE).
 DEFAULT_PROFILE = "small"
@@ -34,7 +34,7 @@ class ExperimentContext:
     """Everything downstream experiments need."""
 
     scenario: InternetScenario
-    traceroutes: dict[int, list[Traceroute]] = field(default_factory=dict)
+    traceroutes: dict[int, TraceTable] = field(default_factory=dict)
     inferred: dict[int, NeighborInference] = field(default_factory=dict)
     augmented_graph: ASGraph = field(default_factory=ASGraph)
     augmentation: AugmentationReport = field(default_factory=AugmentationReport)

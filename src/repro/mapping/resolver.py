@@ -66,9 +66,13 @@ class IterativeResolver:
 
     def resolve(self, ip: IPLike) -> Optional[ResolvedHop]:
         """First successful resolution in cascade order, else ``None``."""
-        # int(IPv4Address) reads the stored value; handing the address
-        # object itself to IPv4Address() would round-trip it through str
-        if isinstance(ip, ipaddress.IPv4Address):
+        # an int (a trace table's address column) is the key as it is;
+        # int(IPv4Address) reads the stored value, while handing the
+        # address object itself to IPv4Address() would round-trip it
+        # through str
+        if isinstance(ip, int):
+            address = ip
+        elif isinstance(ip, ipaddress.IPv4Address):
             address = int(ip)
         else:
             address = int(ipaddress.IPv4Address(ip))

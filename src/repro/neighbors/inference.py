@@ -22,14 +22,12 @@ reproduced and benchmarked:
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
 from ..mapping.resolver import IterativeResolver
 from .. import mapping
-from ..traceroute.model import Traceroute
+from ..traceroute.model import NO_REPLY, TraceTable
 
 
 @dataclass(frozen=True)
@@ -102,75 +100,67 @@ class NeighborInference:
     discarded: int = 0
 
 
-def _resolve_hops(
-    trace: Traceroute, resolver: IterativeResolver
-) -> list[Optional[int]]:
-    resolved: list[Optional[int]] = []
-    for hop in trace.hops:
-        if hop.ip is None:
-            resolved.append(None)
-        else:
-            answer = resolver.resolve(hop.ip)
-            resolved.append(answer.asn if answer else None)
-    return resolved
-
-
 def infer_from_traceroutes(
     cloud_asn: int,
-    traceroutes: Iterable[Traceroute],
+    traceroutes: TraceTable,
     resolver: IterativeResolver,
     stage: InferenceStage = FINAL_STAGE,
 ) -> NeighborInference:
-    """Apply one methodology stage to a cloud's traceroutes."""
+    """Apply one methodology stage to a cloud's traceroutes.
+
+    Reads the table's columns: a trace's hops resolve only up to the
+    first one past the leading cloud segment (plus the one a skip rule
+    may step over), each distinct address through ``resolver`` once.
+    """
     if tuple(resolver.order) != stage.resolution_order:
         raise ValueError(
             f"resolver order {resolver.order} does not match stage "
             f"{stage.name} ({stage.resolution_order})"
         )
-    result = NeighborInference(
-        cloud_asn=cloud_asn, neighbors=set(), evidence=defaultdict(int)
-    )
-    for trace in traceroutes:
-        if trace.cloud_asn != cloud_asn or not trace.reached:
+    result = NeighborInference(cloud_asn=cloud_asn, neighbors=set(), evidence={})
+    if traceroutes.cloud_asn != cloud_asn:
+        return result
+    evidence = result.evidence
+    asn_of: dict[int, Optional[int]] = {NO_REPLY: None}
+
+    def resolve(ip: int) -> Optional[int]:
+        answer = resolver.resolve(ip)
+        asn = asn_of[ip] = answer.asn if answer else None
+        return asn
+
+    hop_ip, hop_off = traceroutes.hop_ip, traceroutes.hop_off
+    vm_limit = stage.vm_limit
+    skip = stage.skip_one_unknown
+    for t, vm in enumerate(traceroutes.vm):
+        if not traceroutes.reached[t]:
             continue
-        if stage.vm_limit is not None and trace.vantage.index >= stage.vm_limit:
+        if vm_limit is not None and vm >= vm_limit:
             continue
-        neighbor = _neighbor_from_trace(trace, resolver, stage)
-        if neighbor is None:
+        # the hop after the leading cloud segment must resolve to the
+        # neighbor (or, under the skip rule, the one after it)
+        lo, hi = hop_off[t], hop_off[t + 1]
+        k = lo
+        candidate = None
+        while k < hi:
+            ip = hop_ip[k]
+            candidate = asn_of[ip] if ip in asn_of else resolve(ip)
+            if candidate != cloud_asn:
+                break
+            k += 1
+        if k == lo or k == hi:
+            # tunneled away (no cloud hop adjacent to the border), or
+            # nothing after the cloud
+            candidate = None
+        elif candidate is None and skip and k + 1 < hi:
+            ip = hop_ip[k + 1]
+            candidate = asn_of[ip] if ip in asn_of else resolve(ip)
+        if candidate is None or candidate == cloud_asn:
             result.discarded += 1
             continue
         result.used += 1
-        result.neighbors.add(neighbor)
-        result.evidence[neighbor] += 1
-    result.evidence = dict(result.evidence)
+        result.neighbors.add(candidate)
+        evidence[candidate] = evidence.get(candidate, 0) + 1
     return result
-
-
-def _neighbor_from_trace(
-    trace: Traceroute,
-    resolver: IterativeResolver,
-    stage: InferenceStage,
-) -> Optional[int]:
-    resolved = _resolve_hops(trace, resolver)
-    # locate the last hop of the leading cloud segment
-    last_cloud = -1
-    for index, asn in enumerate(resolved):
-        if asn == trace.cloud_asn:
-            last_cloud = index
-        else:
-            break
-    if last_cloud < 0:
-        return None  # tunneled away: no cloud hop adjacent to the border
-    index = last_cloud + 1
-    if index >= len(resolved):
-        return None
-    candidate = resolved[index]
-    if candidate is None and stage.skip_one_unknown:
-        index += 1
-        candidate = resolved[index] if index < len(resolved) else None
-    if candidate is None or candidate == trace.cloud_asn:
-        return None
-    return candidate
 
 
 def build_resolver(scenario, stage: InferenceStage) -> IterativeResolver:
@@ -182,7 +172,7 @@ def build_resolver(scenario, stage: InferenceStage) -> IterativeResolver:
 
 def infer_all_clouds(
     scenario,
-    traceroutes_by_cloud: dict[int, list[Traceroute]],
+    traceroutes_by_cloud: dict[int, TraceTable],
     stage: InferenceStage = FINAL_STAGE,
 ) -> dict[int, NeighborInference]:
     """Run one stage for every cloud.

@@ -73,11 +73,28 @@ def allocate_as_prefixes(asns: Sequence[int]) -> dict[int, ipaddress.IPv4Network
     return {asn: as_prefix(i) for i, asn in enumerate(asns)}
 
 
+def host_int(prefix: ipaddress.IPv4Network, index: int) -> int:
+    """The ``index``-th usable host address inside ``prefix``, as an int."""
+    if index < 1 or index >= (1 << (32 - prefix.prefixlen)) - 1:
+        raise ValueError(f"host index {index} out of range for {prefix}")
+    return int(prefix.network_address) + index
+
+
 def host_in(prefix: ipaddress.IPv4Network, index: int) -> ipaddress.IPv4Address:
     """The ``index``-th usable host address inside ``prefix``."""
-    if index < 1 or index >= prefix.num_addresses - 1:
-        raise ValueError(f"host index {index} out of range for {prefix}")
-    return prefix[index]
+    return ipaddress.IPv4Address(host_int(prefix, index))
+
+
+def router_int(
+    prefix: ipaddress.IPv4Network, router_id: int, interface: int = 0
+) -> int:
+    """:func:`router_ip` as an int."""
+    offset = 256 + router_id * 8 + interface
+    if offset < 0:
+        raise ValueError(f"negative router address offset {offset}")
+    if offset >= (1 << (32 - prefix.prefixlen)) - 1:
+        raise ValueError("router address space exhausted")
+    return int(prefix.network_address) + offset
 
 
 def router_ip(
@@ -85,7 +102,4 @@ def router_ip(
 ) -> ipaddress.IPv4Address:
     """A stable infrastructure address: router ``router_id``, interface
     ``interface`` inside the AS prefix (distinct from host space)."""
-    offset = 256 + router_id * 8 + interface
-    if offset >= prefix.num_addresses - 1:
-        raise ValueError("router address space exhausted")
-    return prefix[offset]
+    return ipaddress.IPv4Address(router_int(prefix, router_id, interface))

@@ -93,6 +93,58 @@ class ASGraph:
         self._version += 1
         self._mark_dirty(a, b)
 
+    @classmethod
+    def from_edges(cls, edges: Iterable[tuple[int, int, bool]]) -> "ASGraph":
+        """A graph of relationship-file edges ``(left, right, transit)``
+        (``left`` is the provider of a transit edge), added in order.
+
+        The edges go straight into the adjacency sets.  An exact
+        duplicate (a p2c line again, or a p2p line in either order) is
+        skipped; an edge contradicting an earlier one raises
+        :class:`RelationshipConflictError` as :meth:`add_p2c` and
+        :meth:`add_p2p` do.  ASNs must already be valid: distinct and
+        non-negative.
+        """
+        graph = cls()
+        providers, customers, peers = (
+            graph._providers,
+            graph._customers,
+            graph._peers,
+        )
+        for left, right, transit in edges:
+            if left in providers:
+                if transit:
+                    if right in customers[left]:
+                        continue
+                    if right in providers[left] or right in peers[left]:
+                        raise RelationshipConflictError(
+                            f"conflicting relationship between AS{left} "
+                            f"and AS{right}"
+                        )
+                else:
+                    if right in peers[left]:
+                        continue
+                    if right in customers[left] or right in providers[left]:
+                        raise RelationshipConflictError(
+                            f"AS{left} and AS{right} already have a transit "
+                            f"relationship"
+                        )
+            else:
+                providers[left], customers[left], peers[left] = (
+                    set(), set(), set()
+                )
+            if right not in providers:
+                providers[right], customers[right], peers[right] = (
+                    set(), set(), set()
+                )
+            if transit:
+                customers[left].add(right)
+                providers[right].add(left)
+            else:
+                peers[left].add(right)
+                peers[right].add(left)
+        return graph
+
     def add_record(self, record: RelationshipRecord) -> None:
         """Add an edge from a :class:`RelationshipRecord`."""
         if record.relationship is Relationship.PROVIDER_CUSTOMER:

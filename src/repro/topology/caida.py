@@ -43,33 +43,60 @@ def _open_text(path: PathLike) -> TextIO:
     return open(path, "r", encoding="utf-8")
 
 
-def parse_line(line: str, lineno: int = 0) -> RelationshipRecord:
-    """Parse one non-comment relationship line (serial-1 or serial-2)."""
-    fields = line.strip().split("|")
+def _fields(line: str, lineno: int) -> tuple[int, int, int, str]:
+    """``(left, right, code, source)`` of one stripped relationship line.
+
+    The one copy of the line rules :func:`parse_line`,
+    :func:`parse_graph` and :func:`load_graph` share: 3 or 4 fields,
+    integer ASNs and code, a known code, two distinct non-negative ASNs.
+    """
+    fields = line.split("|")
     if len(fields) not in (3, 4):
         raise CaidaFormatError(lineno, line, "expected 3 or 4 |-separated fields")
     try:
-        left, right, rel_value = int(fields[0]), int(fields[1]), int(fields[2])
+        left, right, code = int(fields[0]), int(fields[1]), int(fields[2])
     except ValueError:
         raise CaidaFormatError(lineno, line, "non-integer field") from None
-    try:
-        rel = Relationship.from_value(rel_value)
-    except ValueError:
-        raise CaidaFormatError(lineno, line, "unknown relationship code") from None
-    source = fields[3] if len(fields) == 4 else ""
-    try:
-        return RelationshipRecord(left, right, rel, source)
-    except ValueError as exc:
-        raise CaidaFormatError(lineno, line, str(exc)) from None
+    if code != -1 and code != 0:
+        raise CaidaFormatError(lineno, line, "unknown relationship code")
+    if left == right:
+        raise CaidaFormatError(lineno, line, f"self-relationship for AS{left}")
+    if left < 0 or right < 0:
+        raise CaidaFormatError(lineno, line, "AS numbers must be non-negative")
+    return left, right, code, fields[3] if len(fields) == 4 else ""
+
+
+def parse_line(line: str, lineno: int = 0) -> RelationshipRecord:
+    """Parse one non-comment relationship line (serial-1 or serial-2)."""
+    left, right, code, source = _fields(line.strip(), lineno)
+    return RelationshipRecord(left, right, Relationship(code), source)
+
+
+def _lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` of every non-comment line."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, line
 
 
 def iter_records(lines: Iterable[str]) -> Iterator[RelationshipRecord]:
     """Yield records from an iterable of raw lines, skipping comments."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield parse_line(line, lineno)
+    for lineno, line in _lines(lines):
+        left, right, code, source = _fields(line, lineno)
+        yield RelationshipRecord(left, right, Relationship(code), source)
+
+
+def _read_graph(lines: Iterable[str]) -> ASGraph:
+    """The graph of a relationship file's lines: each line is parsed to
+    ints once and added straight into the adjacency sets
+    (:meth:`ASGraph.from_edges`)."""
+    return ASGraph.from_edges(
+        (left, right, code == -1)
+        for left, right, code, _ in (
+            _fields(line, lineno) for lineno, line in _lines(lines)
+        )
+    )
 
 
 def load_graph(path: PathLike) -> ASGraph:
@@ -78,29 +105,13 @@ def load_graph(path: PathLike) -> ASGraph:
     Duplicate edges are tolerated; a line contradicting an earlier line
     (e.g. p2p after p2c for the same pair) raises.
     """
-    graph = ASGraph()
     with _open_text(path) as handle:
-        for record in iter_records(handle):
-            _add_tolerant(graph, record)
-    return graph
+        return _read_graph(handle)
 
 
 def parse_graph(text: str) -> ASGraph:
     """Load an :class:`ASGraph` from relationship-file text."""
-    graph = ASGraph()
-    for record in iter_records(text.splitlines()):
-        _add_tolerant(graph, record)
-    return graph
-
-
-def _add_tolerant(graph: ASGraph, record: RelationshipRecord) -> None:
-    existing = graph.relationship_between(record.left, record.right)
-    if existing is record.relationship:
-        if record.relationship is Relationship.PEER_PEER:
-            return
-        if record.right in graph.customers(record.left):
-            return  # exact duplicate p2c line
-    graph.add_record(record)
+    return _read_graph(text.splitlines())
 
 
 def dump_graph(

@@ -2,12 +2,15 @@
 
 from .artifacts import ArtifactModel
 from .engine import TracerouteCampaign, vantage_points
-from .model import Hop, Traceroute, VantagePoint
-from .pathsim import expand_path, nearest_interconnect
+from .model import NO_REPLY, Hop, TraceTable, Traceroute, VantagePoint
+from .pathsim import PathExpander, expand_path, nearest_interconnect
 
 __all__ = [
     "ArtifactModel",
     "Hop",
+    "NO_REPLY",
+    "PathExpander",
+    "TraceTable",
     "Traceroute",
     "TracerouteCampaign",
     "VantagePoint",

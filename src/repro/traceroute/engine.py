@@ -12,16 +12,15 @@ extra discovered peers and extra accumulated error.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import Optional
 
 from ..bgpsim.cache import RoutingStateCache
 from ..bgpsim.routes import RoutingState
-from ..geo.distance import haversine_km
 from ..netgen.scenario import InternetScenario
 from .artifacts import ArtifactModel
-from .model import Traceroute, VantagePoint
-from .pathsim import expand_path
+from .model import TraceTable, Traceroute, VantagePoint
+from .pathsim import PathExpander
 
 
 def vantage_points(
@@ -35,6 +34,43 @@ def vantage_points(
     ]
 
 
+_UNSEEN = object()
+
+
+class _ParentMemo(dict):
+    """ASN → its sorted tied-best parents toward one destination (``None``
+    when unrouted), read through the cache on first use of each AS.
+
+    It holds the cache, not the state, so a bounded cache still frees
+    evicted states; what it keeps is a pure function of the graph."""
+
+    __slots__ = ("_cache", "_dst", "_routed")
+
+    def __init__(self, cache: RoutingStateCache, dst: int) -> None:
+        super().__init__()
+        self._cache = cache
+        self._dst = dst
+        self._routed: dict[int, bool] = {}
+
+    def __missing__(self, asn: int) -> Optional[tuple[int, ...]]:
+        parents = self[asn] = self._cache.state_for(self._dst).sorted_parents(
+            asn
+        )
+        return parents
+
+    def routed(self, asn: int) -> bool:
+        """Whether ``asn`` holds a route, without reading its parents."""
+        parents = self.get(asn, _UNSEEN)
+        if parents is not _UNSEEN:
+            return parents is not None
+        routed = self._routed.get(asn)
+        if routed is None:
+            routed = self._routed[asn] = self._cache.state_for(
+                self._dst
+            ).has_route(asn)
+        return routed
+
+
 class TracerouteCampaign:
     """Runs (and caches routing state for) a full measurement campaign.
 
@@ -45,6 +81,12 @@ class TracerouteCampaign:
     routing-state cache (see :class:`~repro.bgpsim.cache.RoutingStateCache`);
     the default keeps every destination's state, matching the historical
     behaviour.
+
+    Everything the walk and the expansion read that does not depend on
+    the RNG is memoized for the campaign's lifetime: each destination's
+    per-AS parents, each cloud's sorted providers, route-server
+    usability and exit distances per (cloud, neighbor, VM city), and
+    every hop address (see :class:`~repro.traceroute.pathsim.PathExpander`).
     """
 
     def __init__(
@@ -64,9 +106,10 @@ class TracerouteCampaign:
         self._states = RoutingStateCache(
             scenario.graph, maxsize=cache_size, engine=engine
         )
-        # exit distances depend only on (cloud, neighbor, VM city), not on
-        # the destination — memoized across the whole campaign
-        self._exit_km: dict[tuple[int, int, str], float] = {}
+        self._expander = PathExpander(scenario, self.artifacts)
+        self._parents: dict[int, _ParentMemo] = {}
+        self._providers: dict[int, tuple[int, ...]] = {}
+        self._usable: dict[tuple[int, int, str], bool] = {}
 
     # -- routing -------------------------------------------------------------
     def state_for(self, dst_asn: int) -> RoutingState:
@@ -76,6 +119,12 @@ class TracerouteCampaign:
         """Hit/miss/eviction counters of the routing-state cache."""
         return self._states.stats()
 
+    def _parents_toward(self, dst_asn: int) -> _ParentMemo:
+        memo = self._parents.get(dst_asn)
+        if memo is None:
+            memo = self._parents[dst_asn] = _ParentMemo(self._states, dst_asn)
+        return memo
+
     def _usable_from(self, vantage: VantagePoint, neighbor: int) -> bool:
         """Is this neighbor's route usable from the VM's location?
 
@@ -83,71 +132,56 @@ class TracerouteCampaign:
         session lives (§5: peers missed by the measurements provide routes
         to a single PoP far from the datacenters).
         """
-        links = self.scenario.interconnects.get(
-            (vantage.cloud_asn, neighbor)
-        )
-        if not links:
-            return True  # providers etc. reached through the backbone
-        return any(
-            not link.route_server or link.city.code == vantage.city.code
-            for link in links
-        )
+        key = (vantage.cloud_asn, neighbor, vantage.city.code)
+        usable = self._usable.get(key)
+        if usable is None:
+            links = self.scenario.interconnects.get(key[:2])
+            # providers etc. without interconnect records are reached
+            # through the backbone
+            usable = self._usable[key] = not links or any(
+                not link.route_server or link.city.code == key[2]
+                for link in links
+            )
+        return usable
+
+    def _routed_providers(
+        self, cloud: int, parents: _ParentMemo
+    ) -> list[int]:
+        """The cloud's transit providers holding a route, ascending."""
+        providers = self._providers.get(cloud)
+        if providers is None:
+            providers = self._providers[cloud] = tuple(
+                sorted(self.scenario.graph.providers(cloud))
+            )
+        return [p for p in providers if parents.routed(p)]
 
     def _choose_first_hop(
         self,
         vantage: VantagePoint,
-        state: RoutingState,
-        parents: Iterable[int],
+        parents: _ParentMemo,
+        best: tuple[int, ...],
         wan_egress: bool,
     ) -> int:
-        candidates = [
-            p for p in sorted(parents) if self._usable_from(vantage, p)
-        ]
+        candidates = [p for p in best if self._usable_from(vantage, p)]
         if not candidates:
             # fall back to any transit provider holding a route
-            providers = [
-                p
-                for p in sorted(
-                    self.scenario.graph.providers(vantage.cloud_asn)
-                )
-                if state.has_route(p)
-            ]
-            candidates = providers or sorted(parents)
+            candidates = (
+                self._routed_providers(vantage.cloud_asn, parents)
+                or list(best)
+            )
         if wan_egress or len(candidates) == 1:
             return self.rng.choice(candidates)
         # early exit: nearest interconnect to this VM wins (hot potato)
-        def exit_distance(neighbor: int) -> float:
-            key = (vantage.cloud_asn, neighbor, vantage.city.code)
-            distance = self._exit_km.get(key)
-            if distance is not None:
-                return distance
-            links = self.scenario.interconnects.get(
-                (vantage.cloud_asn, neighbor)
-            )
-            if not links:
-                distance = float("inf")
-            else:
-                distance = min(
-                    haversine_km(
-                        link.city.lat, link.city.lon,
-                        vantage.city.lat, vantage.city.lon,
-                    )
-                    for link in links
-                )
-            self._exit_km[key] = distance
-            return distance
-
-        return min(candidates, key=lambda n: (exit_distance(n), n))
+        exit_distance = self._expander.exit_distance
+        return min(
+            candidates, key=lambda n: (exit_distance(n, vantage), n)
+        )
 
     def _deviated_first_hop(
-        self, vantage: VantagePoint, state: RoutingState
+        self, vantage: VantagePoint, parents: _ParentMemo
     ) -> Optional[int]:
         """A traffic-engineered (non-best) exit via a transit provider."""
-        providers = [
-            p
-            for p in sorted(self.scenario.graph.providers(vantage.cloud_asn))
-            if state.has_route(p)
-        ]
+        providers = self._routed_providers(vantage.cloud_asn, parents)
         if not providers:
             return None
         return self.rng.choice(providers)
@@ -164,45 +198,50 @@ class TracerouteCampaign:
         cloud = vantage.cloud_asn
         if dst_asn == cloud:
             return None
-        state = self.state_for(dst_asn)
-        route = state.route(cloud)
-        if route is None:
+        parents = self._parents_toward(dst_asn)
+        best = parents[cloud]
+        if best is None:
             return None
+        rng = self.rng
         deviation = self.scenario.config.artifacts.policy_deviation
         if not wan_egress:
             deviation *= 3.0
         node: Optional[int] = None
-        if self.rng.random() < deviation:
-            node = self._deviated_first_hop(vantage, state)
+        if rng.random() < deviation:
+            node = self._deviated_first_hop(vantage, parents)
         if node is None:
-            node = self._choose_first_hop(
-                vantage, state, route.parents, wan_egress
-            )
+            node = self._choose_first_hop(vantage, parents, best, wan_egress)
         path = [cloud, node]
         while node != dst_asn:
-            # the lazy per-AS accessor keeps compiled states compact: the
-            # walk touches a handful of ASes, not the whole routes dict
-            parents = sorted(state.route(node).parents)
-            node = self.rng.choice(parents)
+            node = rng.choice(parents[node])
             path.append(node)
         return tuple(path)
 
     # -- campaign --------------------------------------------------------------
+    def _measure_into(
+        self,
+        table: TraceTable,
+        vantage: VantagePoint,
+        dst_asn: int,
+        wan_egress: bool,
+    ) -> None:
+        path = self.forwarding_path(vantage, dst_asn, wan_egress)
+        if path is not None:
+            self._expander.write(table, vantage, path)
+
     def measure(
         self, vantage: VantagePoint, dst_asn: int, wan_egress: bool
     ) -> Optional[Traceroute]:
-        path = self.forwarding_path(vantage, dst_asn, wan_egress)
-        if path is None:
-            return None
-        return expand_path(
-            self.scenario, self.artifacts, self.rng, vantage, path
-        )
+        """One traceroute, or ``None`` when the VM has no route."""
+        table = TraceTable(vantage.cloud_asn, (vantage,))
+        self._measure_into(table, vantage, dst_asn, wan_egress)
+        return table[0] if table else None
 
     def run_cloud(
         self,
         cloud_asn: int,
         destinations: Optional[Sequence[int]] = None,
-    ) -> list[Traceroute]:
+    ) -> TraceTable:
         """Measure from every VM of one cloud to every destination AS."""
         scenario = self.scenario
         profile = next(
@@ -216,19 +255,19 @@ class TracerouteCampaign:
         self._states.prefetch(
             dst for dst in destinations if dst != cloud_asn
         )
-        traces: list[Traceroute] = []
+        table = TraceTable(cloud_asn, vms)
+        measure_into = self._measure_into
+        wan_egress = profile.wan_egress
         for dst in destinations:
             if dst == cloud_asn:
                 continue
             for vm in vms:
-                trace = self.measure(vm, dst, profile.wan_egress)
-                if trace is not None:
-                    traces.append(trace)
-        return traces
+                measure_into(table, vm, dst, wan_egress)
+        return table
 
     def run_all(
         self, destinations: Optional[Sequence[int]] = None
-    ) -> dict[int, list[Traceroute]]:
+    ) -> dict[int, TraceTable]:
         """Run the full campaign for every cloud in the scenario."""
         return {
             asn: self.run_cloud(asn, destinations)

@@ -5,7 +5,8 @@ tunneling), the *neighbor's* border interface — addressed either out of the
 neighbor's own space (PNI) or out of an exchange LAN (public peering) —
 then one ingress interface per subsequent AS, and finally the destination.
 This module turns an AS path plus the scenario's interconnect records into
-that hop sequence, applying the artifact model along the way.
+that hop sequence, applying the artifact model along the way, and writes
+it as one row of a :class:`~repro.traceroute.model.TraceTable`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import random
 
 from ..geo.distance import haversine_km
-from ..netgen.addressing import host_in, router_ip
+from ..netgen.addressing import host_int, router_int
 from ..netgen.scenario import Interconnect, InternetScenario
 from .artifacts import ArtifactModel
-from .model import Hop, Traceroute, VantagePoint
+from .model import NO_REPLY, TraceTable, Traceroute, VantagePoint
 
 
 def nearest_interconnect(
@@ -39,6 +40,120 @@ def nearest_interconnect(
     )
 
 
+class PathExpander:
+    """Writes AS paths as traceroute rows, each address computed once.
+
+    Every address a row holds is a function of one AS (its ingress
+    router, its probed host), of one (cloud, VM) (the two interior
+    hops), or of the interconnect nearest the VM, which depends only on
+    (cloud, neighbor, VM city).  The expander memoizes each of them, so
+    after warm-up a hop costs a dictionary read; only the artifact draws
+    touch the RNG, in the campaign's fixed order.
+    """
+
+    def __init__(
+        self, scenario: InternetScenario, artifacts: ArtifactModel
+    ) -> None:
+        self.scenario = scenario
+        self.artifacts = artifacts
+        #: (cloud, neighbor, VM city) → distance to the nearest
+        #: interconnect (inf when there is none)
+        self.exit_km: dict[tuple[int, int, str], float] = {}
+        self._nearest: dict[tuple[int, int, str], Interconnect] = {}
+        self._ingress: dict[int, int] = {}
+        self._host: dict[int, int] = {}
+        self._interior: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def exit_distance(self, neighbor: int, vantage: VantagePoint) -> float:
+        """Distance from the VM to its nearest interconnect with
+        ``neighbor`` (inf for a neighbor reached without one)."""
+        key = (vantage.cloud_asn, neighbor, vantage.city.code)
+        distance = self.exit_km.get(key)
+        if distance is None:
+            try:
+                link = self.nearest(neighbor, vantage)
+            except KeyError:
+                distance = float("inf")
+            else:
+                distance = haversine_km(
+                    link.city.lat, link.city.lon,
+                    vantage.city.lat, vantage.city.lon,
+                )
+            self.exit_km[key] = distance
+        return distance
+
+    def nearest(self, neighbor: int, vantage: VantagePoint) -> Interconnect:
+        """:func:`nearest_interconnect`, memoized."""
+        key = (vantage.cloud_asn, neighbor, vantage.city.code)
+        link = self._nearest.get(key)
+        if link is None:
+            link = self._nearest[key] = nearest_interconnect(
+                self.scenario, key[0], neighbor, vantage
+            )
+        return link
+
+    def _host_of(self, asn: int) -> int:
+        """The probed address of ``asn``: host 1 of its prefix."""
+        ip = self._host.get(asn)
+        if ip is None:
+            ip = self._host[asn] = host_int(self.scenario.prefixes[asn], 1)
+        return ip
+
+    def _ingress_of(self, asn: int) -> int:
+        ip = self._ingress.get(asn)
+        if ip is None:
+            ip = self._ingress[asn] = router_int(
+                self.scenario.prefixes[asn], asn % 64, 0
+            )
+        return ip
+
+    def write(
+        self,
+        table: TraceTable,
+        vantage: VantagePoint,
+        as_path: tuple[int, ...],
+    ) -> None:
+        """Expand ``as_path`` (cloud first, destination last) into one
+        row of ``table``."""
+        if len(as_path) < 2:
+            raise ValueError("AS path must include the cloud and a destination")
+        cloud = vantage.cloud_asn
+        if as_path[0] != cloud:
+            raise ValueError("AS path must start at the vantage cloud")
+        dst_asn = as_path[-1]
+        dst_ip = self._host_of(dst_asn)
+        artifacts = self.artifacts
+        if artifacts.drop_whole_traceroute():
+            table.add(vantage.index, dst_asn, dst_ip, False, (), as_path)
+            return
+
+        hops: list[int] = []
+        # cloud interior (possibly tunneled away)
+        if not artifacts.suppress_cloud_interior():
+            key = (cloud, vantage.index)
+            interior = self._interior.get(key)
+            if interior is None:
+                prefix = self.scenario.prefixes[cloud]
+                interior = self._interior[key] = (
+                    router_int(prefix, vantage.index, 0),
+                    router_int(prefix, vantage.index, 1),
+                )
+            hops.extend(interior)
+
+        # neighbor border interface
+        border = artifacts.border_address(self.nearest(as_path[1], vantage))
+        hops.append(NO_REPLY if border is None else int(border))
+
+        # subsequent transit ASes, then the destination when it is not
+        # the direct neighbor: one ingress interface each
+        unresponsive = artifacts.transit_unresponsive
+        ingress = self._ingress_of
+        for asn in as_path[2:]:
+            hops.append(NO_REPLY if unresponsive() else ingress(asn))
+        hops.append(dst_ip)
+        table.add(vantage.index, dst_asn, dst_ip, True, hops, as_path)
+
+
 def expand_path(
     scenario: InternetScenario,
     artifacts: ArtifactModel,
@@ -46,58 +161,10 @@ def expand_path(
     vantage: VantagePoint,
     as_path: tuple[int, ...],
 ) -> Traceroute:
-    """Expand an AS path (cloud first, destination last) into a traceroute."""
-    if len(as_path) < 2:
-        raise ValueError("AS path must include the cloud and a destination")
-    if as_path[0] != vantage.cloud_asn:
-        raise ValueError("AS path must start at the vantage cloud")
-    dst_asn = as_path[-1]
-    dst_ip = host_in(scenario.prefixes[dst_asn], 1)
-    trace = Traceroute(
-        vantage=vantage,
-        dst_ip=dst_ip,
-        dst_asn=dst_asn,
-        true_as_path=as_path,
-    )
-    if artifacts.drop_whole_traceroute():
-        trace.reached = False
-        return trace
+    """Expand an AS path (cloud first, destination last) into a traceroute.
 
-    hops: list[Hop] = []
-    ttl = 0
-
-    def add(ip) -> None:
-        nonlocal ttl
-        ttl += 1
-        hops.append(Hop(ttl=ttl, ip=ip))
-
-    # cloud interior (possibly tunneled away)
-    cloud_prefix = scenario.prefixes[vantage.cloud_asn]
-    if not artifacts.suppress_cloud_interior():
-        add(router_ip(cloud_prefix, vantage.index, 0))
-        add(router_ip(cloud_prefix, vantage.index, 1))
-
-    # neighbor border interface
-    neighbor = as_path[1]
-    link = nearest_interconnect(
-        scenario, vantage.cloud_asn, neighbor, vantage
-    )
-    add(artifacts.border_address(link))
-
-    # subsequent transit ASes: one ingress interface each
-    for asn in as_path[2:-1]:
-        if artifacts.transit_unresponsive():
-            add(None)
-        else:
-            add(router_ip(scenario.prefixes[asn], asn % 64, 0))
-
-    # destination (when it is not the direct neighbor, add its ingress too)
-    if len(as_path) > 2:
-        if artifacts.transit_unresponsive():
-            add(None)
-        else:
-            add(router_ip(scenario.prefixes[dst_asn], dst_asn % 64, 0))
-    add(dst_ip)
-    trace.hops = hops
-    trace.reached = True
-    return trace
+    The artifacts draw from their own ``rng``; the ``rng`` argument is
+    unused and kept for callers that pass the campaign's."""
+    table = TraceTable(vantage.cloud_asn, (vantage,))
+    PathExpander(scenario, artifacts).write(table, vantage, as_path)
+    return table[0]

@@ -4,11 +4,15 @@ import bz2
 
 import pytest
 
+from repro.netgen import build_scenario, profile
 from repro.topology import (
+    ASGraph,
     CaidaFormatError,
     Relationship,
+    RelationshipConflictError,
     dump_graph,
     dumps_graph,
+    iter_records,
     load_graph,
     parse_graph,
     parse_line,
@@ -110,3 +114,86 @@ class TestRoundTrip:
     def test_invalid_serial_rejected(self, mini_graph, tmp_path):
         with pytest.raises(ValueError):
             dump_graph(mini_graph, tmp_path / "x.txt", serial=3)
+
+
+def _adjacency(graph):
+    return [
+        (asn, graph.providers(asn), graph.customers(asn), graph.peers(asn))
+        for asn in graph.nodes()
+    ]
+
+
+#: (file text, line number, reason) of every malformed-line case
+FORMAT_ERRORS = [
+    ("1|2|-1\nnot a record\n", 2, "expected 3 or 4 |-separated fields"),
+    ("# c\n1|2\n", 2, "expected 3 or 4 |-separated fields"),
+    ("1|2|-1|bgp|x\n", 1, "expected 3 or 4 |-separated fields"),
+    ("1|2|7\n", 1, "unknown relationship code"),
+    ("a|b|-1\n", 1, "non-integer field"),
+    ("\n\n5|5|0\n", 3, "self-relationship for AS5"),
+    ("-1|2|0\n", 1, "AS numbers must be non-negative"),
+]
+
+#: relationship files whose later line contradicts an earlier one
+CONFLICTS = [
+    "1|2|-1\n1|2|0\n",
+    "1|2|-1\n2|1|0\n",
+    "1|2|-1\n2|1|-1\n",
+    "1|2|0\n1|2|-1\n",
+    "1|2|0\n2|1|-1\n",
+]
+
+
+class TestLoader:
+    """``load_graph``/``parse_graph`` parse each line to ints once and
+    fill the adjacency sets directly; they must build what adding every
+    record through ``ASGraph.add_record`` builds, and reject what it
+    rejects."""
+
+    @pytest.fixture(scope="class")
+    def mid_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("caida") / "mid.as-rel2.txt"
+        dump_graph(build_scenario(profile("mid")).graph, path, header="mid")
+        return path
+
+    def test_mid_file_matches_add_record(self, mid_file):
+        want = ASGraph()
+        with open(mid_file, encoding="utf-8") as handle:
+            for record in iter_records(handle):
+                want.add_record(record)
+        got = load_graph(mid_file)
+        assert len(got) > 1000
+        assert got.nodes() == want.nodes()
+        assert _adjacency(got) == _adjacency(want)
+        got.validate()
+
+    def test_duplicates_keep_first_seen_node_order(self):
+        text = "7|3|-1\n5|7|0\n7|3|-1\n7|5|0\n9|3|-1\n"
+        want = ASGraph()
+        for record in iter_records(text.splitlines()):
+            want.add_record(record)
+        got = parse_graph(text)
+        assert got.nodes() == want.nodes() == [7, 3, 5, 9]
+        assert _adjacency(got) == _adjacency(want)
+
+    @pytest.mark.parametrize("text,lineno,reason", FORMAT_ERRORS)
+    def test_format_errors(self, text, lineno, reason, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        for load in (lambda: parse_graph(text), lambda: load_graph(path)):
+            with pytest.raises(CaidaFormatError) as info:
+                load()
+            assert (info.value.lineno, info.value.reason) == (lineno, reason)
+
+    @pytest.mark.parametrize("text", CONFLICTS)
+    def test_conflicts(self, text, tmp_path):
+        path = tmp_path / "conflict.txt.bz2"
+        with bz2.open(path, "wt") as handle:
+            handle.write(text)
+        for load in (lambda: parse_graph(text), lambda: load_graph(path)):
+            with pytest.raises(RelationshipConflictError):
+                load()
+        want = ASGraph()
+        with pytest.raises(RelationshipConflictError):
+            for record in iter_records(text.splitlines()):
+                want.add_record(record)

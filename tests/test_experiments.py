@@ -134,6 +134,36 @@ class TestIndividualExperiments:
             assert 0.0 <= row.match_rate <= 1.0
             assert row.total > 0
 
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_appendixA_matches_per_trace_check(self, ctx, engine, monkeypatch):
+        """Grouping traces by destination and batching the propagations
+        keeps every count: each trace against its destination's own
+        reference propagation, read hop by hop off ``routes``."""
+        from repro.bgpsim import Seed
+        from repro.bgpsim.engine import propagate_reference
+
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        result = appendixA_paths.run(ctx, max_traces_per_cloud=150)
+        graph = ctx.graph
+        states = {}
+        for row in result.rows:
+            matched = total = 0
+            for trace in ctx.traceroutes[row.asn][:150]:
+                if not trace.reached or trace.dst_asn not in graph:
+                    continue
+                total += 1
+                dst = trace.dst_asn
+                if dst not in states:
+                    states[dst] = propagate_reference(graph, Seed(asn=dst))
+                routes = states[dst].routes
+                path = trace.true_as_path
+                matched += path[-1] == dst and all(
+                    node in routes and parent in routes[node].parents
+                    for node, parent in zip(path, path[1:])
+                )
+            assert (row.matched, row.total) == (matched, total)
+            assert row.total > 0
+
     def test_appendixB(self, ctx):
         result = appendixB_tier1.run(ctx, tier1_names=("Level 3",))
         case = result.case("Level 3")

@@ -110,7 +110,7 @@ class TestInference:
 
 class _UnmemoizedCascade:
     """The resolution cascade run afresh for every hop: no memo, and each
-    service is handed the hop's own address object."""
+    service is handed the hop's address as the trace table stores it."""
 
     def __init__(self, scenario, order):
         self.order = order
